@@ -25,8 +25,11 @@ import os
 import sys
 from dataclasses import dataclass
 
-MODEL_KINDS = ("shared", "independent", "transformed", "correlated",
-               "reduced_effective")
+# Fock factors per bath mode of each model kind; the total dimension is
+# 2 n_max^(factors per mode x modes)
+FOCK_FACTORS_PER_MODE = {"shared": 1, "independent": 2, "transformed": 2,
+                         "correlated": 2, "reduced_effective": 1}
+MODEL_KINDS = tuple(FOCK_FACTORS_PER_MODE)
 ALPHA_KINDS = ("correlated", "reduced_effective")
 TASK_KINDS = ("trajectory", "compare", "alpha_sweep", "convergence")
 INITIAL_STATES = ("site1", "site2", "plus", "explicit")
@@ -422,6 +425,27 @@ def run(config: RunConfig) -> int:
         raise
 
 
+def _check_dim_cap(config: RunConfig, n_modes: int, n_max: int):
+    """Reject, before any assembly, a task that builds a model over the cap."""
+    from .dynamics import DimensionCapError
+
+    if config.task == "trajectory":
+        builds = [(config.bath_kind, n_max)]
+    elif config.task == "compare":
+        builds = [(config.bath_kind, n_max), (config.compare_with, n_max)]
+    elif config.task == "alpha_sweep":
+        builds = [("reduced_effective", n_max)]
+    else:
+        builds = [(kind, n) for n in config.n_max_list
+                  for kind in (config.bath_kind, config.compare_with)]
+    for kind, n in builds:
+        dim = 2 * n ** (FOCK_FACTORS_PER_MODE[kind] * n_modes)
+        if dim > config.dim_cap:
+            raise DimensionCapError(
+                f"{kind} model at n_max {n} has total dimension {dim}, "
+                f"over cap {config.dim_cap}")
+
+
 def _run(config: RunConfig) -> int:
     from . import dynamics, equivalence, models, thermal
 
@@ -437,6 +461,7 @@ def _run(config: RunConfig) -> int:
     else:
         n_max = max(thermal.choose_truncation(m.omega, spec) for m in modes)
 
+    _check_dim_cap(config, len(modes), n_max)
     rho_e0 = _initial_electronic(config)
     grid = dynamics.TimeGrid(config.t_max, config.n_steps)
     os.makedirs(config.out_dir, exist_ok=True)
@@ -454,10 +479,7 @@ def _run(config: RunConfig) -> int:
         model_b = _build_model(config, config.compare_with, modes, n_max)
         report = equivalence.compare_reduced(model_a, model_b, rho_e0, spec,
                                              grid, dim_cap=config.dim_cap)
-        rho0 = thermal.initial_state(rho_e0, model_a, spec)
-        traj = dynamics.evolve_reduced(model_a, rho0, grid,
-                                       dim_cap=config.dim_cap)
-        _write_csv(base + ".csv", grid.points, traj)
+        _write_csv(base + ".csv", grid.points, report.trajectory_a)
         _write_report(base + ".report", {
             "task": "compare",
             "model_a": report.model_a,

@@ -5,7 +5,7 @@ Hamiltonian gives rho(t) = V exp(-i L t) V^dag rho(0) V exp(+i L t) V^dag at
 every grid time with no step-to-step error accumulation. Reduced 2x2
 trajectories are extracted without ever forming the full rho(t): in the
 eigenbasis each matrix element of rho_e(t) is a sum of phase factors, which
-batches over the whole time grid as one matrix product.
+batches over fixed-size chunks of the time grid as one matrix product each.
 """
 
 from __future__ import annotations
@@ -18,6 +18,9 @@ from .models import TotalModel
 from .spaces import DensityMatrix, Operator, SpaceLayout, partial_trace_matrix
 
 DEFAULT_DIM_CAP = 4096
+
+# complex elements per (dim x chunk) phase array in reduced_trajectory
+PHASE_CHUNK_ELEMENTS = 1 << 20
 
 
 class DimensionCapError(RuntimeError):
@@ -118,7 +121,9 @@ class SpectralPropagator:
         With rt0 = V^dag rho0 V and Q_ab = V_b^dag V_a built from the
         electronic row blocks of V,
         rho_e(t)[a,b] = sum_mn rt0[m,n] Q_ab[n,m] exp(-i (L_m - L_n) t),
-        evaluated for all grid times with one matrix product per element.
+        evaluated with one matrix product per element and chunk of grid
+        times. Only (0,0), (1,1) and (0,1) are contracted; rho_e[1,0] is the
+        conjugate of rho_e[0,1].
         """
         if rho0.layout != self.model.layout:
             raise ValueError("rho0 layout does not match model")
@@ -126,14 +131,32 @@ class SpectralPropagator:
         dim = v.shape[0]
         d_ph = dim // 2
         rt0 = v.conj().T @ rho0.matrix @ v
-        phases = np.exp(1j * np.outer(self.eigenvalues, grid.points))
         blocks = (v[:d_ph, :], v[d_ph:, :])
-        states = np.empty((grid.n_steps + 1, 2, 2), dtype=np.complex128)
-        for a in range(2):
-            for b in range(2):
-                q = blocks[b].conj().T @ blocks[a]
-                m = rt0 * q.T
-                states[:, a, b] = np.sum(phases.conj() * (m @ phases), axis=0)
+        elements = ((0, 0), (1, 1), (0, 1))
+
+        def weighted(a, b):
+            m = (blocks[b].conj().T @ blocks[a]).T
+            m *= rt0
+            return m
+
+        points = grid.points
+        step = max(1, PHASE_CHUNK_ELEMENTS // dim)
+        # a grid of several chunks keeps all three elements so that each
+        # chunk's phases are computed once; one chunk forms them one by one
+        kept = ([weighted(a, b) for a, b in elements]
+                if points.size > step else None)
+        states = np.empty((points.size, 2, 2), dtype=np.complex128)
+        for start in range(0, points.size, step):
+            chunk = slice(start, start + step)
+            phases = np.exp(1j * np.outer(self.eigenvalues, points[chunk]))
+            conj = phases.conj()
+            for i, (a, b) in enumerate(elements):
+                m = weighted(a, b) if kept is None else kept[i]
+                terms = m @ phases
+                del m
+                np.multiply(conj, terms, out=terms)
+                states[chunk, a, b] = np.sum(terms, axis=0)
+        states[:, 1, 0] = states[:, 0, 1].conj()
         # project out float noise so trajectory invariants hold exactly
         states = 0.5 * (states + states.conj().transpose(0, 2, 1))
         tr = np.einsum("kii->k", states).real

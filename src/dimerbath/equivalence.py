@@ -61,7 +61,7 @@ def pointwise_distances(a: ReducedTrajectory, b: ReducedTrajectory) -> np.ndarra
 @dataclass(frozen=True)
 class ComparisonReport:
     """Per-time reduced-state distances between two models plus the
-    truncation-convergence certificate."""
+    truncation-convergence certificate and model_a's trajectory."""
 
     model_a: str
     model_b: str
@@ -71,6 +71,7 @@ class ComparisonReport:
     n_max_used: int
     converged: bool
     convergence_delta: float
+    trajectory_a: ReducedTrajectory
 
     def __post_init__(self):
         d = np.asarray(self.per_time_distance, dtype=float)
@@ -129,7 +130,7 @@ def compare_reduced(model_a: TotalModel, model_b: TotalModel,
         model_a=model_a.describe(), model_b=model_b.describe(), grid=grid,
         per_time_distance=distances, max_distance=max_distance,
         n_max_used=max(model_a.n_max, model_b.n_max),
-        converged=converged, convergence_delta=delta)
+        converged=converged, convergence_delta=delta, trajectory_a=traj_a)
 
 
 def spectrum_equivalence(model_a: TotalModel, model_b: TotalModel,

@@ -181,8 +181,41 @@ class TestRunTrajectory:
                            evolution__dim_cap="8")
         assert run(parse_config(text)) == 3
 
+    def test_dim_cap_checked_before_assembly(self, tmp_path, capsys):
+        # 2 * 20^8 states: numpy refuses the allocation, so assembly must not start
+        modes = {f"bath__modes__{i}__{key}": value for i in range(8)
+                 for key, value in (("omega", "1.0"), ("g", "0.2"))}
+        text = config_text(output__directory=str(tmp_path),
+                           thermal__n_max_override="20", **modes)
+        assert run(parse_config(text)) == 3
+        err = capsys.readouterr().err
+        assert "resource-cap" in err and "Traceback" not in err
+
+    def test_dim_cap_covers_every_convergence_truncation(self, tmp_path, capsys):
+        text = config_text(task__kind="convergence",
+                           task__compare_with="independent",
+                           task__n_max_list="4,6,8",
+                           evolution__dim_cap="100",
+                           output__directory=str(tmp_path))
+        assert run(parse_config(text)) == 3
+        assert "independent model at n_max 8" in capsys.readouterr().err
+        assert not (tmp_path / "out.report").exists()
+
 
 class TestRunCompare:
+    def test_csv_matches_trajectory_task(self, tmp_path):
+        compare = tmp_path / "compare"
+        trajectory = tmp_path / "trajectory"
+        assert run(parse_config(config_text(
+            task__kind="compare", task__compare_with="independent",
+            task__threshold="1e-5", thermal__n_max_override="10",
+            output__directory=str(compare)))) == 0
+        assert run(parse_config(config_text(
+            thermal__n_max_override="10",
+            output__directory=str(trajectory)))) == 0
+        assert ((compare / "out.csv").read_bytes()
+                == (trajectory / "out.csv").read_bytes())
+
     def test_equivalent_models_pass(self, tmp_path):
         text = config_text(task__kind="compare",
                            task__compare_with="independent",

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dimerbath import dynamics
 from dimerbath.dynamics import (
     DimensionCapError,
     ReducedTrajectory,
@@ -96,6 +97,26 @@ class TestReducedTrajectory:
             full = prop.evolve(rho0, grid.points[k]).matrix
             direct = partial_trace_matrix(full, small_model.layout.dims, [0])
             assert np.abs(traj.states[k] - direct).max() < 1e-11
+
+    def test_chunked_grid_matches_one_chunk(self, small_model, rho0,
+                                            monkeypatch):
+        prop = SpectralPropagator(small_model)
+        grid = TimeGrid(t_max=12.0, n_steps=40)
+        whole = prop.reduced_trajectory(rho0, grid).states
+        dim = small_model.layout.total_dim
+        monkeypatch.setattr(dynamics, "PHASE_CHUNK_ELEMENTS", 7 * dim)
+        chunked = prop.reduced_trajectory(rho0, grid)
+        assert np.abs(chunked.states - whole).max() < 1e-15
+        for k in (0, 6, 7, 20, 40):  # chunk edges and interiors
+            full = prop.evolve(rho0, grid.points[k]).matrix
+            direct = partial_trace_matrix(full, small_model.layout.dims, [0])
+            assert np.abs(chunked.states[k] - direct).max() < 1e-12
+
+    def test_lower_coherence_is_exact_conjugate(self, small_model, rho0):
+        traj = SpectralPropagator(small_model).reduced_trajectory(
+            rho0, TimeGrid(t_max=9.0, n_steps=30))
+        assert np.array_equal(traj.states[:, 1, 0],
+                              traj.states[:, 0, 1].conj())
 
     def test_initial_state_recovered(self, small_model, rho0, site1):
         prop = SpectralPropagator(small_model)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from dimerbath.models import (
     electronic_hamiltonian,
     ohmic_drude_modes,
 )
-from dimerbath.spaces import embed_matrix
+from dimerbath.spaces import Operator, embed_matrix
 
 SQRT2 = np.sqrt(2.0)
 
@@ -205,6 +207,13 @@ class TestHermiticity:
     def test_all_constructors_hermitian(self, params, build):
         m = build(params, [ModeSpec(1.0, 0.2), ModeSpec(0.5, -0.1)], 3)
         assert m.hamiltonian.is_hermitian(1e-12)
+
+    def test_perturbed_hamiltonian_rejected(self, params, mode):
+        model = build_shared_anticorrelated(params, [mode], 4)
+        h = model.hamiltonian.matrix.copy()
+        h[0, 1] += 1e-6
+        with pytest.raises(ValueError, match="not Hermitian"):
+            replace(model, hamiltonian=Operator(model.layout, h))
 
     def test_site_swap_leaves_spectrum_invariant(self):
         p = ElectronicParams(0.25, -0.25, 0.5)

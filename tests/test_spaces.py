@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import random_density
 from dimerbath.spaces import (
+    HERMITICITY_RTOL,
     DensityMatrix,
     LayoutError,
     Operator,
@@ -192,3 +193,30 @@ def test_density_matrix_validation():
         DensityMatrix(layout, np.diag([0.7, 0.7]))
     with pytest.raises(ValueError):
         DensityMatrix(layout, np.array([[0.5, 0.3], [0.1, 0.5]]))
+
+
+def test_is_hermitian_accepts_hermitian_and_zero_rejects_perturbed():
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    h = x + x.conj().T
+    layout = SpaceLayout.exciton([3])
+    assert Operator(layout, h).is_hermitian()
+    assert Operator(layout, np.zeros((6, 6))).is_hermitian()
+    h[2, 4] += 1e-6
+    assert not Operator(layout, h).is_hermitian()
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 12),
+       log_eps=st.one_of(st.none(), st.floats(-18.0, -8.0)))
+def test_is_hermitian_implies_spectral_norm_bound(seed, dim, log_eps):
+    # Hermitian matrices perturbed around the threshold, so both outcomes occur
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    a = x + x.conj().T
+    if log_eps is not None:
+        a = a + 10.0**log_eps * (rng.normal(size=(dim, dim))
+                                 + 1j * rng.normal(size=(dim, dim)))
+    if Operator(SpaceLayout.single_fock(dim), a).is_hermitian():
+        assert (np.linalg.norm(a - a.conj().T, 2)
+                <= HERMITICITY_RTOL * np.linalg.norm(a, 2))
