@@ -13,8 +13,9 @@ lines; the only other command-line input is ``--threads N``. Tasks:
 
 Exit codes: 0 ok, 1 verification failure, 2 config error, 3 resource cap.
 
-Heavy imports happen inside :func:`run` so that ``--threads`` can still pin
-the BLAS thread count through environment variables.
+Heavy imports (numpy and the modules that use it) happen inside functions,
+never at module level, so that ``--threads`` can still pin the BLAS thread
+count through environment variables.
 """
 
 from __future__ import annotations
@@ -25,12 +26,6 @@ import os
 import sys
 from dataclasses import dataclass
 
-# Fock factors per bath mode of each model kind; the total dimension is
-# 2 n_max^(factors per mode x modes)
-FOCK_FACTORS_PER_MODE = {"shared": 1, "independent": 2, "transformed": 2,
-                         "correlated": 2, "reduced_effective": 1}
-MODEL_KINDS = tuple(FOCK_FACTORS_PER_MODE)
-ALPHA_KINDS = ("correlated", "reduced_effective")
 TASK_KINDS = ("trajectory", "compare", "alpha_sweep", "convergence")
 INITIAL_STATES = ("site1", "site2", "plus", "explicit")
 
@@ -202,22 +197,17 @@ def _parse_list(e: _Entries, key: str, conv, required: bool = False) -> tuple:
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate the line-oriented config format."""
+    from .models import MODEL_KINDS
+
     e = _Entries(_parse_entries(text))
 
     eps1 = e.number("electronic.eps1", default=0.0)
     eps2 = e.number("electronic.eps2", default=0.0)
     j = e.number("electronic.j", default=0.0)
 
-    bath_kind = e.choice("bath.kind", MODEL_KINDS, required=True)
+    bath_kind = e.choice("bath.kind", tuple(MODEL_KINDS), required=True)
     alpha = e.number("bath.alpha")
-    if alpha is None and bath_kind in ALPHA_KINDS:
-        raise ConfigError(f"bath.alpha: required for bath.kind={bath_kind}")
-    if alpha is not None and bath_kind not in ALPHA_KINDS:
-        e.fail("bath.alpha",
-               f"alpha is only valid for kinds {', '.join(ALPHA_KINDS)}")
     coupling_scale = e.number("bath.coupling_scale")
-    if coupling_scale is not None and bath_kind != "independent":
-        e.fail("bath.coupling_scale", "only valid for bath.kind=independent")
 
     modes = _parse_modes(e)
     ohmic = None
@@ -267,9 +257,20 @@ def parse_config(text: str) -> RunConfig:
         explicit_rho = (rho11, re12, im12)
 
     task = e.choice("task.kind", TASK_KINDS, required=True)
-    compare_with = e.choice("task.compare_with", MODEL_KINDS)
+    compare_with = e.choice("task.compare_with", tuple(MODEL_KINDS))
     if task in ("compare", "convergence") and compare_with is None:
         raise ConfigError(f"task.compare_with: required for task.kind={task}")
+    # a parameter is valid when either model takes it; alpha has no default
+    for param, value in (("alpha", alpha), ("coupling_scale", coupling_scale)):
+        takers = [k for k, kind in MODEL_KINDS.items() if kind.parameter == param]
+        used = [f"{key}={k}" for key, k in (("bath.kind", bath_kind),
+                                             ("task.compare_with", compare_with))
+                if k in takers]
+        if value is None and used and param == "alpha":
+            raise ConfigError(f"bath.alpha: required for {used[0]}")
+        if value is not None and not used:
+            e.fail(f"bath.{param}", "only valid when bath.kind or "
+                   f"task.compare_with is {' or '.join(takers)}")
     alphas = _parse_list(e, "task.alphas", float, required=(task == "alpha_sweep"))
     if alphas and list(alphas) != sorted(alphas):
         e.fail("task.alphas", "alpha list must be ascending")
@@ -343,19 +344,12 @@ def serialize_config(config: RunConfig) -> str:
 def _build_model(config: RunConfig, kind: str, modes, n_max: int):
     from . import models
 
-    p = models.ElectronicParams(config.eps1, config.eps2, config.j)
-    if kind == "shared":
-        return models.build_shared_anticorrelated(p, modes, n_max)
-    if kind == "independent":
-        return models.build_independent_local(
-            p, modes, n_max, coupling_scale=config.coupling_scale)
-    if kind == "transformed":
-        return models.build_transformed(p, modes, n_max)
-    if kind == "correlated":
-        return models.build_correlated_alpha(p, modes, n_max, config.alpha)
-    if kind == "reduced_effective":
-        return models.build_reduced_effective(p, modes, n_max, config.alpha)
-    raise ConfigError(f"unknown model kind {kind!r}")
+    try:
+        p = models.ElectronicParams(config.eps1, config.eps2, config.j)
+        return models.build(kind, p, modes, n_max, config.alpha,
+                            config.coupling_scale)
+    except ValueError as exc:  # e.g. couplings that overflow the Hamiltonian
+        raise ConfigError(f"cannot build the {kind} model: {exc}") from exc
 
 
 def _initial_electronic(config: RunConfig):
@@ -428,6 +422,7 @@ def run(config: RunConfig) -> int:
 def _check_dim_cap(config: RunConfig, n_modes: int, n_max: int):
     """Reject, before any assembly, a task that builds a model over the cap."""
     from .dynamics import DimensionCapError
+    from .models import MODEL_KINDS
 
     if config.task == "trajectory":
         builds = [(config.bath_kind, n_max)]
@@ -439,7 +434,7 @@ def _check_dim_cap(config: RunConfig, n_modes: int, n_max: int):
         builds = [(kind, n) for n in config.n_max_list
                   for kind in (config.bath_kind, config.compare_with)]
     for kind, n in builds:
-        dim = 2 * n ** (FOCK_FACTORS_PER_MODE[kind] * n_modes)
+        dim = 2 * n ** (MODEL_KINDS[kind].factors_per_mode * n_modes)
         if dim > config.dim_cap:
             raise DimensionCapError(
                 f"{kind} model at n_max {n} has total dimension {dim}, "
@@ -529,16 +524,11 @@ def _run(config: RunConfig) -> int:
     # convergence task: comparison distance across an explicit n_max list
     distances = []
     for n in config.n_max_list:
-        model_a = _build_model(config, config.bath_kind, modes, n)
-        model_b = _build_model(config, config.compare_with, modes, n)
-        traj_a = dynamics.evolve_reduced(
-            model_a, thermal.initial_state(rho_e0, model_a, spec), grid,
-            dim_cap=config.dim_cap)
-        traj_b = dynamics.evolve_reduced(
-            model_b, thermal.initial_state(rho_e0, model_b, spec), grid,
-            dim_cap=config.dim_cap)
-        distances.append(float(equivalence.pointwise_distances(
-            traj_a, traj_b).max()))
+        _, per_time = equivalence.compare_trajectories(
+            _build_model(config, config.bath_kind, modes, n),
+            _build_model(config, config.compare_with, modes, n),
+            rho_e0, spec, grid, config.dim_cap)
+        distances.append(float(per_time.max()))
     report_items = {"task": "convergence",
                     "model_a": config.bath_kind, "model_b": config.compare_with,
                     "t_max": grid.t_max, "n_steps": grid.n_steps}

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import TotalModel
-from .spaces import DensityMatrix, Operator, SpaceLayout, partial_trace_matrix
+from .spaces import DensityMatrix, Operator, SpaceLayout
 
 DEFAULT_DIM_CAP = 4096
 
@@ -64,6 +64,9 @@ class ReducedTrajectory:
         if np.linalg.eigvalsh(s).min() < -1e-10:
             raise ValueError("reduced states are not positive semidefinite")
         s = s.copy()
+        # the checks above bound any excursion outside [0, 1] by about 1e-10
+        for i in (0, 1):
+            np.clip(s[:, i, i].real, 0.0, 1.0, out=s[:, i, i].real)
         s.flags.writeable = False
         object.__setattr__(self, "states", s)
 
@@ -178,16 +181,3 @@ def expectation(op: Operator, rho: DensityMatrix) -> complex:
     if op.layout != rho.layout:
         raise ValueError("operator and state layouts differ")
     return complex(np.einsum("ij,ji->", op.matrix, rho.matrix))
-
-
-def coherence_abs(traj: ReducedTrajectory) -> np.ndarray:
-    """|rho12(t_k)| per grid point; bounded by sqrt(rho11 rho22) <= 1/2."""
-    return np.abs(traj.rho12)
-
-
-def reduce_total(rho: DensityMatrix) -> DensityMatrix:
-    """Partial trace of a total state onto its electronic factor."""
-    if not rho.layout.has_electronic:
-        raise ValueError("state layout has no electronic factor")
-    reduced = partial_trace_matrix(rho.matrix, rho.layout.dims, [0])
-    return DensityMatrix(SpaceLayout.electronic_only(), reduced)

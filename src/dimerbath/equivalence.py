@@ -87,6 +87,17 @@ def _reduced(model: TotalModel, rho_e0: DensityMatrix, spec: ThermalSpec,
     return evolve_reduced(model, rho0, grid, dim_cap=dim_cap)
 
 
+def compare_trajectories(model_a: TotalModel, model_b: TotalModel,
+                         rho_e0: DensityMatrix, spec: ThermalSpec,
+                         grid: TimeGrid, dim_cap: int
+                         ) -> tuple[ReducedTrajectory, np.ndarray]:
+    """model_a's reduced trajectory and its trace distance from model_b's at
+    every grid time, both started from rho_e0 and the thermal bath state."""
+    traj_a = _reduced(model_a, rho_e0, spec, grid, dim_cap)
+    traj_b = _reduced(model_b, rho_e0, spec, grid, dim_cap)
+    return traj_a, pointwise_distances(traj_a, traj_b)
+
+
 def compare_reduced(model_a: TotalModel, model_b: TotalModel,
                     rho_e0: DensityMatrix, spec: ThermalSpec, grid: TimeGrid,
                     dim_cap: int = DEFAULT_DIM_CAP) -> ComparisonReport:
@@ -100,9 +111,8 @@ def compare_reduced(model_a: TotalModel, model_b: TotalModel,
     """
     if model_a.electronic != model_b.electronic:
         raise ValueError("models must share electronic parameters")
-    traj_a = _reduced(model_a, rho_e0, spec, grid, dim_cap)
-    traj_b = _reduced(model_b, rho_e0, spec, grid, dim_cap)
-    distances = pointwise_distances(traj_a, traj_b)
+    traj_a, distances = compare_trajectories(model_a, model_b, rho_e0, spec,
+                                             grid, dim_cap)
     max_distance = float(distances.max())
 
     converged = False
@@ -117,9 +127,9 @@ def compare_reduced(model_a: TotalModel, model_b: TotalModel,
                     f"refined dimension {fine_dim} exceeds cap {dim_cap}")
         fine_a = model_a.rebuild(model_a.n_max + CONVERGENCE_STEP)
         fine_b = model_b.rebuild(model_b.n_max + CONVERGENCE_STEP)
-        fine_max = float(pointwise_distances(
-            _reduced(fine_a, rho_e0, spec, grid, dim_cap),
-            _reduced(fine_b, rho_e0, spec, grid, dim_cap)).max())
+        _, fine = compare_trajectories(fine_a, fine_b, rho_e0, spec, grid,
+                                       dim_cap)
+        fine_max = float(fine.max())
     except DimensionCapError:
         pass
     else:

@@ -45,6 +45,25 @@ TRANSFORMED = "transformed"
 CORRELATED_ALPHA = "correlated_alpha"
 REDUCED_EFFECTIVE = "reduced_effective"
 
+
+@dataclass(frozen=True)
+class ModelKind:
+    """What the config-facing name of a model family stands for."""
+
+    label: str  # TotalModel.kind; its builder is build_<label>
+    factors_per_mode: int  # total dimension is 2 n_max^(factors x modes)
+    parameter: str | None  # "alpha", "coupling_scale" or None
+
+
+# config name -> model kind; the only place that knows the model families
+MODEL_KINDS = {
+    "shared": ModelKind(SHARED_ANTICORRELATED, 1, None),
+    "independent": ModelKind(INDEPENDENT_LOCAL, 2, "coupling_scale"),
+    "transformed": ModelKind(TRANSFORMED, 2, None),
+    "correlated": ModelKind(CORRELATED_ALPHA, 2, "alpha"),
+    "reduced_effective": ModelKind(REDUCED_EFFECTIVE, 1, "alpha"),
+}
+
 # bath partition labels, one per Fock factor
 SHARED = "shared"
 LOCAL_SITE_1 = "local-site-1"
@@ -123,20 +142,24 @@ class TotalModel:
 
     def rebuild(self, n_max: int) -> "TotalModel":
         """Same model family and parameters at a different Fock truncation."""
-        if self.kind == SHARED_ANTICORRELATED:
-            return build_shared_anticorrelated(self.electronic, self.modes, n_max)
-        if self.kind == INDEPENDENT_LOCAL:
-            return build_independent_local(self.electronic, self.modes, n_max,
-                                           coupling_scale=self.coupling_scale)
-        if self.kind == TRANSFORMED:
-            return build_transformed(self.electronic, self.modes, n_max)
-        if self.kind == CORRELATED_ALPHA:
-            return build_correlated_alpha(self.electronic, self.modes, n_max,
-                                          self.alpha)
-        if self.kind == REDUCED_EFFECTIVE:
-            return build_reduced_effective(self.electronic, self.modes, n_max,
-                                           self.alpha)
+        for name, kind in MODEL_KINDS.items():
+            if kind.label == self.kind:
+                return build(name, self.electronic, self.modes, n_max,
+                             self.alpha, self.coupling_scale)
         raise ValueError(f"unknown model kind {self.kind!r}")
+
+
+def build(name: str, p: ElectronicParams, modes: Sequence[ModeSpec],
+          n_max: int, alpha: float | None = None,
+          coupling_scale: float | None = None) -> TotalModel:
+    """Model of config kind ``name``; its builder gets only the parameter
+    that MODEL_KINDS names for the kind (alpha, coupling_scale or none)."""
+    kind = MODEL_KINDS[name]
+    # looked up at call time, so a wrapper set on the module attribute sees it
+    builder = globals()["build_" + kind.label]
+    given = {"alpha": alpha, "coupling_scale": coupling_scale}
+    return builder(p, modes, n_max,
+                   **{k: v for k, v in given.items() if k == kind.parameter})
 
 
 def electronic_hamiltonian(p: ElectronicParams) -> Operator:

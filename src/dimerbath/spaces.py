@@ -124,23 +124,6 @@ class Operator:
         # ||.||_2 <= ||.||_F and max|A_ij| <= ||A||_2: implies the spectral test
         return np.linalg.norm(m - m.conj().T) <= rtol * scale
 
-    def __add__(self, other: "Operator") -> "Operator":
-        _require_same_layout(self, other)
-        return Operator(self.layout, self.matrix + other.matrix)
-
-    def __sub__(self, other: "Operator") -> "Operator":
-        _require_same_layout(self, other)
-        return Operator(self.layout, self.matrix - other.matrix)
-
-    def __mul__(self, scalar) -> "Operator":
-        return Operator(self.layout, self.matrix * scalar)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other: "Operator") -> "Operator":
-        _require_same_layout(self, other)
-        return Operator(self.layout, self.matrix @ other.matrix)
-
 
 @dataclass(frozen=True)
 class DensityMatrix:

@@ -1,10 +1,14 @@
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dimerbath
 from dimerbath.cli import (
     CSV_HEADER,
     ConfigError,
@@ -13,6 +17,9 @@ from dimerbath.cli import (
     run,
     serialize_config,
 )
+
+SRC = Path(dimerbath.__file__).resolve().parents[1]
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 BASE = """
 electronic.eps1 = 0.25
@@ -88,6 +95,11 @@ class TestParseConfig:
         cfg = parse_config(config_text(bath__kind="independent",
                                        bath__coupling_scale="1.0"))
         assert cfg.coupling_scale == 1.0
+
+    def test_alpha_required_for_compare_partner(self):
+        with pytest.raises(ConfigError, match="bath.alpha"):
+            parse_config(config_text(task__kind="compare",
+                                     task__compare_with="correlated"))
 
     def test_noncontiguous_mode_indices_rejected(self):
         text = config_text() + "bath.modes.2.omega = 1.0\nbath.modes.2.g = 0.1\n"
@@ -181,6 +193,15 @@ class TestRunTrajectory:
                            evolution__dim_cap="8")
         assert run(parse_config(text)) == 3
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_unbuildable_model_is_config_error(self, tmp_path, capsys):
+        # sqrt(2) g overflows to inf, so the Hamiltonian fails its check
+        text = config_text(bath__kind="independent", bath__modes__0__g="1e308",
+                           output__directory=str(tmp_path))
+        assert run(parse_config(text)) == 2
+        err = capsys.readouterr().err
+        assert "config-error" in err and "Traceback" not in err
+
     def test_dim_cap_checked_before_assembly(self, tmp_path, capsys):
         # 2 * 20^8 states: numpy refuses the allocation, so assembly must not start
         modes = {f"bath__modes__{i}__{key}": value for i in range(8)
@@ -230,6 +251,15 @@ class TestRunCompare:
         assert report["converged"] == "true"
         assert float(report["max_trace_distance"]) < 1e-5
         assert (tmp_path / "out.csv").exists()
+
+    def test_alpha_taken_by_compare_partner(self, tmp_path, capsys):
+        text = config_text(task__kind="compare",
+                           task__compare_with="correlated",
+                           bath__alpha="0.5", thermal__n_max_override="4",
+                           output__directory=str(tmp_path))
+        assert run(parse_config(text)) in (0, 1)
+        assert "Traceback" not in capsys.readouterr().err
+        assert (tmp_path / "out.report").exists()
 
     def test_threshold_breach_fails_with_code_one(self, tmp_path):
         # at n_max = 6 the residual truncation distance is ~3e-5 >> 1e-8
@@ -293,3 +323,28 @@ class TestMain:
         path = tmp_path / "run.cfg"
         path.write_text(config_text())
         assert main([str(path), "--threads", "0"]) == 2
+
+
+def _cli(*args, cwd):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+class TestSubprocess:
+    def test_import_leaves_numpy_unloaded(self, tmp_path):
+        # --threads works only if numpy loads after main sets the BLAS variables
+        proc = _cli("-c", "import sys, dimerbath.cli; "
+                          "print('numpy' in sys.modules)", cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_bundled_populations_within_unit_interval(self, tmp_path):
+        proc = _cli("-m", "dimerbath.cli",
+                    str(CONFIGS / "ohmic_trajectory.cfg"), "--threads", "1",
+                    cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        data = np.loadtxt(tmp_path / "ohmic_trajectory.csv", delimiter=",",
+                          skiprows=1)
+        pops = data[:, 1:3]
+        assert pops.min() >= 0.0 and pops.max() <= 1.0
