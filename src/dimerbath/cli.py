@@ -257,16 +257,21 @@ def parse_config(text: str) -> RunConfig:
         explicit_rho = (rho11, re12, im12)
 
     task = e.choice("task.kind", TASK_KINDS, required=True)
+    if task == "alpha_sweep" and bath_kind != "reduced_effective":
+        e.fail("bath.kind", "task.kind=alpha_sweep builds reduced_effective "
+               f"models, got {bath_kind!r}")
     compare_with = e.choice("task.compare_with", tuple(MODEL_KINDS))
     if task in ("compare", "convergence") and compare_with is None:
         raise ConfigError(f"task.compare_with: required for task.kind={task}")
-    # a parameter is valid when either model takes it; alpha has no default
+    # a parameter is valid when either model takes it; alpha has no default,
+    # except in alpha_sweep, which takes its values from task.alphas
     for param, value in (("alpha", alpha), ("coupling_scale", coupling_scale)):
         takers = [k for k, kind in MODEL_KINDS.items() if kind.parameter == param]
         used = [f"{key}={k}" for key, k in (("bath.kind", bath_kind),
                                              ("task.compare_with", compare_with))
                 if k in takers]
-        if value is None and used and param == "alpha":
+        if (value is None and used and param == "alpha"
+                and task != "alpha_sweep"):
             raise ConfigError(f"bath.alpha: required for {used[0]}")
         if value is not None and not used:
             e.fail(f"bath.{param}", "only valid when bath.kind or "
@@ -293,52 +298,6 @@ def parse_config(text: str) -> RunConfig:
         explicit_rho=explicit_rho, task=task, compare_with=compare_with,
         alphas=alphas, n_max_list=n_max_list, threshold=threshold,
         out_dir=out_dir, basename=basename)
-
-
-def serialize_config(config: RunConfig) -> str:
-    """Canonical config text; parse(serialize(c)) == c."""
-    lines = [
-        f"electronic.eps1 = {config.eps1!r}",
-        f"electronic.eps2 = {config.eps2!r}",
-        f"electronic.j = {config.j!r}",
-        f"bath.kind = {config.bath_kind}",
-    ]
-    if config.alpha is not None:
-        lines.append(f"bath.alpha = {config.alpha!r}")
-    if config.coupling_scale is not None:
-        lines.append(f"bath.coupling_scale = {config.coupling_scale!r}")
-    for i, (omega, g) in enumerate(config.modes):
-        lines.append(f"bath.modes.{i}.omega = {omega!r}")
-        lines.append(f"bath.modes.{i}.g = {g!r}")
-    if config.ohmic is not None:
-        lam, gamma, m, omega_max = config.ohmic
-        lines += [f"bath.ohmic.lambda = {lam!r}", f"bath.ohmic.gamma = {gamma!r}",
-                  f"bath.ohmic.m = {m}", f"bath.ohmic.omega_max = {omega_max!r}"]
-    lines.append("thermal.beta = " +
-                 ("inf" if math.isinf(config.beta) else repr(config.beta)))
-    lines.append(f"thermal.tail_tol = {config.tail_tol!r}")
-    if config.n_max_override is not None:
-        lines.append(f"thermal.n_max_override = {config.n_max_override}")
-    lines += [f"evolution.t_max = {config.t_max!r}",
-              f"evolution.n_steps = {config.n_steps}",
-              f"evolution.dim_cap = {config.dim_cap}",
-              f"initial.electronic_state = {config.electronic_state}"]
-    if config.explicit_rho is not None:
-        rho11, re12, im12 = config.explicit_rho
-        lines += [f"initial.rho11 = {rho11!r}", f"initial.rho12_re = {re12!r}",
-                  f"initial.rho12_im = {im12!r}"]
-    lines.append(f"task.kind = {config.task}")
-    if config.compare_with is not None:
-        lines.append(f"task.compare_with = {config.compare_with}")
-    if config.alphas:
-        lines.append("task.alphas = " + ",".join(repr(a) for a in config.alphas))
-    if config.n_max_list:
-        lines.append("task.n_max_list = "
-                     + ",".join(str(n) for n in config.n_max_list))
-    lines += [f"task.threshold = {config.threshold!r}",
-              f"output.directory = {config.out_dir}",
-              f"output.basename = {config.basename}"]
-    return "\n".join(lines) + "\n"
 
 
 def _build_model(config: RunConfig, kind: str, modes, n_max: int):
@@ -379,13 +338,14 @@ def _format(value) -> str:
 
 
 def _write_csv(path: str, times, traj):
-    import numpy as np
-
     rows = [CSV_HEADER]
     coh = traj.rho12
     for t, p1, p2, c in zip(times, traj.rho11, traj.rho22, coh):
-        rows.append(",".join(_format(float(v)) for v in
-                             (t, p1, p2, c.real, c.imag, abs(c))))
+        values = [float(v) for v in (t, p1, p2, c.real, c.imag, abs(c))]
+        # NaN passes every comparison below, so it is rejected first
+        if not all(math.isfinite(v) for v in values):
+            raise VerificationError(f"non-finite value at t={t:g}")
+        rows.append(",".join(_format(v) for v in values))
         if abs(p1 + p2 - 1.0) > 1e-9:
             raise VerificationError(f"population sum off unit trace at t={t:g}")
         if abs(c) > math.sqrt(max(p1 * p2, 0.0)) + 1e-9:
@@ -424,12 +384,10 @@ def _check_dim_cap(config: RunConfig, n_modes: int, n_max: int):
     from .dynamics import DimensionCapError
     from .models import MODEL_KINDS
 
-    if config.task == "trajectory":
+    if config.task in ("trajectory", "alpha_sweep"):
         builds = [(config.bath_kind, n_max)]
     elif config.task == "compare":
         builds = [(config.bath_kind, n_max), (config.compare_with, n_max)]
-    elif config.task == "alpha_sweep":
-        builds = [("reduced_effective", n_max)]
     else:
         builds = [(kind, n) for n in config.n_max_list
                   for kind in (config.bath_kind, config.compare_with)]
@@ -504,11 +462,7 @@ def _run(config: RunConfig) -> int:
         report_items = {"task": "alpha_sweep", "n_max_used": n_max,
                         "t_max": grid.t_max, "n_steps": grid.n_steps}
         g_ref = max((m.g for m in modes), key=abs)
-        for i, a in enumerate(sweep.alphas):
-            model = models.build_reduced_effective(p, modes, n_max, a)
-            rho0 = thermal.initial_state(rho_e0, model, spec)
-            traj = dynamics.evolve_reduced(model, rho0, grid,
-                                           dim_cap=config.dim_cap)
+        for i, (a, traj) in enumerate(zip(sweep.alphas, sweep.trajectories)):
             _write_csv(f"{base}_alpha_{a:g}.csv", grid.points, traj)
             report_items[f"alpha_{i}"] = a
             report_items[f"effective_coupling_{i}"] = models.effective_coupling(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import TotalModel
-from .spaces import DensityMatrix, Operator, SpaceLayout
+from .spaces import DensityMatrix
 
 DEFAULT_DIM_CAP = 4096
 
@@ -81,9 +81,6 @@ class ReducedTrajectory:
     @property
     def rho12(self) -> np.ndarray:
         return self.states[:, 0, 1]
-
-    def state_at(self, k: int) -> DensityMatrix:
-        return DensityMatrix(SpaceLayout.electronic_only(), self.states[k])
 
 
 class SpectralPropagator:
@@ -174,10 +171,3 @@ def evolve_reduced(model: TotalModel, rho0: DensityMatrix, grid: TimeGrid,
     if not model.layout.has_electronic:
         raise ValueError("model layout has no electronic factor")
     return SpectralPropagator(model, dim_cap).reduced_trajectory(rho0, grid)
-
-
-def expectation(op: Operator, rho: DensityMatrix) -> complex:
-    """Tr[op rho]."""
-    if op.layout != rho.layout:
-        raise ValueError("operator and state layouts differ")
-    return complex(np.einsum("ij,ji->", op.matrix, rho.matrix))

@@ -199,14 +199,19 @@ def factorization_check(model: TotalModel, rho0: DensityMatrix, grid: TimeGrid,
 
 @dataclass(frozen=True)
 class AlphaSweepResult:
-    """Coherence series of the reduced-effective model across alpha values."""
+    """Reduced-effective trajectories across alpha values."""
 
     alphas: tuple[float, ...]
     #: shape (n_alpha, n_modes): effective coupling per alpha and mode
     effective_couplings: np.ndarray
-    #: shape (n_alpha, n_points): |rho12(t)| per alpha
-    coherence: np.ndarray
+    #: one reduced trajectory per alpha, in the order of ``alphas``
+    trajectories: tuple[ReducedTrajectory, ...]
     grid: TimeGrid
+
+    @property
+    def coherence(self) -> np.ndarray:
+        """Shape (n_alpha, n_points): |rho12(t)| per alpha."""
+        return np.array([np.abs(t.rho12) for t in self.trajectories])
 
     def couplings_strictly_decreasing(self) -> bool:
         """|effective coupling| strictly decreasing in alpha for every g != 0 mode."""
@@ -222,15 +227,14 @@ def coherence_vs_alpha(p: ElectronicParams, modes: Sequence[ModeSpec],
                        alphas: Sequence[float], n_max: int,
                        rho_e0: DensityMatrix,
                        dim_cap: int = DEFAULT_DIM_CAP) -> AlphaSweepResult:
-    """Reduced-effective coherence |rho12(t)| for each alpha, ascending."""
+    """Reduced-effective trajectory for each alpha, ascending."""
     alphas = tuple(float(a) for a in alphas)
     if list(alphas) != sorted(alphas):
         raise ValueError("alphas must be sorted ascending")
     couplings = np.array([[effective_coupling(m.g, a) for m in modes]
                           for a in alphas])
-    coherence = np.empty((len(alphas), grid.n_steps + 1))
-    for i, a in enumerate(alphas):
-        model = build_reduced_effective(p, modes, n_max, a)
-        traj = _reduced(model, rho_e0, spec, grid, dim_cap)
-        coherence[i] = np.abs(traj.rho12)
-    return AlphaSweepResult(alphas, couplings, coherence, grid)
+    trajectories = tuple(
+        _reduced(build_reduced_effective(p, modes, n_max, a), rho_e0, spec,
+                 grid, dim_cap)
+        for a in alphas)
+    return AlphaSweepResult(alphas, couplings, trajectories, grid)

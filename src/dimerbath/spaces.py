@@ -46,8 +46,8 @@ class SpaceLayout:
     """Ordered factor list of a composite space.
 
     An electronic factor, when present, is unique and sits first. Layouts
-    without an electronic factor occur as partial-trace results and for
-    single-mode operators such as ladder matrices.
+    without an electronic factor occur for single-mode operators such as
+    ladder matrices.
     """
 
     factors: tuple[Factor, ...]
@@ -87,10 +87,6 @@ class SpaceLayout:
     def has_electronic(self) -> bool:
         return self.factors[0].kind == ELECTRONIC
 
-    def subset(self, keep: Sequence[int]) -> "SpaceLayout":
-        """Layout of the kept factors, in original order."""
-        return SpaceLayout(tuple(self.factors[i] for i in sorted(keep)))
-
 
 def _as_square_complex(matrix, dim: int) -> np.ndarray:
     m = np.asarray(matrix, dtype=np.complex128)
@@ -111,9 +107,6 @@ class Operator:
     def __post_init__(self):
         object.__setattr__(self, "matrix",
                            _as_square_complex(self.matrix, self.layout.total_dim))
-
-    def dagger(self) -> "Operator":
-        return Operator(self.layout, self.matrix.conj().T)
 
     def is_hermitian(self, rtol: float = HERMITICITY_RTOL) -> bool:
         """||A - A^dag||_F <= rtol max|A_ij|, in O(dim^2) without an SVD."""
@@ -148,14 +141,6 @@ class DensityMatrix:
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.matrix)[0])
 
-    def purity(self) -> float:
-        return float(np.real(np.einsum("ij,ji->", self.matrix, self.matrix)))
-
-
-def _require_same_layout(a, b):
-    if a.layout != b.layout:
-        raise LayoutError("operands live on different layouts")
-
 
 def annihilation_matrix(n_max: int) -> Operator:
     """Truncated bosonic annihilation operator on a single Fock factor.
@@ -176,44 +161,13 @@ def number_matrix(n_max: int) -> Operator:
                     np.diag(np.arange(n_max)).astype(np.complex128))
 
 
-def identity(layout: SpaceLayout) -> Operator:
-    return Operator(layout, np.eye(layout.total_dim, dtype=np.complex128))
-
-
-def embed(op: Operator, factor_index: int, layout: SpaceLayout) -> Operator:
-    """Lift a single-factor operator to the full space, identity elsewhere."""
-    if not 0 <= factor_index < len(layout.factors):
-        raise LayoutError(f"factor index {factor_index} out of range")
-    target = layout.factors[factor_index]
-    if op.matrix.shape[0] != target.dim:
-        raise LayoutError(
-            f"operator dim {op.matrix.shape[0]} does not match factor dim {target.dim}")
-    return Operator(layout, embed_matrix(op.matrix, factor_index, layout.dims))
-
-
 def embed_matrix(matrix: np.ndarray, factor_index: int,
                  dims: Sequence[int]) -> np.ndarray:
+    """Lift a single-factor matrix to the full space, identity elsewhere."""
     left = int(np.prod(dims[:factor_index], initial=1))
     right = int(np.prod(dims[factor_index + 1:], initial=1))
     out = np.kron(np.eye(left, dtype=np.complex128), matrix)
     return np.kron(out, np.eye(right, dtype=np.complex128))
-
-
-def commutator(a: Operator, b: Operator) -> Operator:
-    _require_same_layout(a, b)
-    return Operator(a.layout, a.matrix @ b.matrix - b.matrix @ a.matrix)
-
-
-def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
-    """Trace out all factors not listed in keep; kept factors keep their order."""
-    keep = sorted(set(keep))
-    n = len(rho.layout.factors)
-    if not keep:
-        raise LayoutError("keep set must be non-empty")
-    if keep[0] < 0 or keep[-1] >= n:
-        raise LayoutError(f"keep indices {keep} out of range for {n} factors")
-    reduced = partial_trace_matrix(rho.matrix, rho.layout.dims, keep)
-    return DensityMatrix(rho.layout.subset(keep), reduced)
 
 
 def partial_trace_matrix(matrix: np.ndarray, dims: Sequence[int],

@@ -5,6 +5,7 @@ so a plain ``pytest -v tests/test_acceptance.py`` gives one line per
 criterion even when a criterion is red.
 """
 
+import dataclasses
 import math
 import os
 
@@ -159,6 +160,8 @@ def _config_paths():
 def _primary_model(config):
     from dimerbath.cli import _build_model
 
+    if config.task == "alpha_sweep":  # the sweep takes alpha from task.alphas
+        config = dataclasses.replace(config, alpha=config.alphas[0])
     if config.ohmic is not None:
         modes = ohmic_drude_modes(*config.ohmic)
     else:

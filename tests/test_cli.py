@@ -6,7 +6,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import dimerbath
 from dimerbath.cli import (
@@ -15,7 +14,6 @@ from dimerbath.cli import (
     main,
     parse_config,
     run,
-    serialize_config,
 )
 
 SRC = Path(dimerbath.__file__).resolve().parents[1]
@@ -153,15 +151,16 @@ class TestParseConfig:
                                      task__compare_with="independent",
                                      task__n_max_list="4,3"))
 
-    @given(eps1=st.floats(-2, 2), j=st.floats(-1, 1),
-           g=st.floats(-0.5, 0.5), n_steps=st.integers(1, 50))
-    @settings(max_examples=25, deadline=None)
-    def test_serialize_round_trip(self, eps1, j, g, n_steps):
-        cfg = parse_config(config_text(electronic__eps1=repr(eps1),
-                                       electronic__j=repr(j),
-                                       bath__modes__0__g=repr(g),
-                                       evolution__n_steps=str(n_steps)))
-        assert parse_config(serialize_config(cfg)) == cfg
+    def test_alpha_sweep_rejects_other_kinds(self):
+        with pytest.raises(ConfigError, match="bath.kind"):
+            parse_config(config_text(task__kind="alpha_sweep",
+                                     task__alphas="0.0,0.5"))
+
+    def test_alpha_sweep_needs_no_bath_alpha(self):
+        cfg = parse_config(config_text(bath__kind="reduced_effective",
+                                       task__kind="alpha_sweep",
+                                       task__alphas="0.0,0.5"))
+        assert cfg.alpha is None and cfg.alphas == (0.0, 0.5)
 
 
 class TestRunTrajectory:
@@ -201,6 +200,16 @@ class TestRunTrajectory:
         assert run(parse_config(text)) == 2
         err = capsys.readouterr().err
         assert "config-error" in err and "Traceback" not in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_output_is_verification_failure(self, tmp_path, capsys):
+        # a shared mode keeps the Hamiltonian finite, but its phases are NaN
+        text = config_text(bath__modes__0__g="1e308",
+                           output__directory=str(tmp_path))
+        assert run(parse_config(text)) == 1
+        err = capsys.readouterr().err
+        assert "verification-failure" in err and "Traceback" not in err
+        assert not (tmp_path / "out.csv").exists()
 
     def test_dim_cap_checked_before_assembly(self, tmp_path, capsys):
         # 2 * 20^8 states: numpy refuses the allocation, so assembly must not start
@@ -284,6 +293,39 @@ class TestRunAlphaSweep:
             assert (tmp_path / f"out_alpha_{a}.csv").exists()
         report = (tmp_path / "out.report").read_text()
         assert "effective_coupling_strictly_decreasing = true" in report
+
+    def test_one_propagator_per_alpha(self, tmp_path, monkeypatch):
+        from dimerbath.dynamics import SpectralPropagator
+
+        built = []
+        init = SpectralPropagator.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(SpectralPropagator, "__init__", counting)
+        text = config_text(bath__kind="reduced_effective",
+                           task__kind="alpha_sweep",
+                           task__alphas="-0.5,0.0,0.5",
+                           thermal__n_max_override="5",
+                           output__directory=str(tmp_path))
+        assert run(parse_config(text)) == 0
+        assert len(built) == 3
+
+    def test_csv_matches_trajectory_task(self, tmp_path):
+        sweep = tmp_path / "sweep"
+        trajectory = tmp_path / "trajectory"
+        assert run(parse_config(config_text(
+            bath__kind="reduced_effective", task__kind="alpha_sweep",
+            task__alphas="0.0,0.5", thermal__n_max_override="5",
+            output__directory=str(sweep)))) == 0
+        assert run(parse_config(config_text(
+            bath__kind="reduced_effective", bath__alpha="0.5",
+            thermal__n_max_override="5",
+            output__directory=str(trajectory)))) == 0
+        assert ((sweep / "out_alpha_0.5.csv").read_bytes()
+                == (trajectory / "out.csv").read_bytes())
 
 
 class TestRunConvergence:

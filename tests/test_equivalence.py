@@ -172,6 +172,7 @@ class TestCoherenceVsAlpha:
         assert result.alphas == (-0.5, 0.0, 0.5, 1.0)
         assert result.effective_couplings.shape == (4, 1)
         assert result.coherence.shape == (4, GRID.n_steps + 1)
+        assert len(result.trajectories) == 4
         assert result.couplings_strictly_decreasing()
 
     def test_alpha_one_row_matches_uncoupled_dimer(self, params, mode, site1):
