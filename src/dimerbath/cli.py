@@ -190,9 +190,13 @@ def _parse_list(e: _Entries, key: str, conv, required: bool = False) -> tuple:
             raise ConfigError(f"{key}: required key missing")
         return ()
     try:
-        return tuple(conv(part.strip()) for part in raw.split(",") if part.strip())
+        values = tuple(conv(part.strip()) for part in raw.split(",")
+                       if part.strip())
     except ValueError:
         e.fail(key, f"expected a comma-separated list, got {raw!r}")
+    if not values:
+        e.fail(key, f"empty list {raw!r}")
+    return values
 
 
 def parse_config(text: str) -> RunConfig:
@@ -383,6 +387,7 @@ def _check_dim_cap(config: RunConfig, n_modes: int, n_max: int):
     """Reject, before any assembly, a task that builds a model over the cap."""
     from .dynamics import DimensionCapError
     from .models import MODEL_KINDS
+    from .spaces import exciton_dim
 
     if config.task in ("trajectory", "alpha_sweep"):
         builds = [(config.bath_kind, n_max)]
@@ -392,7 +397,7 @@ def _check_dim_cap(config: RunConfig, n_modes: int, n_max: int):
         builds = [(kind, n) for n in config.n_max_list
                   for kind in (config.bath_kind, config.compare_with)]
     for kind, n in builds:
-        dim = 2 * n ** (MODEL_KINDS[kind].factors_per_mode * n_modes)
+        dim = exciton_dim(MODEL_KINDS[kind].factors_per_mode * n_modes, n)
         if dim > config.dim_cap:
             raise DimensionCapError(
                 f"{kind} model at n_max {n} has total dimension {dim}, "

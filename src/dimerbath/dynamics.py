@@ -168,6 +168,4 @@ class SpectralPropagator:
 def evolve_reduced(model: TotalModel, rho0: DensityMatrix, grid: TimeGrid,
                    dim_cap: int = DEFAULT_DIM_CAP) -> ReducedTrajectory:
     """Reduced electronic trajectory of rho0 under the model Hamiltonian."""
-    if not model.layout.has_electronic:
-        raise ValueError("model layout has no electronic factor")
     return SpectralPropagator(model, dim_cap).reduced_trajectory(rho0, grid)

@@ -33,6 +33,7 @@ from .models import (
 )
 from .spaces import (
     DensityMatrix,
+    exciton_dim,
     partial_trace_matrix,
     permute_factors_matrix,
 )
@@ -40,17 +41,6 @@ from .thermal import ThermalSpec, initial_state
 
 CONVERGENCE_STEP = 2
 CONVERGENCE_TOL = 1e-7
-
-
-def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """(1/2) sum |eig(rho - sigma)|; a metric with values in [0, 1]."""
-    if rho.layout != sigma.layout:
-        raise ValueError("states live on different layouts")
-    return _trace_distance_matrix(rho.matrix, sigma.matrix)
-
-
-def _trace_distance_matrix(a: np.ndarray, b: np.ndarray) -> float:
-    return float(0.5 * np.abs(np.linalg.eigvalsh(a - b)).sum())
 
 
 def pointwise_distances(a: ReducedTrajectory, b: ReducedTrajectory) -> np.ndarray:
@@ -120,8 +110,8 @@ def compare_reduced(model_a: TotalModel, model_b: TotalModel,
     try:
         # reject an over-cap refinement before materializing its Hamiltonian
         for model in (model_a, model_b):
-            n_fock = len(model.layout.dims) - 1
-            fine_dim = 2 * (model.n_max + CONVERGENCE_STEP) ** n_fock
+            fine_dim = exciton_dim(len(model.bath_partition),
+                                   model.n_max + CONVERGENCE_STEP)
             if fine_dim > dim_cap:
                 raise DimensionCapError(
                     f"refined dimension {fine_dim} exceeds cap {dim_cap}")

@@ -32,8 +32,8 @@ from .spaces import (
     Operator,
     SpaceLayout,
     annihilation_matrix,
-    embed_matrix,
-    number_matrix,
+    exciton_dim,
+    occupation_basis,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -51,7 +51,7 @@ class ModelKind:
     """What the config-facing name of a model family stands for."""
 
     label: str  # TotalModel.kind; its builder is build_<label>
-    factors_per_mode: int  # total dimension is 2 n_max^(factors x modes)
+    factors_per_mode: int  # Fock factors per bath mode
     parameter: str | None  # "alpha", "coupling_scale" or None
 
 
@@ -121,7 +121,7 @@ class TotalModel:
     coupling_scale: float | None = None
 
     def __post_init__(self):
-        if len(self.bath_partition) != len(self.layout.factors) - 1:
+        if len(self.bath_partition) != len(self.layout.dims) - 1:
             raise ValueError("one partition label per Fock factor required")
         if len(self.factor_frequencies) != len(self.bath_partition):
             raise ValueError("one frequency per Fock factor required")
@@ -168,49 +168,73 @@ def electronic_hamiltonian(p: ElectronicParams) -> Operator:
     return Operator(SpaceLayout.electronic_only(), m)
 
 
-def _projectors() -> tuple[np.ndarray, np.ndarray]:
-    p1 = np.diag([1.0, 0.0]).astype(np.complex128)
-    p2 = np.diag([0.0, 1.0]).astype(np.complex128)
-    return p1, p2
+def _assemble(p: ElectronicParams, n_max: int, frequencies: Sequence[float],
+              couplings: Sequence[tuple[float, tuple[float, float]]]
+              ) -> Operator:
+    """H_e + sum_k omega_k n_k + sum_k g_k (c1 |1><1| + c2 |2><2|)(b_k + b_k^dag).
+
+    One (g_k, (c1, c2)) coupling per Fock factor k. H is written into one
+    dense array by index lookup in the occupation basis: the state at row
+    e B + i is electronic state e with bath occupations basis[i].
+    """
+    n_fock = len(frequencies)
+    basis = occupation_basis(n_fock, n_max)
+    n_bath = len(basis)
+    h = np.zeros((exciton_dim(n_fock, n_max),) * 2, dtype=np.complex128)
+    h_e = electronic_hamiltonian(p).matrix.real
+    bath = np.arange(n_bath)
+    for e in (0, 1):
+        energy = np.full(n_bath, h_e[e, e])
+        for k, omega in enumerate(frequencies):
+            energy += omega * basis[:, k]
+        h[e * n_bath + bath, e * n_bath + bath] = energy
+        h[e * n_bath + bath, (1 - e) * n_bath + bath] = h_e[e, 1 - e]
+    # (b + b^dag) connects occupation n of factor k with n - 1, amplitude sqrt(n)
+    a = annihilation_matrix(n_max).matrix.real
+    for k, (g, sites) in enumerate(couplings):
+        if g == 0.0:
+            continue
+        upper = np.flatnonzero(basis[:, k])
+        n = basis[upper, k]
+        lowered = basis[upper]
+        lowered[:, k] -= 1
+        lower = np.ravel_multi_index(lowered.T, (n_max,) * n_fock)
+        for e, c in enumerate(sites):
+            if c == 0.0:
+                continue
+            value = g * (c * a[n - 1, n])
+            h[e * n_bath + lower, e * n_bath + upper] += value
+            h[e * n_bath + upper, e * n_bath + lower] += value
+    h.flags.writeable = False
+    return Operator(SpaceLayout((2,) + (n_max,) * n_fock), h)
 
 
-def _check_modes(modes: Sequence[ModeSpec], n_max: int):
+def _model(kind: str, p: ElectronicParams, modes: Sequence[ModeSpec],
+           n_max: int, factors: Sequence[tuple[str, tuple[float, float]]],
+           g_scale: float = 1.0, **parameters) -> TotalModel:
+    """Model with one Fock factor per mode and ``factors`` entry.
+
+    Each entry is (partition label, (c1, c2)): that factor couples to the
+    exciton through c1 |1><1| + c2 |2><2| with strength g_scale g of its mode.
+    """
     if not modes:
         raise ValueError("mode list must be non-empty")
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
-
-
-def _assemble(p: ElectronicParams, n_fock: int, n_max: int,
-              frequencies: Sequence[float],
-              couplings: Sequence[tuple[int, np.ndarray, float]]) -> Operator:
-    """Sum H_e + harmonic terms + listed (factor, electronic op, g) couplings."""
-    layout = SpaceLayout.exciton([n_max] * n_fock)
-    dims = layout.dims
-    a = annihilation_matrix(n_max).matrix
-    x = a + a.conj().T
-    num = number_matrix(n_max).matrix
-    h = embed_matrix(electronic_hamiltonian(p).matrix, 0, dims)
-    for k, omega in enumerate(frequencies):
-        h += omega * embed_matrix(num, k + 1, dims)
-    for k, el_op, g in couplings:
-        if g == 0.0:
-            continue
-        h += g * np.kron(el_op, embed_matrix(x, k, dims[1:]))
-    return Operator(layout, h)
+    frequencies = tuple(m.omega for m in modes for _ in factors)
+    couplings = [(g_scale * m.g, sites) for m in modes for _, sites in factors]
+    h = _assemble(p, n_max, frequencies, couplings)
+    return TotalModel(h, kind, p, tuple(modes), n_max,
+                      bath_partition=tuple(label for _ in modes
+                                           for label, _ in factors),
+                      factor_frequencies=frequencies, **parameters)
 
 
 def build_shared_anticorrelated(p: ElectronicParams, modes: Sequence[ModeSpec],
                                 n_max: int) -> TotalModel:
     """Shared bath: every mode couples through |1><1| - |2><2|."""
-    _check_modes(modes, n_max)
-    p1, p2 = _projectors()
-    freqs = [m.omega for m in modes]
-    couplings = [(k, p1 - p2, m.g) for k, m in enumerate(modes)]
-    h = _assemble(p, len(modes), n_max, freqs, couplings)
-    return TotalModel(h, SHARED_ANTICORRELATED, p, tuple(modes), n_max,
-                      bath_partition=(SHARED,) * len(modes),
-                      factor_frequencies=tuple(freqs))
+    return _model(SHARED_ANTICORRELATED, p, modes, n_max,
+                  [(SHARED, (1.0, -1.0))])
 
 
 def build_independent_local(p: ElectronicParams, modes: Sequence[ModeSpec],
@@ -220,19 +244,10 @@ def build_independent_local(p: ElectronicParams, modes: Sequence[ModeSpec],
 
     Fock factors are interleaved (site1, xi), (site2, xi) per mode xi.
     """
-    _check_modes(modes, n_max)
     scale = SQRT2 if coupling_scale is None else float(coupling_scale)
-    p1, p2 = _projectors()
-    freqs, couplings, labels = [], [], []
-    for k, m in enumerate(modes):
-        freqs += [m.omega, m.omega]
-        couplings += [(2 * k, p1, scale * m.g), (2 * k + 1, p2, scale * m.g)]
-        labels += [LOCAL_SITE_1, LOCAL_SITE_2]
-    h = _assemble(p, 2 * len(modes), n_max, freqs, couplings)
-    return TotalModel(h, INDEPENDENT_LOCAL, p, tuple(modes), n_max,
-                      bath_partition=tuple(labels),
-                      factor_frequencies=tuple(freqs),
-                      coupling_scale=scale)
+    return _model(INDEPENDENT_LOCAL, p, modes, n_max,
+                  [(LOCAL_SITE_1, (1.0, 0.0)), (LOCAL_SITE_2, (0.0, 1.0))],
+                  g_scale=scale, coupling_scale=scale)
 
 
 def build_transformed(p: ElectronicParams, modes: Sequence[ModeSpec],
@@ -243,40 +258,22 @@ def build_transformed(p: ElectronicParams, modes: Sequence[ModeSpec],
     center-of-mass factor through the electronic identity; factors are
     interleaved (relative, center-of-mass) per xi.
     """
-    _check_modes(modes, n_max)
-    p1, p2 = _projectors()
-    eye = np.eye(2, dtype=np.complex128)
-    freqs, couplings, labels = [], [], []
-    for k, m in enumerate(modes):
-        freqs += [m.omega, m.omega]
-        couplings += [(2 * k, p1 - p2, m.g), (2 * k + 1, eye, m.g)]
-        labels += [RELATIVE_B, CENTER_OF_MASS_B]
-    h = _assemble(p, 2 * len(modes), n_max, freqs, couplings)
-    return TotalModel(h, TRANSFORMED, p, tuple(modes), n_max,
-                      bath_partition=tuple(labels),
-                      factor_frequencies=tuple(freqs))
+    return _model(TRANSFORMED, p, modes, n_max,
+                  [(RELATIVE_B, (1.0, -1.0)), (CENTER_OF_MASS_B, (1.0, 1.0))])
 
 
 def build_correlated_alpha(p: ElectronicParams, modes: Sequence[ModeSpec],
                            n_max: int, alpha: float) -> TotalModel:
     """Correlated baths: site mode xi couples to the other site with weight alpha."""
-    _check_modes(modes, n_max)
     if not math.isfinite(alpha):
         raise ValueError("alpha must be finite")
     if abs(alpha) > 1:
         warnings.warn(f"|alpha| = {abs(alpha):g} > 1 is outside the usual range",
                       stacklevel=2)
-    p1, p2 = _projectors()
-    freqs, couplings, labels = [], [], []
-    for k, m in enumerate(modes):
-        freqs += [m.omega, m.omega]
-        couplings += [(2 * k, p1 + alpha * p2, m.g),
-                      (2 * k + 1, p2 + alpha * p1, m.g)]
-        labels += [LOCAL_SITE_1, LOCAL_SITE_2]
-    h = _assemble(p, 2 * len(modes), n_max, freqs, couplings)
-    return TotalModel(h, CORRELATED_ALPHA, p, tuple(modes), n_max,
-                      bath_partition=tuple(labels),
-                      factor_frequencies=tuple(freqs), alpha=float(alpha))
+    alpha = float(alpha)
+    return _model(CORRELATED_ALPHA, p, modes, n_max,
+                  [(LOCAL_SITE_1, (1.0, alpha)), (LOCAL_SITE_2, (alpha, 1.0))],
+                  alpha=alpha)
 
 
 def build_reduced_effective(p: ElectronicParams, modes: Sequence[ModeSpec],
@@ -286,9 +283,6 @@ def build_reduced_effective(p: ElectronicParams, modes: Sequence[ModeSpec],
     Entrywise equal to the shared anti-correlated model with every g
     replaced by g (1 - alpha)/sqrt(2).
     """
-    _check_modes(modes, n_max)
-    if not math.isfinite(alpha):
-        raise ValueError("alpha must be finite")
     scaled = tuple(replace(m, g=effective_coupling(m.g, alpha)) for m in modes)
     base = build_shared_anticorrelated(p, scaled, n_max)
     return TotalModel(base.hamiltonian, REDUCED_EFFECTIVE, p, tuple(modes),

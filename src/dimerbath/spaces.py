@@ -1,20 +1,19 @@
 """Composite Hilbert spaces and dense operator algebra.
 
-A space is an ordered tensor product of factors: an optional two-level
-electronic factor (always first when present) followed by truncated Fock
-factors. Everything is dense complex128; all values are immutable after
-construction and all operations are pure functions.
+A space is an ordered tensor product of factors, described by their
+dimensions: the two-level electronic factor first, when present, followed
+by truncated Fock factors. The bath of an exciton space is one
+occupation-number basis, listed by :func:`occupation_basis`. Everything is
+dense complex128; all values are immutable after construction and all
+operations are pure functions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
-
-ELECTRONIC = "electronic"
-FOCK = "fock"
 
 HERMITICITY_RTOL = 1e-12
 
@@ -24,76 +23,42 @@ class LayoutError(ValueError):
 
 
 @dataclass(frozen=True)
-class Factor:
-    """One tensor factor: the 2-level electronic space or a truncated Fock space."""
-
-    kind: str
-    dim: int
-
-    def __post_init__(self):
-        if self.kind == ELECTRONIC:
-            if self.dim != 2:
-                raise LayoutError("electronic factor must have dimension 2")
-        elif self.kind == FOCK:
-            if self.dim < 2:
-                raise LayoutError(f"Fock factor needs n_max >= 2, got {self.dim}")
-        else:
-            raise LayoutError(f"unknown factor kind {self.kind!r}")
-
-
-@dataclass(frozen=True)
 class SpaceLayout:
-    """Ordered factor list of a composite space.
+    """Dimensions of the tensor factors of a composite space, in order."""
 
-    An electronic factor, when present, is unique and sits first. Layouts
-    without an electronic factor occur for single-mode operators such as
-    ladder matrices.
-    """
-
-    factors: tuple[Factor, ...]
-
-    def __post_init__(self):
-        if not self.factors:
-            raise LayoutError("layout needs at least one factor")
-        for i, f in enumerate(self.factors):
-            if f.kind == ELECTRONIC and i != 0:
-                raise LayoutError("electronic factor must come first")
-        if sum(f.kind == ELECTRONIC for f in self.factors) > 1:
-            raise LayoutError("at most one electronic factor")
-
-    @classmethod
-    def exciton(cls, fock_dims: Iterable[int]) -> "SpaceLayout":
-        """Electronic factor followed by one Fock factor per entry of fock_dims."""
-        return cls((Factor(ELECTRONIC, 2),)
-                   + tuple(Factor(FOCK, int(n)) for n in fock_dims))
+    dims: tuple[int, ...]
 
     @classmethod
     def electronic_only(cls) -> "SpaceLayout":
-        return cls((Factor(ELECTRONIC, 2),))
-
-    @classmethod
-    def single_fock(cls, n_max: int) -> "SpaceLayout":
-        return cls((Factor(FOCK, int(n_max)),))
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(f.dim for f in self.factors)
+        return cls((2,))
 
     @property
     def total_dim(self) -> int:
         return int(np.prod(self.dims))
 
-    @property
-    def has_electronic(self) -> bool:
-        return self.factors[0].kind == ELECTRONIC
+
+def exciton_dim(n_fock: int, n_max: int) -> int:
+    """Dimension 2 n_max^n_fock of the electronic factor times the bath basis."""
+    return 2 * n_max ** n_fock
+
+
+def occupation_basis(n_fock: int, n_max: int) -> np.ndarray:
+    """Occupation tuples with every n_k < n_max, one row per bath state.
+
+    Rows are in the order of the Fock factors' tensor product: the last
+    mode's occupation varies fastest.
+    """
+    return np.indices((n_max,) * n_fock).reshape(n_fock, -1).T
 
 
 def _as_square_complex(matrix, dim: int) -> np.ndarray:
     m = np.asarray(matrix, dtype=np.complex128)
     if m.shape != (dim, dim):
         raise LayoutError(f"matrix shape {m.shape} does not match layout dim {dim}")
-    m = m.copy()
-    m.flags.writeable = False
+    # an array that owns its data and is already read-only is taken as is
+    if m.flags.writeable or not m.flags.owndata:
+        m = m.copy()
+        m.flags.writeable = False
     return m
 
 
@@ -122,8 +87,7 @@ class Operator:
 class DensityMatrix:
     """Hermitian, unit-trace state tagged with its layout.
 
-    Construction checks trace and Hermiticity (cheap); positivity is
-    exposed through :meth:`min_eigenvalue` since it needs a solve.
+    Construction checks trace and Hermiticity (cheap), not positivity.
     """
 
     layout: SpaceLayout
@@ -138,9 +102,6 @@ class DensityMatrix:
             raise ValueError("density matrix is not Hermitian")
         object.__setattr__(self, "matrix", m)
 
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.matrix)[0])
-
 
 def annihilation_matrix(n_max: int) -> Operator:
     """Truncated bosonic annihilation operator on a single Fock factor.
@@ -151,23 +112,7 @@ def annihilation_matrix(n_max: int) -> Operator:
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
     a = np.diag(np.sqrt(np.arange(1, n_max)), k=1).astype(np.complex128)
-    return Operator(SpaceLayout.single_fock(n_max), a)
-
-
-def number_matrix(n_max: int) -> Operator:
-    if n_max < 2:
-        raise ValueError(f"n_max must be >= 2, got {n_max}")
-    return Operator(SpaceLayout.single_fock(n_max),
-                    np.diag(np.arange(n_max)).astype(np.complex128))
-
-
-def embed_matrix(matrix: np.ndarray, factor_index: int,
-                 dims: Sequence[int]) -> np.ndarray:
-    """Lift a single-factor matrix to the full space, identity elsewhere."""
-    left = int(np.prod(dims[:factor_index], initial=1))
-    right = int(np.prod(dims[factor_index + 1:], initial=1))
-    out = np.kron(np.eye(left, dtype=np.complex128), matrix)
-    return np.kron(out, np.eye(right, dtype=np.complex128))
+    return Operator(SpaceLayout((n_max,)), a)
 
 
 def partial_trace_matrix(matrix: np.ndarray, dims: Sequence[int],

@@ -47,7 +47,7 @@ def gibbs_state(omega: float, beta: float, n_max: int) -> DensityMatrix:
     else:
         p = np.exp(-beta * omega * np.arange(n_max))
         p /= p.sum()
-    return DensityMatrix(SpaceLayout.single_fock(n_max),
+    return DensityMatrix(SpaceLayout((n_max,)),
                          np.diag(p).astype(np.complex128))
 
 
@@ -81,8 +81,7 @@ def initial_state(rho_e0: DensityMatrix, model: TotalModel,
     """Product state: electronic rho_e0 times one Gibbs factor per mode."""
     if rho_e0.layout != SpaceLayout.electronic_only():
         raise ValueError("rho_e0 must live on the electronic-only layout")
-    n_max = model.layout.factors[1].dim
     total = rho_e0.matrix
     for omega in model.factor_frequencies:
-        total = np.kron(total, gibbs_state(omega, spec.beta, n_max).matrix)
+        total = np.kron(total, gibbs_state(omega, spec.beta, model.n_max).matrix)
     return DensityMatrix(model.layout, total)

@@ -26,3 +26,61 @@ def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = a @ a.conj().T
     return rho / np.trace(rho)
+
+
+def embed_matrix(matrix: np.ndarray, factor_index: int, dims) -> np.ndarray:
+    """Lift a single-factor matrix to the full space, identity elsewhere."""
+    left = int(np.prod(dims[:factor_index], initial=1))
+    right = int(np.prod(dims[factor_index + 1:], initial=1))
+    out = np.kron(np.eye(left, dtype=np.complex128), matrix)
+    return np.kron(out, np.eye(right, dtype=np.complex128))
+
+
+_P1 = np.diag([1.0, 0.0]).astype(np.complex128)
+_P2 = np.diag([0.0, 1.0]).astype(np.complex128)
+
+
+def _kron_couplings(model) -> list[tuple[np.ndarray, float]]:
+    """(electronic operator, coupling) of every Fock factor, in factor order."""
+    from dimerbath import models
+
+    if model.kind == models.SHARED_ANTICORRELATED:
+        return [(_P1 - _P2, m.g) for m in model.modes]
+    if model.kind == models.REDUCED_EFFECTIVE:
+        return [(_P1 - _P2, models.effective_coupling(m.g, model.alpha))
+                for m in model.modes]
+    if model.kind == models.INDEPENDENT_LOCAL:
+        s = model.coupling_scale
+        return [c for m in model.modes for c in ((_P1, s * m.g), (_P2, s * m.g))]
+    if model.kind == models.TRANSFORMED:
+        eye = np.eye(2, dtype=np.complex128)
+        return [c for m in model.modes for c in ((_P1 - _P2, m.g), (eye, m.g))]
+    a = model.alpha
+    return [c for m in model.modes
+            for c in ((_P1 + a * _P2, m.g), (_P2 + a * _P1, m.g))]
+
+
+def kron_hamiltonian(model) -> np.ndarray:
+    """The model's Hamiltonian summed term by term from np.kron embeddings.
+
+    H_e, then omega_k n_k for every Fock factor, then g_k (el_op_k x x_k);
+    a reference for the index-lookup assembly in ``models``.
+    """
+    from dimerbath.models import electronic_hamiltonian
+
+    couplings = _kron_couplings(model)
+    per_mode = len(couplings) // len(model.modes)
+    n_max = model.n_max
+    dims = (2,) + (n_max,) * len(couplings)
+    a = np.diag(np.sqrt(np.arange(1, n_max)), k=1).astype(np.complex128)
+    x = a + a.conj().T
+    num = np.diag(np.arange(n_max)).astype(np.complex128)
+    h = embed_matrix(electronic_hamiltonian(model.electronic).matrix, 0, dims)
+    for k in range(len(couplings)):
+        omega = model.modes[k // per_mode].omega
+        h += omega * embed_matrix(num, k + 1, dims)
+    for k, (el_op, g) in enumerate(couplings):
+        if g == 0.0:
+            continue
+        h += g * np.kron(el_op, embed_matrix(x, k, dims[1:]))
+    return h

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import dimerbath
 from dimerbath.cli import (
@@ -15,6 +20,7 @@ from dimerbath.cli import (
     parse_config,
     run,
 )
+from dimerbath.models import MODEL_KINDS
 
 SRC = Path(dimerbath.__file__).resolve().parents[1]
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -150,6 +156,18 @@ class TestParseConfig:
             parse_config(config_text(task__kind="convergence",
                                      task__compare_with="independent",
                                      task__n_max_list="4,3"))
+
+    def test_empty_alpha_list_rejected(self):
+        with pytest.raises(ConfigError, match="task.alphas"):
+            parse_config(config_text(bath__kind="reduced_effective",
+                                     task__kind="alpha_sweep",
+                                     task__alphas=","))
+
+    def test_empty_n_max_list_rejected(self):
+        with pytest.raises(ConfigError, match="task.n_max_list"):
+            parse_config(config_text(task__kind="convergence",
+                                     task__compare_with="independent",
+                                     task__n_max_list=" , "))
 
     def test_alpha_sweep_rejects_other_kinds(self):
         with pytest.raises(ConfigError, match="bath.kind"):
@@ -365,6 +383,87 @@ class TestMain:
         path = tmp_path / "run.cfg"
         path.write_text(config_text())
         assert main([str(path), "--threads", "0"]) == 2
+
+
+def _list_text(values):
+    return ", ".join(str(v) for v in values) if values else ","
+
+
+KINDS = sorted(MODEL_KINDS)
+
+
+@st.composite
+def fuzz_entries(draw):
+    """Tiny config overrides: one mode, at most 3 levels, at most 20 steps.
+
+    Keys a task needs are present and consistent except in rare draws, so
+    that most examples run; None drops a key."""
+
+    def rare():
+        return draw(st.integers(0, 7)) == 0
+
+    task = draw(st.sampled_from(["trajectory", "compare", "alpha_sweep",
+                                 "convergence"]))
+    kind = draw(st.sampled_from(KINDS))
+    if task == "alpha_sweep" and not rare():
+        kind = "reduced_effective"
+    partner = None
+    if task in ("compare", "convergence") or rare():
+        partner = draw(st.sampled_from(KINDS))
+    used = {kind, partner}
+    alpha = scale = None
+    if used & {"correlated", "reduced_effective"} or rare():
+        alpha = draw(st.floats(-1.5, 1.5))
+    if "independent" in used and not rare():
+        scale = draw(st.floats(-2.0, 2.0))
+    size = 0 if rare() else 1  # empty lists are config errors
+    alphas = st.lists(st.floats(-1.5, 1.5), min_size=size, max_size=3)
+    n_max_list = st.lists(st.integers(2, 3), min_size=size, max_size=3)
+    return {
+        "bath__kind": kind,
+        "bath__alpha": None if alpha is None else repr(alpha),
+        "bath__coupling_scale": None if scale is None else repr(scale),
+        "bath__modes__0__omega": repr(draw(st.floats(0.2, 3.0))),
+        "bath__modes__0__g": repr(draw(st.floats(-1.0, 1.0))),
+        "thermal__beta": draw(st.just("inf") | st.floats(0.2, 5.0).map(repr)),
+        "thermal__n_max_override": str(draw(st.integers(2, 3))),
+        "evolution__t_max": repr(draw(st.floats(0.5, 20.0))),
+        "evolution__n_steps": str(draw(st.integers(1, 20))),
+        "evolution__dim_cap": draw(st.none() | st.sampled_from(["8", "40"])),
+        "initial__electronic_state": draw(st.sampled_from(
+            ["site1", "site2", "plus"])),
+        "task__kind": task,
+        "task__compare_with": partner,
+        "task__alphas": (_list_text(sorted(draw(alphas)))
+                         if task == "alpha_sweep" or rare() else None),
+        "task__n_max_list": (_list_text(sorted(draw(n_max_list)))
+                             if task == "convergence" or rare() else None),
+    }
+
+
+@pytest.mark.filterwarnings("ignore:.*outside the usual range")
+@settings(max_examples=100, deadline=None)
+@given(entries=fuzz_entries())
+@example(entries={"bath__kind": "reduced_effective", "bath__alpha": None,
+                  "bath__coupling_scale": None, "bath__modes__0__omega": "1.0",
+                  "bath__modes__0__g": "0.2", "thermal__beta": "inf",
+                  "thermal__n_max_override": "3", "evolution__t_max": "1.0",
+                  "evolution__n_steps": "2", "evolution__dim_cap": None,
+                  "initial__electronic_state": "site1",
+                  "task__kind": "alpha_sweep", "task__compare_with": None,
+                  "task__alphas": ",", "task__n_max_list": None})
+def test_fuzzed_configs_exit_with_a_documented_code(entries):
+    with tempfile.TemporaryDirectory() as out:
+        path = Path(out) / "fuzz.cfg"
+        path.write_text(config_text(output__directory=out, **entries))
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main([str(path)])
+        assert code in (0, 1, 2, 3), stderr.getvalue()
+        assert "Traceback" not in stderr.getvalue()
+        for csv in Path(out).glob("*.csv"):
+            data = np.loadtxt(csv, delimiter=",", skiprows=1, ndmin=2)
+            assert np.isfinite(data).all(), csv.name
 
 
 def _cli(*args, cwd):

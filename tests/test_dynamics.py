@@ -71,7 +71,7 @@ class TestEvolve:
         prop = SpectralPropagator(small_model)
         rho_t = prop.evolve(rho0, 4.0)
         assert np.trace(rho_t.matrix).real == pytest.approx(1.0, abs=1e-12)
-        assert rho_t.min_eigenvalue() > -1e-12
+        assert np.linalg.eigvalsh(rho_t.matrix)[0] > -1e-12
 
     def test_purity_invariant(self, small_model, rho0):
         prop = SpectralPropagator(small_model)

@@ -2,14 +2,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dimerbath.dynamics import SpectralPropagator, TimeGrid, evolve_reduced
+from dimerbath.dynamics import (
+    ReducedTrajectory,
+    SpectralPropagator,
+    TimeGrid,
+    evolve_reduced,
+)
 from dimerbath.equivalence import (
     coherence_vs_alpha,
     compare_reduced,
     factorization_check,
     pointwise_distances,
     spectrum_equivalence,
-    trace_distance,
 )
 from dimerbath.models import (
     ModeSpec,
@@ -33,35 +37,38 @@ def _density(matrix):
     return DensityMatrix(layout, np.asarray(matrix, dtype=complex))
 
 
+def _distance(rho, sigma) -> float:
+    """pointwise_distances of the two-point trajectories (rho, rho), (sigma, sigma)."""
+    grid = TimeGrid(t_max=1.0, n_steps=1)
+    a, b = (ReducedTrajectory(grid, np.stack([m.matrix, m.matrix]))
+            for m in (rho, sigma))
+    d = pointwise_distances(a, b)
+    assert d.shape == (2,) and d[0] == d[1]
+    return float(d[0])
+
+
 class TestTraceDistance:
     def test_identical_states(self, site1):
-        assert trace_distance(site1, site1) == 0.0
+        assert _distance(site1, site1) == 0.0
 
     def test_orthogonal_pure_states(self, site1):
         site2 = _density([[0, 0], [0, 1]])
-        assert trace_distance(site1, site2) == pytest.approx(1.0, abs=1e-14)
+        assert _distance(site1, site2) == pytest.approx(1.0, abs=1e-14)
 
     def test_hand_computed_value(self):
         # rho - sigma = diag(0.2, -0.2), distance = 0.2
         rho = _density([[0.7, 0], [0, 0.3]])
         sigma = _density([[0.5, 0], [0, 0.5]])
-        assert trace_distance(rho, sigma) == pytest.approx(0.2, abs=1e-14)
+        assert _distance(rho, sigma) == pytest.approx(0.2, abs=1e-14)
 
     @given(seed_a=st.integers(0, 10**6), seed_b=st.integers(0, 10**6))
     @settings(max_examples=25, deadline=None)
     def test_metric_axioms(self, seed_a, seed_b):
-        layout = SpaceLayout.electronic_only()
-        a = DensityMatrix(layout, random_density(2, np.random.default_rng(seed_a)))
-        b = DensityMatrix(layout, random_density(2, np.random.default_rng(seed_b)))
-        d = trace_distance(a, b)
+        a = _density(random_density(2, np.random.default_rng(seed_a)))
+        b = _density(random_density(2, np.random.default_rng(seed_b)))
+        d = _distance(a, b)
         assert 0.0 <= d <= 1.0 + 1e-12
-        assert d == pytest.approx(trace_distance(b, a), abs=1e-14)
-
-    def test_layout_mismatch_rejected(self, site1):
-        layout = SpaceLayout.single_fock(2)
-        other = DensityMatrix(layout, np.diag([1.0, 0.0]).astype(complex))
-        with pytest.raises(ValueError):
-            trace_distance(site1, other)
+        assert d == pytest.approx(_distance(b, a), abs=1e-14)
 
 
 class TestCompareReduced:

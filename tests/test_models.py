@@ -1,8 +1,12 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import embed_matrix, kron_hamiltonian
 from dimerbath import models
 from dimerbath.models import (
     ElectronicParams,
@@ -16,9 +20,49 @@ from dimerbath.models import (
     electronic_hamiltonian,
     ohmic_drude_modes,
 )
-from dimerbath.spaces import Operator, embed_matrix
+from dimerbath.spaces import Operator
 
 SQRT2 = np.sqrt(2.0)
+
+
+KIND_ARGS = [("shared", {}), ("independent", {}),
+             ("independent", {"coupling_scale": -0.6}), ("transformed", {}),
+             ("correlated", {"alpha": -0.4}), ("correlated", {"alpha": 0.0}),
+             ("reduced_effective", {"alpha": 0.3})]
+
+
+def _bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestKronReference:
+    """The index-lookup assembly equals the kron-embedded sum bit for bit."""
+
+    @pytest.mark.parametrize("name,extra", KIND_ARGS)
+    @pytest.mark.parametrize("n_modes,n_max", [(1, 2), (1, 3), (1, 5),
+                                               (2, 2), (2, 3), (2, 4)])
+    def test_bit_identical(self, params, name, extra, n_modes, n_max):
+        modes = [ModeSpec(0.8, 0.15), ModeSpec(1.3, -0.1)][:n_modes]
+        model = models.build(name, params, modes, n_max, **extra)
+        assert _bitwise_equal(model.hamiltonian.matrix, kron_hamiltonian(model))
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(sorted(models.MODEL_KINDS)),
+           modes=st.lists(st.tuples(st.floats(0.05, 5.0),
+                                    st.one_of(st.just(0.0),
+                                              st.floats(-2.0, 2.0))),
+                          min_size=1, max_size=2),
+           n_max=st.integers(2, 4),
+           alpha=st.one_of(st.just(0.0), st.just(1.0), st.floats(-1.5, 1.5)),
+           scale=st.one_of(st.just(0.0), st.floats(-3.0, 3.0)))
+    def test_bit_identical_random_parameters(self, name, modes, n_max, alpha,
+                                             scale):
+        params = ElectronicParams(0.25, -0.25, 0.5)
+        modes = [ModeSpec(w, g) for w, g in modes]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # |alpha| > 1
+            model = models.build(name, params, modes, n_max, alpha, scale)
+        assert _bitwise_equal(model.hamiltonian.matrix, kron_hamiltonian(model))
 
 
 class TestElectronicHamiltonian:
@@ -109,7 +153,7 @@ class TestTransformed:
         m = build_transformed(params, [mode], 4)
         bare = build_shared_anticorrelated(params, [mode], 4)
         # H_transformed minus (shared part on factor 1 + harmonic B term)
-        dims = m.layout.dims
+        dims = (2, 4, 4)
         a = np.diag(np.sqrt(np.arange(1, 4)), 1).astype(complex)
         x = a + a.conj().T
         num = a.conj().T @ a
@@ -146,7 +190,7 @@ class TestCorrelatedAlpha:
     def test_alpha_one_coupling_proportional_to_identity(self, params):
         m = build_correlated_alpha(params, [ModeSpec(1.0, 0.3)], 3, 1.0)
         decoupled = build_independent_local(params, [ModeSpec(1.0, 0.0)], 3)
-        dims = m.layout.dims
+        dims = (2, 3, 3)
         a = np.diag(np.sqrt(np.arange(1, 3)), 1).astype(complex)
         x = a + a.conj().T
         coupling = m.hamiltonian.matrix - decoupled.hamiltonian.matrix

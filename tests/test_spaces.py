@@ -3,16 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_density
+from conftest import embed_matrix, random_density
 from dimerbath.spaces import (
     HERMITICITY_RTOL,
     DensityMatrix,
-    LayoutError,
     Operator,
     SpaceLayout,
     annihilation_matrix,
-    embed_matrix,
-    number_matrix,
+    exciton_dim,
+    occupation_basis,
     partial_trace_matrix,
     permute_factors_matrix,
 )
@@ -43,26 +42,32 @@ def test_truncated_commutator_identity_below_top(n_max):
     assert np.abs(c[:p, :p]).max() < 1e-12
 
 
-def test_layout_requires_electronic_first():
-    from dimerbath.spaces import ELECTRONIC, FOCK, Factor
-
-    with pytest.raises(LayoutError):
-        SpaceLayout((Factor(FOCK, 3), Factor(ELECTRONIC, 2)))
-
-
 def test_layout_dims():
-    layout = SpaceLayout.exciton([3, 4])
+    layout = SpaceLayout((2, 3, 4))
     assert layout.dims == (2, 3, 4)
     assert layout.total_dim == 24
+    assert SpaceLayout.electronic_only().dims == (2,)
+
+
+@pytest.mark.parametrize("n_fock,n_max", [(1, 2), (1, 5), (2, 3), (3, 2), (4, 3)])
+def test_occupation_basis_is_kron_order(n_fock, n_max):
+    # row i holds the occupations that the kron-embedded number operators
+    # of the bath factors give state i
+    basis = occupation_basis(n_fock, n_max)
+    dims = (n_max,) * n_fock
+    num = np.diag(np.arange(n_max))
+    for k in range(n_fock):
+        assert np.array_equal(basis[:, k], np.diag(embed_matrix(num, k, dims)).real)
+    assert 2 * len(basis) == exciton_dim(n_fock, n_max)
 
 
 def test_embed_identity_is_identity():
-    dims = SpaceLayout.exciton([3, 3]).dims
+    dims = (2, 3, 3)
     assert np.array_equal(embed_matrix(np.eye(3), 1, dims), np.eye(18))
 
 
 def test_embed_distinct_factors_commute():
-    dims = SpaceLayout.exciton([4, 4]).dims
+    dims = (2, 4, 4)
     a = annihilation_matrix(4).matrix
     lhs = embed_matrix(a, 1, dims)
     rhs = embed_matrix(a.conj().T, 2, dims)
@@ -70,15 +75,15 @@ def test_embed_distinct_factors_commute():
 
 
 def test_embed_trace_scales_with_other_dims():
-    dims = SpaceLayout.exciton([3, 5]).dims
-    num = number_matrix(5).matrix
+    dims = (2, 3, 5)
+    num = np.diag(np.arange(5))
     emb = embed_matrix(num, 2, dims)
     assert np.trace(emb) == pytest.approx(np.trace(num) * 6)
 
 
 def test_embed_preserves_spectral_norm():
     rng = np.random.default_rng(7)
-    dims = SpaceLayout.exciton([3, 4]).dims
+    dims = (2, 3, 4)
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     assert np.linalg.norm(embed_matrix(m, 2, dims), 2) == pytest.approx(
         np.linalg.norm(m, 2), rel=1e-12)
@@ -86,10 +91,9 @@ def test_embed_preserves_spectral_norm():
 
 def test_partial_trace_product_state_marginal():
     rng = np.random.default_rng(1)
-    layout = SpaceLayout.exciton([3])
     rho_a = random_density(2, rng)
     rho_b = random_density(3, rng)
-    marg = partial_trace_matrix(np.kron(rho_a, rho_b), layout.dims, [0])
+    marg = partial_trace_matrix(np.kron(rho_a, rho_b), (2, 3), [0])
     assert np.abs(marg - rho_a).max() < 1e-13
 
 
@@ -98,7 +102,7 @@ def test_partial_trace_bell_state():
     psi[0] = psi[3] = 1 / np.sqrt(2)
     rho = np.outer(psi, psi.conj())
     for keep in ([0], [1]):
-        marg = partial_trace_matrix(rho, SpaceLayout.exciton([2]).dims, keep)
+        marg = partial_trace_matrix(rho, (2, 2), keep)
         assert np.abs(marg - np.eye(2) / 2).max() < 1e-13
 
 
@@ -106,7 +110,7 @@ def test_partial_trace_bell_state():
 @given(seed=st.integers(0, 2**32 - 1))
 def test_partial_trace_preserves_trace_and_positivity(seed):
     rng = np.random.default_rng(seed)
-    dims = SpaceLayout.exciton([2, 3]).dims
+    dims = (2, 2, 3)
     reduced = partial_trace_matrix(random_density(12, rng), dims, [0, 2])
     assert np.trace(reduced) == pytest.approx(1.0, abs=1e-13)
     assert np.linalg.eigvalsh(reduced).min() >= -1e-10
@@ -116,7 +120,7 @@ def test_partial_trace_preserves_trace_and_positivity(seed):
 @given(seed=st.integers(0, 2**32 - 1))
 def test_sequential_trace_equals_joint(seed):
     rng = np.random.default_rng(seed)
-    dims = SpaceLayout.exciton([2, 2, 3]).dims
+    dims = (2, 2, 2, 3)
     rho = random_density(24, rng)
     joint = partial_trace_matrix(rho, dims, [0])
     seq = partial_trace_matrix(partial_trace_matrix(rho, dims, [0, 1]),
@@ -164,7 +168,7 @@ def test_is_hermitian_accepts_hermitian_and_zero_rejects_perturbed():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
     h = x + x.conj().T
-    layout = SpaceLayout.exciton([3])
+    layout = SpaceLayout((2, 3))
     assert Operator(layout, h).is_hermitian()
     assert Operator(layout, np.zeros((6, 6))).is_hermitian()
     h[2, 4] += 1e-6
@@ -182,6 +186,6 @@ def test_is_hermitian_implies_spectral_norm_bound(seed, dim, log_eps):
     if log_eps is not None:
         a = a + 10.0**log_eps * (rng.normal(size=(dim, dim))
                                  + 1j * rng.normal(size=(dim, dim)))
-    if Operator(SpaceLayout.single_fock(dim), a).is_hermitian():
+    if Operator(SpaceLayout((dim,)), a).is_hermitian():
         assert (np.linalg.norm(a - a.conj().T, 2)
                 <= HERMITICITY_RTOL * np.linalg.norm(a, 2))

@@ -97,4 +97,4 @@ class TestInitialState:
         model = build_shared_anticorrelated(params, [mode], 6)
         rho0 = initial_state(site1, model, ThermalSpec(beta=2.0))
         assert np.trace(rho0.matrix).real == pytest.approx(1.0, abs=1e-12)
-        assert rho0.min_eigenvalue() > -1e-14
+        assert np.linalg.eigvalsh(rho0.matrix)[0] > -1e-14
