@@ -26,6 +26,8 @@ import os
 import sys
 from dataclasses import dataclass
 
+import dimerbath
+
 TASK_KINDS = ("trajectory", "compare", "alpha_sweep", "convergence")
 INITIAL_STATES = ("site1", "site2", "plus", "explicit")
 
@@ -93,71 +95,71 @@ class _Entries:
         self.entries = entries
         self.consumed: set[str] = set()
 
-    def take(self, key: str) -> str | None:
-        if key in self.entries:
-            self.consumed.add(key)
-            return self.entries[key][0]
-        return None
-
     def fail(self, key: str, message: str):
         if key in self.entries:
             lineno = self.entries[key][1]
             raise ConfigError(f"{key} (line {lineno}): {message}")
         raise ConfigError(f"{key}: {message}")
 
-    def number(self, key: str, default: float | None = None,
-               required: bool = False, allow_inf: bool = False) -> float | None:
-        raw = self.take(key)
-        if raw is None:
+    def get(self, key: str, conv, default=None, required: bool = False):
+        """The key's value through conv; a ValueError from conv names the key."""
+        if key not in self.entries:
             if required:
                 raise ConfigError(f"{key}: required key missing")
             return default
-        if allow_inf and raw.lower() in ("inf", "+inf", "infinity"):
-            return math.inf
+        self.consumed.add(key)
         try:
-            value = float(raw)
-        except ValueError:
-            self.fail(key, f"expected a number, got {raw!r}")
-        if not allow_inf and not math.isfinite(value):
-            self.fail(key, "value must be finite")
-        return value
-
-    def integer(self, key: str, default: int | None = None,
-                required: bool = False) -> int | None:
-        raw = self.take(key)
-        if raw is None:
-            if required:
-                raise ConfigError(f"{key}: required key missing")
-            return default
-        try:
-            return int(raw)
-        except ValueError:
-            self.fail(key, f"expected an integer, got {raw!r}")
-
-    def choice(self, key: str, options: tuple[str, ...],
-               default: str | None = None, required: bool = False) -> str | None:
-        raw = self.take(key)
-        if raw is None:
-            if required:
-                raise ConfigError(f"{key}: required key missing")
-            return default
-        if raw not in options:
-            self.fail(key, f"expected one of {', '.join(options)}, got {raw!r}")
-        return raw
-
-    def string(self, key: str, default: str | None = None,
-               required: bool = False) -> str | None:
-        raw = self.take(key)
-        if raw is None and required:
-            raise ConfigError(f"{key}: required key missing")
-        return raw if raw is not None else default
+            return conv(self.entries[key][0])
+        except ValueError as exc:
+            self.fail(key, str(exc))
 
     def reject_unknown(self):
         unknown = set(self.entries) - self.consumed
         if unknown:
-            key = min(unknown, key=lambda k: self.entries[k][1])
-            lineno = self.entries[key][1]
-            raise ConfigError(f"{key} (line {lineno}): unknown key")
+            self.fail(min(unknown, key=lambda k: self.entries[k][1]),
+                      "unknown key")
+
+
+def _parsed(kind, what: str):
+    def conv(raw: str):
+        try:
+            return kind(raw)
+        except ValueError:
+            raise ValueError(f"expected {what}, got {raw!r}") from None
+    return conv
+
+
+_number = _parsed(float, "a number")  # inf and nan included
+_integer = _parsed(int, "an integer")
+
+
+def _finite(raw: str) -> float:
+    value = _number(raw)
+    if not math.isfinite(value):
+        raise ValueError("value must be finite")
+    return value
+
+
+def _one_of(options):
+    def conv(raw: str) -> str:
+        if raw not in options:
+            raise ValueError(f"expected one of {', '.join(options)}, got {raw!r}")
+        return raw
+    return conv
+
+
+def _list_of(conv):
+    def parse(raw: str) -> tuple:
+        try:
+            values = tuple(conv(part.strip()) for part in raw.split(",")
+                           if part.strip())
+        except ValueError:
+            raise ValueError(
+                f"expected a comma-separated list, got {raw!r}") from None
+        if not values:
+            raise ValueError(f"empty list {raw!r}")
+        return values
+    return parse
 
 
 def _parse_modes(e: _Entries) -> tuple[tuple[float, float], ...]:
@@ -175,51 +177,36 @@ def _parse_modes(e: _Entries) -> tuple[tuple[float, float], ...]:
         raise ConfigError("bath.modes: mode indices must be contiguous from 0")
     modes = []
     for i in sorted(indices):
-        omega = e.number(f"bath.modes.{i}.omega", required=True)
-        g = e.number(f"bath.modes.{i}.g", required=True)
+        omega = e.get(f"bath.modes.{i}.omega", _finite, required=True)
+        g = e.get(f"bath.modes.{i}.g", _finite, required=True)
         if omega <= 0:
             e.fail(f"bath.modes.{i}.omega", "frequency must be positive")
         modes.append((omega, g))
     return tuple(modes)
 
 
-def _parse_list(e: _Entries, key: str, conv, required: bool = False) -> tuple:
-    raw = e.take(key)
-    if raw is None:
-        if required:
-            raise ConfigError(f"{key}: required key missing")
-        return ()
-    try:
-        values = tuple(conv(part.strip()) for part in raw.split(",")
-                       if part.strip())
-    except ValueError:
-        e.fail(key, f"expected a comma-separated list, got {raw!r}")
-    if not values:
-        e.fail(key, f"empty list {raw!r}")
-    return values
-
-
 def parse_config(text: str) -> RunConfig:
     """Parse and validate the line-oriented config format."""
+    from .dynamics import DEFAULT_DIM_CAP
     from .models import MODEL_KINDS
 
     e = _Entries(_parse_entries(text))
 
-    eps1 = e.number("electronic.eps1", default=0.0)
-    eps2 = e.number("electronic.eps2", default=0.0)
-    j = e.number("electronic.j", default=0.0)
+    eps1 = e.get("electronic.eps1", _finite, 0.0)
+    eps2 = e.get("electronic.eps2", _finite, 0.0)
+    j = e.get("electronic.j", _finite, 0.0)
 
-    bath_kind = e.choice("bath.kind", tuple(MODEL_KINDS), required=True)
-    alpha = e.number("bath.alpha")
-    coupling_scale = e.number("bath.coupling_scale")
+    bath_kind = e.get("bath.kind", _one_of(MODEL_KINDS), required=True)
+    alpha = e.get("bath.alpha", _finite)
+    coupling_scale = e.get("bath.coupling_scale", _finite)
 
     modes = _parse_modes(e)
     ohmic = None
     if any(k.startswith("bath.ohmic.") for k in e.entries):
-        lam = e.number("bath.ohmic.lambda", required=True)
-        gamma = e.number("bath.ohmic.gamma", required=True)
-        m = e.integer("bath.ohmic.m", required=True)
-        omega_max = e.number("bath.ohmic.omega_max", required=True)
+        lam = e.get("bath.ohmic.lambda", _finite, required=True)
+        gamma = e.get("bath.ohmic.gamma", _finite, required=True)
+        m = e.get("bath.ohmic.m", _integer, required=True)
+        omega_max = e.get("bath.ohmic.omega_max", _finite, required=True)
         if lam < 0 or gamma <= 0 or omega_max <= 0 or m < 1:
             raise ConfigError("bath.ohmic: parameters must be positive")
         ohmic = (lam, gamma, m, omega_max)
@@ -229,42 +216,42 @@ def parse_config(text: str) -> RunConfig:
     if not modes and not ohmic:
         raise ConfigError("bath.modes: no modes given (and no ohmic block)")
 
-    beta = e.number("thermal.beta", required=True, allow_inf=True)
-    if beta <= 0:
+    beta = e.get("thermal.beta", _number, required=True)
+    if not beta > 0:  # nan too
         e.fail("thermal.beta", "must be positive (or inf)")
-    tail_tol = e.number("thermal.tail_tol", default=1e-8)
+    tail_tol = e.get("thermal.tail_tol", _finite, 1e-8)
     if not 0 < tail_tol < 1:
         e.fail("thermal.tail_tol", "must be in (0, 1)")
-    n_max_override = e.integer("thermal.n_max_override")
+    n_max_override = e.get("thermal.n_max_override", _integer)
     if n_max_override is not None and n_max_override < 2:
         e.fail("thermal.n_max_override", "must be >= 2")
 
-    t_max = e.number("evolution.t_max", required=True)
+    t_max = e.get("evolution.t_max", _finite, required=True)
     if t_max <= 0:
         e.fail("evolution.t_max", "must be positive")
-    n_steps = e.integer("evolution.n_steps", default=500)
+    n_steps = e.get("evolution.n_steps", _integer, 500)
     if n_steps < 1:
         e.fail("evolution.n_steps", "must be >= 1")
-    dim_cap = e.integer("evolution.dim_cap", default=4096)
+    dim_cap = e.get("evolution.dim_cap", _integer, DEFAULT_DIM_CAP)
 
-    electronic_state = e.choice("initial.electronic_state", INITIAL_STATES,
-                                default="site1")
+    electronic_state = e.get("initial.electronic_state",
+                             _one_of(INITIAL_STATES), "site1")
     explicit_rho = None
     if electronic_state == "explicit":
-        rho11 = e.number("initial.rho11", required=True)
-        re12 = e.number("initial.rho12_re", required=True)
-        im12 = e.number("initial.rho12_im", required=True)
+        rho11 = e.get("initial.rho11", _finite, required=True)
+        re12 = e.get("initial.rho12_re", _finite, required=True)
+        im12 = e.get("initial.rho12_im", _finite, required=True)
         if not 0 <= rho11 <= 1:
             e.fail("initial.rho11", "population must lie in [0, 1]")
         if re12**2 + im12**2 > rho11 * (1 - rho11) + 1e-12:
             e.fail("initial.rho12_re", "coherence violates positivity")
         explicit_rho = (rho11, re12, im12)
 
-    task = e.choice("task.kind", TASK_KINDS, required=True)
+    task = e.get("task.kind", _one_of(TASK_KINDS), required=True)
     if task == "alpha_sweep" and bath_kind != "reduced_effective":
         e.fail("bath.kind", "task.kind=alpha_sweep builds reduced_effective "
                f"models, got {bath_kind!r}")
-    compare_with = e.choice("task.compare_with", tuple(MODEL_KINDS))
+    compare_with = e.get("task.compare_with", _one_of(MODEL_KINDS))
     if task in ("compare", "convergence") and compare_with is None:
         raise ConfigError(f"task.compare_with: required for task.kind={task}")
     # a parameter is valid when either model takes it; alpha has no default,
@@ -280,18 +267,19 @@ def parse_config(text: str) -> RunConfig:
         if value is not None and not used:
             e.fail(f"bath.{param}", "only valid when bath.kind or "
                    f"task.compare_with is {' or '.join(takers)}")
-    alphas = _parse_list(e, "task.alphas", float, required=(task == "alpha_sweep"))
+    alphas = e.get("task.alphas", _list_of(float), (),
+                   required=(task == "alpha_sweep"))
     if alphas and list(alphas) != sorted(alphas):
         e.fail("task.alphas", "alpha list must be ascending")
-    n_max_list = _parse_list(e, "task.n_max_list", int,
-                             required=(task == "convergence"))
+    n_max_list = e.get("task.n_max_list", _list_of(int), (),
+                       required=(task == "convergence"))
     if n_max_list and (min(n_max_list) < 2
                        or list(n_max_list) != sorted(n_max_list)):
         e.fail("task.n_max_list", "must be an ascending list of integers >= 2")
-    threshold = e.number("task.threshold", default=1e-6)
+    threshold = e.get("task.threshold", _finite, 1e-6)
 
-    out_dir = e.string("output.directory", default=".")
-    basename = e.string("output.basename", required=True)
+    out_dir = e.get("output.directory", str, ".")
+    basename = e.get("output.basename", str, required=True)
 
     e.reject_unknown()
     return RunConfig(
@@ -341,19 +329,12 @@ def _format(value) -> str:
     return str(value)
 
 
-def _write_csv(path: str, times, traj):
+def _write_csv(path: str, traj):
     rows = [CSV_HEADER]
-    coh = traj.rho12
-    for t, p1, p2, c in zip(times, traj.rho11, traj.rho22, coh):
-        values = [float(v) for v in (t, p1, p2, c.real, c.imag, abs(c))]
-        # NaN passes every comparison below, so it is rejected first
-        if not all(math.isfinite(v) for v in values):
-            raise VerificationError(f"non-finite value at t={t:g}")
-        rows.append(",".join(_format(v) for v in values))
-        if abs(p1 + p2 - 1.0) > 1e-9:
-            raise VerificationError(f"population sum off unit trace at t={t:g}")
-        if abs(c) > math.sqrt(max(p1 * p2, 0.0)) + 1e-9:
-            raise VerificationError(f"coherence bound violated at t={t:g}")
+    for t, p1, p2, c in zip(traj.grid.points, traj.rho11, traj.rho22,
+                            traj.rho12):
+        rows.append(",".join(_format(float(v))
+                             for v in (t, p1, p2, c.real, c.imag, abs(c))))
     with open(path, "w") as fh:
         fh.write("\n".join(rows) + "\n")
 
@@ -364,23 +345,24 @@ def _write_report(path: str, items: dict):
             fh.write(f"{key} = {_format(value)}\n")
 
 
+def _exit_status(call, *args) -> int:
+    """call(*args), or the exit code of the named failure it raises, printed."""
+    try:
+        return call(*args)
+    except ConfigError as exc:
+        label, code, failure = "config-error", 2, exc
+    # the package imports dynamics lazily: a config error never loads numpy
+    except (VerificationError, dimerbath.dynamics.TrajectoryError) as exc:
+        label, code, failure = "verification-failure", 1, exc
+    except dimerbath.dynamics.DimensionCapError as exc:
+        label, code, failure = "resource-cap", 3, exc
+    print(f"{label}: {failure}", file=sys.stderr)
+    return code
+
+
 def run(config: RunConfig) -> int:
     """Execute one config; returns the process exit status."""
-    try:
-        return _run(config)
-    except VerificationError as exc:
-        print(f"verification-failure: {exc}", file=sys.stderr)
-        return 1
-    except ConfigError as exc:
-        print(f"config-error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # resource caps surface as DimensionCapError
-        from .dynamics import DimensionCapError
-
-        if isinstance(exc, DimensionCapError):
-            print(f"resource-cap: {exc}", file=sys.stderr)
-            return 3
-        raise
+    return _exit_status(_run, config)
 
 
 def _check_dim_cap(config: RunConfig, n_modes: int, n_max: int):
@@ -429,7 +411,7 @@ def _run(config: RunConfig) -> int:
         model = _build_model(config, config.bath_kind, modes, n_max)
         rho0 = thermal.initial_state(rho_e0, model, spec)
         traj = dynamics.evolve_reduced(model, rho0, grid, dim_cap=config.dim_cap)
-        _write_csv(base + ".csv", grid.points, traj)
+        _write_csv(base + ".csv", traj)
         return 0
 
     if config.task == "compare":
@@ -437,7 +419,7 @@ def _run(config: RunConfig) -> int:
         model_b = _build_model(config, config.compare_with, modes, n_max)
         report = equivalence.compare_reduced(model_a, model_b, rho_e0, spec,
                                              grid, dim_cap=config.dim_cap)
-        _write_csv(base + ".csv", grid.points, report.trajectory_a)
+        _write_csv(base + ".csv", report.trajectory_a)
         _write_report(base + ".report", {
             "task": "compare",
             "model_a": report.model_a,
@@ -460,18 +442,23 @@ def _run(config: RunConfig) -> int:
         return 0
 
     if config.task == "alpha_sweep":
+        report_items = {"task": "alpha_sweep", "n_max_used": n_max,
+                        "t_max": grid.t_max, "n_steps": grid.n_steps}
+        # g_ref has the largest |g|, so its effective coupling overflows first
+        g_ref = max((m.g for m in modes), key=abs)
+        for i, a in enumerate(config.alphas):
+            g_eff = models.effective_coupling(g_ref, a)
+            if not math.isfinite(g_eff):
+                raise ConfigError(
+                    f"task.alphas: effective coupling at alpha {a:g} overflows")
+            report_items[f"alpha_{i}"] = a
+            report_items[f"effective_coupling_{i}"] = g_eff
         p = models.ElectronicParams(config.eps1, config.eps2, config.j)
         sweep = equivalence.coherence_vs_alpha(p, modes, spec, grid,
                                                config.alphas, n_max, rho_e0,
                                                dim_cap=config.dim_cap)
-        report_items = {"task": "alpha_sweep", "n_max_used": n_max,
-                        "t_max": grid.t_max, "n_steps": grid.n_steps}
-        g_ref = max((m.g for m in modes), key=abs)
-        for i, (a, traj) in enumerate(zip(sweep.alphas, sweep.trajectories)):
-            _write_csv(f"{base}_alpha_{a:g}.csv", grid.points, traj)
-            report_items[f"alpha_{i}"] = a
-            report_items[f"effective_coupling_{i}"] = models.effective_coupling(
-                g_ref, a)
+        for a, traj in zip(sweep.alphas, sweep.trajectories):
+            _write_csv(f"{base}_alpha_{a:g}.csv", traj)
         decreasing = sweep.couplings_strictly_decreasing()
         report_items["effective_coupling_strictly_decreasing"] = decreasing
         _write_report(base + ".report", report_items)
@@ -513,28 +500,23 @@ def main(argv=None) -> int:
     parser.add_argument("config", help="path to the config file")
     parser.add_argument("--threads", type=int, default=None,
                         help="BLAS thread count (1 gives bit-reproducible CSV)")
-    args = parser.parse_args(argv)
+    return _exit_status(_start, parser.parse_args(argv))
 
+
+def _start(args) -> int:
     if args.threads is not None:
         if args.threads < 1:
-            print("config-error: --threads must be >= 1", file=sys.stderr)
-            return 2
+            raise ConfigError("--threads must be >= 1")
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                     "MKL_NUM_THREADS"):
             os.environ[var] = str(args.threads)
-
     try:
         with open(args.config) as fh:
             text = fh.read()
     except OSError as exc:
-        print(f"config-error: cannot read {args.config}: {exc}", file=sys.stderr)
-        return 2
-    try:
-        config = parse_config(text)
-    except ConfigError as exc:
-        print(f"config-error: {exc}", file=sys.stderr)
-        return 2
-    return run(config)
+        raise ConfigError(f"cannot read {args.config}: {exc}") from exc
+    # looked up at call time, so a wrapper set on the module attribute sees it
+    return run(parse_config(text))
 
 
 if __name__ == "__main__":

@@ -27,6 +27,10 @@ class DimensionCapError(RuntimeError):
     """Total dimension exceeds the configured dense-solver cap."""
 
 
+class TrajectoryError(ValueError):
+    """A reduced trajectory fails a check; names it and the first bad time."""
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid t_k = k t_max / n_steps for k = 0 .. n_steps."""
@@ -55,18 +59,33 @@ class ReducedTrajectory:
     def __post_init__(self):
         s = np.asarray(self.states, dtype=np.complex128)
         if s.shape != (self.grid.n_steps + 1, 2, 2):
-            raise ValueError(f"states shape {s.shape} does not match grid")
-        traces = np.einsum("kii->k", s)
-        if np.abs(traces - 1.0).max() > 1e-10:
-            raise ValueError("reduced states are not unit trace")
-        if np.abs(s - s.conj().transpose(0, 2, 1)).max() > 1e-12:
-            raise ValueError("reduced states are not Hermitian")
-        if np.linalg.eigvalsh(s).min() < -1e-10:
-            raise ValueError("reduced states are not positive semidefinite")
-        s = s.copy()
+            raise TrajectoryError(f"states shape {s.shape} does not match grid")
+
+        def check(bad: np.ndarray, what: str):
+            if bad.any():
+                t = self.grid.points[bad.argmax()]
+                raise TrajectoryError(f"{what} at t={t:g}")
+
+        # NaN passes every comparison below, so it is rejected first
+        check(~np.isfinite(s).all(axis=(1, 2)), "non-finite value")
+        check(np.abs(np.einsum("kii->k", s) - 1.0) > 1e-10,
+              "reduced state off unit trace")
+        check(np.abs(s - s.conj().transpose(0, 2, 1)).max(axis=(1, 2)) > 1e-12,
+              "reduced state not Hermitian")
+        # project out float noise so trajectory invariants hold exactly
+        s = 0.5 * (s + s.conj().transpose(0, 2, 1))
+        tr = np.einsum("kii->k", s).real
+        s[:, 0, 0] -= (tr - 1.0) / 2.0
+        s[:, 1, 1] -= (tr - 1.0) / 2.0
+        check(np.linalg.eigvalsh(s).min(axis=1) < -1e-10,
+              "reduced state not positive semidefinite")
         # the checks above bound any excursion outside [0, 1] by about 1e-10
         for i in (0, 1):
             np.clip(s[:, i, i].real, 0.0, 1.0, out=s[:, i, i].real)
+        p1, p2 = s[:, 0, 0].real, s[:, 1, 1].real
+        check(np.abs(p1 + p2 - 1.0) > 1e-9, "population sum off unit trace")
+        check(np.abs(s[:, 0, 1]) > np.sqrt(p1 * p2) + 1e-9,
+              "coherence bound violated")
         s.flags.writeable = False
         object.__setattr__(self, "states", s)
 
@@ -157,11 +176,6 @@ class SpectralPropagator:
                 np.multiply(conj, terms, out=terms)
                 states[chunk, a, b] = np.sum(terms, axis=0)
         states[:, 1, 0] = states[:, 0, 1].conj()
-        # project out float noise so trajectory invariants hold exactly
-        states = 0.5 * (states + states.conj().transpose(0, 2, 1))
-        tr = np.einsum("kii->k", states).real
-        states[:, 0, 0] -= (tr - 1.0) / 2.0
-        states[:, 1, 1] -= (tr - 1.0) / 2.0
         return ReducedTrajectory(grid, states)
 
 

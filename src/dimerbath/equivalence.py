@@ -55,9 +55,7 @@ class ComparisonReport:
 
     model_a: str
     model_b: str
-    grid: TimeGrid
     per_time_distance: np.ndarray
-    max_distance: float
     n_max_used: int
     converged: bool
     convergence_delta: float
@@ -67,8 +65,10 @@ class ComparisonReport:
         d = np.asarray(self.per_time_distance, dtype=float)
         if d.min() < -1e-15 or d.max() > 1.0 + 1e-12:
             raise ValueError("trace distances must lie in [0, 1]")
-        if abs(self.max_distance - d.max()) > 1e-15:
-            raise ValueError("max_distance inconsistent with per-time values")
+
+    @property
+    def max_distance(self) -> float:
+        return float(np.max(self.per_time_distance))
 
 
 def _reduced(model: TotalModel, rho_e0: DensityMatrix, spec: ThermalSpec,
@@ -127,8 +127,8 @@ def compare_reduced(model_a: TotalModel, model_b: TotalModel,
         converged = delta < CONVERGENCE_TOL
 
     return ComparisonReport(
-        model_a=model_a.describe(), model_b=model_b.describe(), grid=grid,
-        per_time_distance=distances, max_distance=max_distance,
+        model_a=model_a.describe(), model_b=model_b.describe(),
+        per_time_distance=distances,
         n_max_used=max(model_a.n_max, model_b.n_max),
         converged=converged, convergence_delta=delta, trajectory_a=traj_a)
 
@@ -196,7 +196,6 @@ class AlphaSweepResult:
     effective_couplings: np.ndarray
     #: one reduced trajectory per alpha, in the order of ``alphas``
     trajectories: tuple[ReducedTrajectory, ...]
-    grid: TimeGrid
 
     @property
     def coherence(self) -> np.ndarray:
@@ -227,4 +226,4 @@ def coherence_vs_alpha(p: ElectronicParams, modes: Sequence[ModeSpec],
         _reduced(build_reduced_effective(p, modes, n_max, a), rho_e0, spec,
                  grid, dim_cap)
         for a in alphas)
-    return AlphaSweepResult(alphas, couplings, trajectories, grid)
+    return AlphaSweepResult(alphas, couplings, trajectories)

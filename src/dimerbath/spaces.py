@@ -79,8 +79,10 @@ class Operator:
         scale = np.abs(m).max()
         if scale == 0.0:
             return True
+        d = m.conj()
+        d -= m.T  # conj(A - A^dag), in one dim^2 temporary
         # ||.||_2 <= ||.||_F and max|A_ij| <= ||A||_2: implies the spectral test
-        return np.linalg.norm(m - m.conj().T) <= rtol * scale
+        return np.linalg.norm(d) <= rtol * scale
 
 
 @dataclass(frozen=True)

@@ -132,6 +132,8 @@ class TestParseConfig:
     def test_negative_beta_rejected(self):
         with pytest.raises(ConfigError, match="thermal.beta"):
             parse_config(config_text(thermal__beta="-1.0"))
+        with pytest.raises(ConfigError, match="thermal.beta"):
+            parse_config(config_text(thermal__beta="nan"))
 
     def test_explicit_initial_state_positivity(self):
         with pytest.raises(ConfigError, match="positivity"):
@@ -345,6 +347,24 @@ class TestRunAlphaSweep:
         assert ((sweep / "out_alpha_0.5.csv").read_bytes()
                 == (trajectory / "out.csv").read_bytes())
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("g, alphas, code, message", [
+        # g (1 - alpha)/sqrt(2) overflows: a bad alpha, not a bad run
+        ("10.0", "-1e308, 0.0", 2, "config-error: task.alphas"),
+        # a finite coupling whose phases are NaN fails the trajectory check
+        ("1e308", "0.0", 1, "verification-failure: non-finite value"),
+    ])
+    def test_extreme_coupling_exit_code(self, tmp_path, capsys, g, alphas,
+                                        code, message):
+        text = config_text(bath__kind="reduced_effective",
+                           bath__modes__0__g=g, task__kind="alpha_sweep",
+                           task__alphas=alphas, thermal__n_max_override="3",
+                           output__directory=str(tmp_path))
+        assert run(parse_config(text)) == code
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
 
 class TestRunConvergence:
     def test_distance_shrinks_with_truncation(self, tmp_path):
@@ -360,6 +380,20 @@ class TestRunConvergence:
         d8 = float(report["max_trace_distance_n8"])
         assert d8 < d4
         assert report["monotone_non_increasing"] == "true"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_trajectory_is_verification_failure(self, tmp_path,
+                                                            capsys):
+        # the task writes no CSV, so only the trajectory's own check can fail
+        text = config_text(bath__alpha="0.0", bath__modes__0__g="1e308",
+                           task__kind="convergence",
+                           task__compare_with="reduced_effective",
+                           task__n_max_list="3",
+                           output__directory=str(tmp_path))
+        assert run(parse_config(text)) == 1
+        err = capsys.readouterr().err
+        assert "verification-failure" in err and "Traceback" not in err
+        assert not (tmp_path / "out.report").exists()
 
 
 class TestMain:
@@ -452,6 +486,23 @@ def fuzz_entries(draw):
                   "initial__electronic_state": "site1",
                   "task__kind": "alpha_sweep", "task__compare_with": None,
                   "task__alphas": ",", "task__n_max_list": None})
+@example(entries={"bath__kind": "shared", "bath__alpha": "0.0",
+                  "bath__coupling_scale": None, "bath__modes__0__omega": "1.0",
+                  "bath__modes__0__g": "1e308", "thermal__beta": "inf",
+                  "thermal__n_max_override": "3", "evolution__t_max": "10.0",
+                  "evolution__n_steps": "20", "evolution__dim_cap": None,
+                  "initial__electronic_state": "site1",
+                  "task__kind": "convergence",
+                  "task__compare_with": "reduced_effective",
+                  "task__alphas": None, "task__n_max_list": "3"})
+@example(entries={"bath__kind": "reduced_effective", "bath__alpha": None,
+                  "bath__coupling_scale": None, "bath__modes__0__omega": "1.0",
+                  "bath__modes__0__g": "10.0", "thermal__beta": "inf",
+                  "thermal__n_max_override": "3", "evolution__t_max": "1.0",
+                  "evolution__n_steps": "2", "evolution__dim_cap": None,
+                  "initial__electronic_state": "site1",
+                  "task__kind": "alpha_sweep", "task__compare_with": None,
+                  "task__alphas": "-1e308, 0.0", "task__n_max_list": None})
 def test_fuzzed_configs_exit_with_a_documented_code(entries):
     with tempfile.TemporaryDirectory() as out:
         path = Path(out) / "fuzz.cfg"
@@ -464,6 +515,14 @@ def test_fuzzed_configs_exit_with_a_documented_code(entries):
         for csv in Path(out).glob("*.csv"):
             data = np.loadtxt(csv, delimiter=",", skiprows=1, ndmin=2)
             assert np.isfinite(data).all(), csv.name
+        # convergence_delta alone may be nan: a one-element n_max list or a
+        # refinement over the cap has nothing to compare with
+        for report in Path(out).glob("*.report"):
+            for line in report.read_text().splitlines():
+                key, value = line.split(" = ")
+                with contextlib.suppress(ValueError):  # names and booleans
+                    assert (key == "convergence_delta"
+                            or math.isfinite(float(value))), line
 
 
 def _cli(*args, cwd):

@@ -7,13 +7,14 @@ from dimerbath.dynamics import (
     ReducedTrajectory,
     SpectralPropagator,
     TimeGrid,
+    TrajectoryError,
 )
 from dimerbath.models import (
     ElectronicParams,
     ModeSpec,
     build_shared_anticorrelated,
 )
-from dimerbath.spaces import partial_trace_matrix
+from dimerbath.spaces import DensityMatrix, SpaceLayout, partial_trace_matrix
 from dimerbath.thermal import ThermalSpec, initial_state
 
 
@@ -161,6 +162,28 @@ class TestReducedTrajectory:
         bad[:, 0, 0] = 0.7  # trace 0.7, not 1
         with pytest.raises(ValueError):
             ReducedTrajectory(grid, bad)
+
+    @pytest.mark.parametrize("state, check", [
+        ([[np.nan, 0.0], [0.0, 1.0]], "non-finite value"),
+        ([[1.0, 1e-6], [1e-6, 0.0]], "coherence bound violated"),
+    ])
+    def test_rejects_invalid_state_at_its_time(self, state, check):
+        # the first point is valid, so the message must name t = 2
+        grid = TimeGrid(t_max=2.0, n_steps=1)
+        states = np.array([np.diag([1.0, 0.0]), state], dtype=complex)
+        with pytest.raises(TrajectoryError, match=f"{check} at t=2$"):
+            ReducedTrajectory(grid, states)
+
+    def test_trace_defect_of_propagator_rejected(self, small_model):
+        # eigenvectors off unit norm by 1e-6 scale rho_e by (1 + 1e-6)^4; a
+        # mixed state keeps the populations positive after any clean-up
+        mixed = DensityMatrix(SpaceLayout.electronic_only(),
+                              np.diag([0.6, 0.4]).astype(complex))
+        rho0 = initial_state(mixed, small_model, ThermalSpec(beta=1.0))
+        prop = SpectralPropagator(small_model)
+        prop.eigenvectors = prop.eigenvectors * (1.0 + 1e-6)
+        with pytest.raises(TrajectoryError, match="off unit trace at t=0$"):
+            prop.reduced_trajectory(rho0, TimeGrid(t_max=1.0, n_steps=4))
 
 
 class TestExpectation:
