@@ -24,7 +24,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import dimerbath
 
@@ -453,10 +453,17 @@ def _run(config: RunConfig) -> int:
                     f"task.alphas: effective coupling at alpha {a:g} overflows")
             report_items[f"alpha_{i}"] = a
             report_items[f"effective_coupling_{i}"] = g_eff
+
+        def build(p, modes, n_max, alpha):
+            # a Hamiltonian that overflows is a config error, as in trajectory
+            return _build_model(replace(config, alpha=alpha),
+                                config.bath_kind, modes, n_max)
+
         p = models.ElectronicParams(config.eps1, config.eps2, config.j)
         sweep = equivalence.coherence_vs_alpha(p, modes, spec, grid,
                                                config.alphas, n_max, rho_e0,
-                                               dim_cap=config.dim_cap)
+                                               dim_cap=config.dim_cap,
+                                               build=build)
         for a, traj in zip(sweep.alphas, sweep.trajectories):
             _write_csv(f"{base}_alpha_{a:g}.csv", traj)
         decreasing = sweep.couplings_strictly_decreasing()

@@ -1,15 +1,18 @@
 """Exact unitary propagation and reduced electronic trajectories.
 
-Propagation is spectral: one Hermitian eigendecomposition of the total
-Hamiltonian gives rho(t) = V exp(-i L t) V^dag rho(0) V exp(+i L t) V^dag at
-every grid time with no step-to-step error accumulation. Reduced 2x2
-trajectories are extracted without ever forming the full rho(t): in the
-eigenbasis each matrix element of rho_e(t) is a sum of phase factors, which
-batches over fixed-size chunks of the time grid as one matrix product each.
+Propagation is spectral: one eigendecomposition of the total Hamiltonian
+gives rho(t) = V exp(-i L t) V^T rho(0) V exp(+i L t) V^T at every grid time
+with no step-to-step error accumulation. Every model Hamiltonian is real
+symmetric, so V and L are real and the work runs in real arithmetic.
+Reduced 2x2 trajectories are extracted without ever forming the full
+rho(t): in the eigenbasis each matrix element of rho_e(t) is a sum of phase
+factors, which batches over fixed-size chunks of the time grid as two real
+matrix products each, one against cos(L t) and one against sin(L t).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +22,7 @@ from .spaces import DensityMatrix
 
 DEFAULT_DIM_CAP = 4096
 
-# complex elements per (dim x chunk) phase array in reduced_trajectory
+# (cos, sin) element pairs per (dim x chunk) phase block in reduced_trajectory
 PHASE_CHUNK_ELEMENTS = 1 << 20
 
 
@@ -105,7 +108,9 @@ class ReducedTrajectory:
 class SpectralPropagator:
     """Eigendecomposition-backed evolution for one total model.
 
-    Immutable after construction; safe to share across threads.
+    The Hamiltonian must be real symmetric, as every model family's is; the
+    eigenvectors are then real. Immutable after construction; safe to share
+    across threads.
     """
 
     def __init__(self, model: TotalModel, dim_cap: int = DEFAULT_DIM_CAP):
@@ -113,18 +118,38 @@ class SpectralPropagator:
         if dim > dim_cap:
             raise DimensionCapError(
                 f"total dimension {dim} exceeds cap {dim_cap}")
-        if not model.hamiltonian.is_hermitian():
+        h = model.hamiltonian
+        if not h.is_hermitian():
             raise ValueError("Hamiltonian must be Hermitian")
+        if h.matrix.imag.any():
+            raise ValueError("Hamiltonian must be real: the propagator "
+                             "diagonalizes real symmetric matrices only")
         self.model = model
-        self.eigenvalues, self.eigenvectors = np.linalg.eigh(
-            model.hamiltonian.matrix)
+        self.eigenvalues, self.eigenvectors = np.linalg.eigh(h.matrix.real)
         self.eigenvalues.flags.writeable = False
         self.eigenvectors.flags.writeable = False
 
+    def phases(self, times) -> tuple[np.ndarray, np.ndarray]:
+        """cos(L t) and sin(L t): one row per eigenvalue, one column per time.
+
+        Raises TrajectoryError, before any phase is formed, when
+        max|L| * max|t| is not finite.
+        """
+        times = np.atleast_1d(times)
+        bound = float(np.abs(self.eigenvalues).max()) * float(
+            np.abs(times).max())
+        if not math.isfinite(bound):
+            raise TrajectoryError(
+                f"non-finite value of max|eigenvalue| * t = {bound:g}: "
+                "the phases overflow")
+        angles = np.outer(self.eigenvalues, times)
+        sin = np.sin(angles)
+        return np.cos(angles, out=angles), sin
+
     def unitary(self, t: float) -> np.ndarray:
-        """U(t) = V exp(-i L t) V^dag."""
+        """U(t) = V exp(-i L t) V^T."""
         v = self.eigenvectors
-        return (v * np.exp(-1j * self.eigenvalues * t)) @ v.conj().T
+        return (v * np.exp(-1j * self.eigenvalues * t)) @ v.T
 
     def evolve(self, rho0: DensityMatrix, t: float) -> DensityMatrix:
         """Full rho(t); cost is two dense products at the total dimension."""
@@ -137,46 +162,54 @@ class SpectralPropagator:
                            grid: TimeGrid) -> ReducedTrajectory:
         """rho_e(t_k) at every grid point from the one eigendecomposition.
 
-        With rt0 = V^dag rho0 V and Q_ab = V_b^dag V_a built from the
-        electronic row blocks of V,
-        rho_e(t)[a,b] = sum_mn rt0[m,n] Q_ab[n,m] exp(-i (L_m - L_n) t),
-        evaluated with one matrix product per element and chunk of grid
-        times. Only (0,0), (1,1) and (0,1) are contracted; rho_e[1,0] is the
-        conjugate of rho_e[0,1].
+        With rt0 = V^T rho0 V and Q_ab = V_b^T V_a built from the electronic
+        row blocks of V,
+        rho_e(t)[a,b] = sum_mn rt0[m,n] Q_ab[n,m] exp(-i (L_m - L_n) t).
+        The weights rt0[m,n] Q_ab[n,m] split into the real matrices of
+        Re rho0 and Im rho0 (the second only when Im rho0 is nonzero); the
+        sum is linear in them, so both run through one real kernel. Only
+        (0,0), (1,1) and (0,1) are contracted; rho_e[1,0] is the conjugate
+        of rho_e[0,1].
         """
         if rho0.layout != self.model.layout:
             raise ValueError("rho0 layout does not match model")
+        points = grid.points
         v = self.eigenvectors
         dim = v.shape[0]
-        d_ph = dim // 2
-        rt0 = v.conj().T @ rho0.matrix @ v
-        blocks = (v[:d_ph, :], v[d_ph:, :])
-        elements = ((0, 0), (1, 1), (0, 1))
+        blocks = (v[:dim // 2, :], v[dim // 2:, :])
+        rho = rho0.matrix
+        halves = [(1.0, rho.real)] + ([(1j, rho.imag)] if rho.imag.any()
+                                      else [])
+        weighted = []
+        for unit, part in halves:
+            rt0 = v.T @ part @ v
+            for a, b in ((0, 0), (1, 1), (0, 1)):
+                w = blocks[a].T @ blocks[b]
+                w *= rt0
+                weighted.append((a, b, unit, w))
+            del rt0
 
-        def weighted(a, b):
-            m = (blocks[b].conj().T @ blocks[a]).T
-            m *= rt0
-            return m
-
-        points = grid.points
         step = max(1, PHASE_CHUNK_ELEMENTS // dim)
-        # a grid of several chunks keeps all three elements so that each
-        # chunk's phases are computed once; one chunk forms them one by one
-        kept = ([weighted(a, b) for a, b in elements]
-                if points.size > step else None)
-        states = np.empty((points.size, 2, 2), dtype=np.complex128)
+        states = np.zeros((points.size, 2, 2), dtype=np.complex128)
         for start in range(0, points.size, step):
             chunk = slice(start, start + step)
-            phases = np.exp(1j * np.outer(self.eigenvalues, points[chunk]))
-            conj = phases.conj()
-            for i, (a, b) in enumerate(elements):
-                m = weighted(a, b) if kept is None else kept[i]
-                terms = m @ phases
-                del m
-                np.multiply(conj, terms, out=terms)
-                states[chunk, a, b] = np.sum(terms, axis=0)
+            cos, sin = self.phases(points[chunk])
+            for a, b, unit, w in weighted:
+                states[chunk, a, b] += unit * _phase_sum(w, cos, sin)
         states[:, 1, 0] = states[:, 0, 1].conj()
         return ReducedTrajectory(grid, states)
+
+
+def _phase_sum(w: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """sum_mn w[m,n] exp(-i (L_m - L_n) t) for real w, one value per column.
+
+    With x + iy = w exp(i L t): (x + iy)(cos - i sin) summed over m.
+    """
+    x = w @ cos
+    y = w @ sin
+    re = np.einsum("mk,mk->k", x, cos) + np.einsum("mk,mk->k", y, sin)
+    im = np.einsum("mk,mk->k", y, cos) - np.einsum("mk,mk->k", x, sin)
+    return re + 1j * im
 
 
 def evolve_reduced(model: TotalModel, rho0: DensityMatrix, grid: TimeGrid,

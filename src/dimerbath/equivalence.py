@@ -174,16 +174,35 @@ def factorization_check(model: TotalModel, rho0: DensityMatrix, grid: TimeGrid,
 
     prop = SpectralPropagator(model, dim_cap)
     v = prop.eigenvectors
-    rt0 = v.conj().T @ rho0.matrix @ v
+    # rho(t) = V X V^T with X = rt0 o exp(-i (L_m - L_n) t), rt0 = V^T rho0 V,
+    # formed from real matrices: with cos_d = cos((L_m - L_n) t) and
+    # sin_d = sin((L_n - L_m) t), Re X = Re rt0 o cos_d - Im rt0 o sin_d and
+    # Im X = Re rt0 o sin_d + Im rt0 o cos_d
+    rho = rho0.matrix
+    rt_re = v.T @ rho.real @ v
+    rt_im = v.T @ rho.imag @ v if rho.imag.any() else None
+    x, vx = np.empty_like(rt_re), np.empty_like(rt_re)
+    rho_t = np.empty_like(rho)
     values = np.empty(grid.n_steps + 1)
     for k, t in enumerate(grid.points):
-        phase = np.exp(-1j * prop.eigenvalues * t)
-        rho_t = (v * phase) @ rt0 @ (v * phase).conj().T
+        cos, sin = (p[:, 0] for p in prop.phases(t))
+        # rank-2 factors: cos_d = cs @ cos_f and sin_d = cs @ sin_f
+        cs = np.stack([cos, sin], axis=1)
+        cos_f, sin_f = cs.T, np.stack([sin, -cos])
+        for part, with_re, with_im in ((rho_t.real, cos_f, -sin_f),
+                                       (rho_t.imag, sin_f, cos_f)):
+            np.multiply(np.matmul(cs, with_re, out=x), rt_re, out=x)
+            if rt_im is not None:
+                x += np.multiply(np.matmul(cs, with_im, out=vx), rt_im,
+                                 out=vx)
+            np.matmul(v, x, out=vx)
+            part[...] = np.matmul(vx, v.T, out=x)
         rho_rest = partial_trace_matrix(rho_t, dims, rest_index)
         rho_b = partial_trace_matrix(rho_t, dims, fock_index)
-        rho_perm = permute_factors_matrix(rho_t, dims, order)
-        values[k] = 0.5 * np.abs(
-            np.linalg.eigvalsh(rho_perm - np.kron(rho_rest, rho_b))).sum()
+        # the defect in place: rho_t is rewritten at the next step anyway
+        defect = permute_factors_matrix(rho_t, dims, order)
+        defect -= np.kron(rho_rest, rho_b)
+        values[k] = 0.5 * np.abs(np.linalg.eigvalsh(defect)).sum()
     return values
 
 
@@ -215,15 +234,19 @@ def coherence_vs_alpha(p: ElectronicParams, modes: Sequence[ModeSpec],
                        spec: ThermalSpec, grid: TimeGrid,
                        alphas: Sequence[float], n_max: int,
                        rho_e0: DensityMatrix,
-                       dim_cap: int = DEFAULT_DIM_CAP) -> AlphaSweepResult:
-    """Reduced-effective trajectory for each alpha, ascending."""
+                       dim_cap: int = DEFAULT_DIM_CAP,
+                       build=build_reduced_effective) -> AlphaSweepResult:
+    """Reduced-effective trajectory for each alpha, ascending.
+
+    ``build(p, modes, n_max, alpha)`` makes each model; a caller that maps
+    build errors to its own failures passes its own builder.
+    """
     alphas = tuple(float(a) for a in alphas)
     if list(alphas) != sorted(alphas):
         raise ValueError("alphas must be sorted ascending")
     couplings = np.array([[effective_coupling(m.g, a) for m in modes]
                           for a in alphas])
     trajectories = tuple(
-        _reduced(build_reduced_effective(p, modes, n_max, a), rho_e0, spec,
-                 grid, dim_cap)
+        _reduced(build(p, modes, n_max, a), rho_e0, spec, grid, dim_cap)
         for a in alphas)
     return AlphaSweepResult(alphas, couplings, trajectories)

@@ -3,9 +3,10 @@
 A space is an ordered tensor product of factors, described by their
 dimensions: the two-level electronic factor first, when present, followed
 by truncated Fock factors. The bath of an exciton space is one
-occupation-number basis, listed by :func:`occupation_basis`. Everything is
-dense complex128; all values are immutable after construction and all
-operations are pure functions.
+occupation-number basis, listed by :func:`occupation_basis`. Operators and
+states are stored dense in complex128, although every model Hamiltonian is
+real (the propagator in ``dynamics`` works on real parts); all values are
+immutable after construction and all operations are pure functions.
 """
 
 from __future__ import annotations
@@ -100,7 +101,11 @@ class DensityMatrix:
         tr = np.trace(m)
         if abs(tr - 1.0) > 1e-9:
             raise ValueError(f"density matrix trace {tr} is not 1")
-        if np.abs(m - m.conj().T).max() > 1e-10 * max(1.0, np.abs(m).max()):
+        tol = 1e-10 * max(1.0, np.abs(m).max())
+        d = m.conj()
+        d -= m.T  # conj(A - A^dag), in one dim^2 temporary
+        np.abs(d, out=d)
+        if d.real.max() > tol:
             raise ValueError("density matrix is not Hermitian")
         object.__setattr__(self, "matrix", m)
 

@@ -221,14 +221,17 @@ class TestRunTrajectory:
         err = capsys.readouterr().err
         assert "config-error" in err and "Traceback" not in err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_output_is_verification_failure(self, tmp_path, capsys):
-        # a shared mode keeps the Hamiltonian finite, but its phases are NaN
+        # a shared mode keeps the Hamiltonian finite, but max|L| t_max is
+        # not: rejected before any phase is formed, with no numpy warning
         text = config_text(bath__modes__0__g="1e308",
                            output__directory=str(tmp_path))
         assert run(parse_config(text)) == 1
         err = capsys.readouterr().err
-        assert "verification-failure" in err and "Traceback" not in err
+        assert ("verification-failure: non-finite value of max|eigenvalue| "
+                "* t = inf: the phases overflow") in err
+        assert "Traceback" not in err
         assert not (tmp_path / "out.csv").exists()
 
     def test_dim_cap_checked_before_assembly(self, tmp_path, capsys):
@@ -365,6 +368,20 @@ class TestRunAlphaSweep:
         assert message in err and "Traceback" not in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_hamiltonian_is_config_error(self, tmp_path, capsys):
+        # g_eff ~ 1.2e308 is finite, sqrt(3) g_eff is not: the sweep's build
+        # fails as the trajectory task's does
+        text = config_text(bath__kind="reduced_effective",
+                           bath__modes__0__g="1e308", task__kind="alpha_sweep",
+                           task__alphas="-0.7", thermal__n_max_override="4",
+                           output__directory=str(tmp_path))
+        assert run(parse_config(text)) == 2
+        err = capsys.readouterr().err
+        assert "config-error: cannot build the reduced_effective model" in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
 
 class TestRunConvergence:
     def test_distance_shrinks_with_truncation(self, tmp_path):
@@ -476,6 +493,7 @@ def fuzz_entries(draw):
 
 
 @pytest.mark.filterwarnings("ignore:.*outside the usual range")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=100, deadline=None)
 @given(entries=fuzz_entries())
 @example(entries={"bath__kind": "reduced_effective", "bath__alpha": None,

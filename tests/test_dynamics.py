@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from conftest import random_density
 from dimerbath import dynamics
 from dimerbath.dynamics import (
     DimensionCapError,
@@ -10,11 +13,19 @@ from dimerbath.dynamics import (
     TrajectoryError,
 )
 from dimerbath.models import (
+    MODEL_KINDS,
     ElectronicParams,
     ModeSpec,
+    build,
+    build_independent_local,
     build_shared_anticorrelated,
 )
-from dimerbath.spaces import DensityMatrix, SpaceLayout, partial_trace_matrix
+from dimerbath.spaces import (
+    DensityMatrix,
+    Operator,
+    SpaceLayout,
+    partial_trace_matrix,
+)
 from dimerbath.thermal import ThermalSpec, initial_state
 
 
@@ -44,6 +55,23 @@ class TestTimeGrid:
             TimeGrid(t_max=-1.0, n_steps=10)
         with pytest.raises(ValueError):
             TimeGrid(t_max=1.0, n_steps=0)
+
+
+class TestRealPath:
+    @pytest.mark.parametrize("name", sorted(MODEL_KINDS))
+    def test_eigenvectors_are_real(self, params, mode, name):
+        model = build(name, params, [mode], 3, alpha=0.3,
+                      coupling_scale=np.sqrt(2.0))
+        assert SpectralPropagator(model).eigenvectors.dtype == np.float64
+
+    def test_complex_hamiltonian_rejected(self, small_model):
+        # i (|1><2| - |2><1|) x identity is Hermitian but not real
+        h = small_model.hamiltonian.matrix + 1e-3j * np.kron(
+            [[0.0, 1.0], [-1.0, 0.0]], np.eye(small_model.n_max))
+        model = replace(small_model,
+                        hamiltonian=Operator(small_model.layout, h))
+        with pytest.raises(ValueError, match="Hamiltonian must be real"):
+            SpectralPropagator(model)
 
 
 class TestUnitary:
@@ -112,6 +140,25 @@ class TestReducedTrajectory:
             full = prop.evolve(rho0, grid.points[k]).matrix
             direct = partial_trace_matrix(full, small_model.layout.dims, [0])
             assert np.abs(chunked.states[k] - direct).max() < 1e-12
+
+    def test_complex_initial_state_matches_direct_evolution(
+            self, params, mode, monkeypatch):
+        # Im rho_e0 != 0 runs the imaginary half of rt0 through the kernel
+        rho_e0 = random_density(2, np.random.default_rng(7))
+        assert abs(rho_e0[0, 1].imag) > 0.05
+        model = build_independent_local(params, [mode], 4)
+        rho0 = initial_state(
+            DensityMatrix(SpaceLayout.electronic_only(), rho_e0), model,
+            ThermalSpec(beta=1.0))
+        prop = SpectralPropagator(model)
+        grid = TimeGrid(t_max=12.0, n_steps=40)
+        monkeypatch.setattr(dynamics, "PHASE_CHUNK_ELEMENTS",
+                            7 * model.layout.total_dim)
+        traj = prop.reduced_trajectory(rho0, grid)
+        for k in (0, 6, 7, 20, 40):  # chunk edges and interiors
+            full = prop.evolve(rho0, grid.points[k]).matrix
+            direct = partial_trace_matrix(full, model.layout.dims, [0])
+            assert np.abs(traj.states[k] - direct).max() < 1e-12
 
     def test_lower_coherence_is_exact_conjugate(self, small_model, rho0):
         traj = SpectralPropagator(small_model).reduced_trajectory(

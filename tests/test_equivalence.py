@@ -23,7 +23,7 @@ from dimerbath.models import (
     build_shared_anticorrelated,
     build_transformed,
 )
-from dimerbath.spaces import DensityMatrix, SpaceLayout
+from dimerbath.spaces import DensityMatrix, SpaceLayout, partial_trace_matrix
 from dimerbath.thermal import ThermalSpec, initial_state
 
 from conftest import random_density
@@ -163,6 +163,24 @@ class TestFactorizationCheck:
         rho0 = initial_state(site1, model, ThermalSpec(beta=1.0, tail_tol=1e-4))
         defect = factorization_check(model, rho0, GRID)
         assert defect.max() < 1e-10
+
+    def test_complex_entangled_state_matches_direct_evolution(self, params,
+                                                               mode):
+        # a random complex state of the whole space: both halves of rt0
+        # enter, and the defect is far from zero
+        model = build_transformed(params, [mode], 4)
+        dims = model.layout.dims
+        rho0 = DensityMatrix(model.layout, random_density(
+            model.layout.total_dim, np.random.default_rng(5)))
+        prop = SpectralPropagator(model)
+        defect = factorization_check(model, rho0, GRID)
+        assert defect.min() > 1e-3
+        for k in (0, 1, 40, 80):
+            rho_t = prop.evolve(rho0, GRID.points[k]).matrix
+            product = np.kron(partial_trace_matrix(rho_t, dims, [0, 1]),
+                              partial_trace_matrix(rho_t, dims, [2]))
+            direct = 0.5 * np.abs(np.linalg.eigvalsh(rho_t - product)).sum()
+            assert abs(defect[k] - direct) < 1e-12
 
     def test_shared_model_has_no_com_partition(self, params, mode, site1):
         model = build_shared_anticorrelated(params, [mode], 5)
