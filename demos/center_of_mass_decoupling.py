@@ -29,8 +29,7 @@ params = ElectronicParams(eps1=0.25, eps2=-0.25, j=0.5)
 mode = ModeSpec(omega=1.0, g=0.2)
 spec = ThermalSpec(beta=1.0, tail_tol=1e-4)
 grid = TimeGrid(t_max=50.0, n_steps=100)
-site1 = DensityMatrix(SpaceLayout.electronic_only(),
-                      np.diag([1.0, 0.0]).astype(complex))
+site1 = DensityMatrix(SpaceLayout.electronic_only(), np.diag([1.0, 0.0]))
 
 model = build_transformed(params, [mode], 12)
 rho0 = initial_state(site1, model, spec)

@@ -30,8 +30,7 @@ spec = ThermalSpec(beta=1.0)
 grid = TimeGrid(t_max=50.0, n_steps=500)
 
 # start with the exciton pinned on site 1 and every mode in a Gibbs state
-site1 = DensityMatrix(SpaceLayout.electronic_only(),
-                      np.diag([1.0, 0.0]).astype(complex))
+site1 = DensityMatrix(SpaceLayout.electronic_only(), np.diag([1.0, 0.0]))
 
 print("shared anti-correlated mode  vs  independent local modes")
 print(f"  omega={mode.omega}, g={mode.g}, beta={spec.beta}, "

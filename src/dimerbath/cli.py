@@ -318,7 +318,7 @@ def _initial_electronic(config: RunConfig):
         rho11, re12, im12 = config.explicit_rho
         m = np.array([[rho11, re12 + 1j * im12],
                       [re12 - 1j * im12, 1.0 - rho11]])
-    return DensityMatrix(SpaceLayout.electronic_only(), m.astype(complex))
+    return DensityMatrix(SpaceLayout.electronic_only(), m)
 
 
 def _format(value) -> str:

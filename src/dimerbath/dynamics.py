@@ -2,8 +2,9 @@
 
 Propagation is spectral: one eigendecomposition of the total Hamiltonian
 gives rho(t) = V exp(-i L t) V^T rho(0) V exp(+i L t) V^T at every grid time
-with no step-to-step error accumulation. Every model Hamiltonian is real
-symmetric, so V and L are real and the work runs in real arithmetic.
+with no step-to-step error accumulation. A ``spaces.Operator`` is real by
+type, so V and L are real and the work runs in real arithmetic; rho(0) is
+float64 unless its imaginary part is nonzero.
 Reduced 2x2 trajectories are extracted without ever forming the full
 rho(t): in the eigenbasis each matrix element of rho_e(t) is a sum of phase
 factors, which batches over fixed-size chunks of the time grid as two real
@@ -108,9 +109,9 @@ class ReducedTrajectory:
 class SpectralPropagator:
     """Eigendecomposition-backed evolution for one total model.
 
-    The Hamiltonian must be real symmetric, as every model family's is; the
-    eigenvectors are then real. Immutable after construction; safe to share
-    across threads.
+    The Hamiltonian is real (``Operator`` rejects a complex matrix) and must
+    be symmetric; the eigenvectors are then real. Immutable after
+    construction; safe to share across threads.
     """
 
     def __init__(self, model: TotalModel, dim_cap: int = DEFAULT_DIM_CAP):
@@ -121,11 +122,8 @@ class SpectralPropagator:
         h = model.hamiltonian
         if not h.is_hermitian():
             raise ValueError("Hamiltonian must be Hermitian")
-        if h.matrix.imag.any():
-            raise ValueError("Hamiltonian must be real: the propagator "
-                             "diagonalizes real symmetric matrices only")
         self.model = model
-        self.eigenvalues, self.eigenvectors = np.linalg.eigh(h.matrix.real)
+        self.eigenvalues, self.eigenvectors = np.linalg.eigh(h.matrix)
         self.eigenvalues.flags.writeable = False
         self.eigenvectors.flags.writeable = False
 
@@ -166,7 +164,7 @@ class SpectralPropagator:
         row blocks of V,
         rho_e(t)[a,b] = sum_mn rt0[m,n] Q_ab[n,m] exp(-i (L_m - L_n) t).
         The weights rt0[m,n] Q_ab[n,m] split into the real matrices of
-        Re rho0 and Im rho0 (the second only when Im rho0 is nonzero); the
+        Re rho0 and Im rho0 (the second only for a complex rho0); the
         sum is linear in them, so both run through one real kernel. Only
         (0,0), (1,1) and (0,1) are contracted; rho_e[1,0] is the conjugate
         of rho_e[0,1].
@@ -178,8 +176,8 @@ class SpectralPropagator:
         dim = v.shape[0]
         blocks = (v[:dim // 2, :], v[dim // 2:, :])
         rho = rho0.matrix
-        halves = [(1.0, rho.real)] + ([(1j, rho.imag)] if rho.imag.any()
-                                      else [])
+        halves = [(1.0, rho.real)] + (
+            [(1j, rho.imag)] if np.iscomplexobj(rho) else [])
         weighted = []
         for unit, part in halves:
             rt0 = v.T @ part @ v

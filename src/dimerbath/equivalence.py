@@ -180,9 +180,9 @@ def factorization_check(model: TotalModel, rho0: DensityMatrix, grid: TimeGrid,
     # Im X = Re rt0 o sin_d + Im rt0 o cos_d
     rho = rho0.matrix
     rt_re = v.T @ rho.real @ v
-    rt_im = v.T @ rho.imag @ v if rho.imag.any() else None
+    rt_im = v.T @ rho.imag @ v if np.iscomplexobj(rho) else None
     x, vx = np.empty_like(rt_re), np.empty_like(rt_re)
-    rho_t = np.empty_like(rho)
+    rho_t = np.empty(rho.shape, dtype=np.complex128)
     values = np.empty(grid.n_steps + 1)
     for k, t in enumerate(grid.points):
         cos, sin = (p[:, 0] for p in prop.phases(t))

@@ -164,7 +164,7 @@ def build(name: str, p: ElectronicParams, modes: Sequence[ModeSpec],
 
 def electronic_hamiltonian(p: ElectronicParams) -> Operator:
     """2x2 dimer Hamiltonian [[eps1, j], [j, eps2]] in the site basis."""
-    m = np.array([[p.eps1, p.j], [p.j, p.eps2]], dtype=np.complex128)
+    m = np.array([[p.eps1, p.j], [p.j, p.eps2]])
     return Operator(SpaceLayout.electronic_only(), m)
 
 
@@ -180,8 +180,8 @@ def _assemble(p: ElectronicParams, n_max: int, frequencies: Sequence[float],
     n_fock = len(frequencies)
     basis = occupation_basis(n_fock, n_max)
     n_bath = len(basis)
-    h = np.zeros((exciton_dim(n_fock, n_max),) * 2, dtype=np.complex128)
-    h_e = electronic_hamiltonian(p).matrix.real
+    h = np.zeros((exciton_dim(n_fock, n_max),) * 2)
+    h_e = electronic_hamiltonian(p).matrix
     bath = np.arange(n_bath)
     for e in (0, 1):
         energy = np.full(n_bath, h_e[e, e])
@@ -190,7 +190,7 @@ def _assemble(p: ElectronicParams, n_max: int, frequencies: Sequence[float],
         h[e * n_bath + bath, e * n_bath + bath] = energy
         h[e * n_bath + bath, (1 - e) * n_bath + bath] = h_e[e, 1 - e]
     # (b + b^dag) connects occupation n of factor k with n - 1, amplitude sqrt(n)
-    a = annihilation_matrix(n_max).matrix.real
+    a = annihilation_matrix(n_max).matrix
     for k, (g, sites) in enumerate(couplings):
         if g == 0.0:
             continue
@@ -223,6 +223,16 @@ def _model(kind: str, p: ElectronicParams, modes: Sequence[ModeSpec],
         raise ValueError(f"n_max must be >= 2, got {n_max}")
     frequencies = tuple(m.omega for m in modes for _ in factors)
     couplings = [(g_scale * m.g, sites) for m in modes for _, sites in factors]
+    # the extreme entries of H, in Python floats and in _assemble's order, so
+    # an overflow is named before numpy meets it: g (c sqrt(n_max - 1)) off
+    # the diagonal, eps_e + sum_k omega_k (n_max - 1) on it
+    top = n_max - 1
+    extremes = [g * (c * math.sqrt(top))
+                for g, sites in couplings if g != 0.0 for c in sites if c != 0.0]
+    extremes += [sum((w * top for w in frequencies), eps)
+                 for eps in (p.eps1, p.eps2)]
+    if not all(map(math.isfinite, extremes)):
+        raise ValueError("a Hamiltonian entry overflows float64")
     h = _assemble(p, n_max, frequencies, couplings)
     return TotalModel(h, kind, p, tuple(modes), n_max,
                       bath_partition=tuple(label for _ in modes

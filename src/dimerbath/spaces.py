@@ -4,9 +4,11 @@ A space is an ordered tensor product of factors, described by their
 dimensions: the two-level electronic factor first, when present, followed
 by truncated Fock factors. The bath of an exciton space is one
 occupation-number basis, listed by :func:`occupation_basis`. Operators and
-states are stored dense in complex128, although every model Hamiltonian is
-real (the propagator in ``dynamics`` works on real parts); all values are
-immutable after construction and all operations are pure functions.
+states are stored dense, in float64 when their imaginary part is exactly
+zero and in complex128 otherwise; one converter makes that choice. An
+:class:`Operator` is a Hamiltonian and must be real, as every model
+Hamiltonian is. All values are immutable after construction and all
+operations are pure functions.
 """
 
 from __future__ import annotations
@@ -52,10 +54,16 @@ def occupation_basis(n_fock: int, n_max: int) -> np.ndarray:
     return np.indices((n_max,) * n_fock).reshape(n_fock, -1).T
 
 
-def _as_square_complex(matrix, dim: int) -> np.ndarray:
-    m = np.asarray(matrix, dtype=np.complex128)
+def _as_square(matrix, dim: int) -> np.ndarray:
+    """Read-only float64 array, or complex128 if any imaginary part is nonzero."""
+    m = np.asarray(matrix)
+    if np.iscomplexobj(m) and np.isreal(m).all():
+        m = m.real
+    m = np.asarray(m, dtype=np.complex128 if np.iscomplexobj(m) else np.float64)
     if m.shape != (dim, dim):
         raise LayoutError(f"matrix shape {m.shape} does not match layout dim {dim}")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix has a non-finite entry")
     # an array that owns its data and is already read-only is taken as is
     if m.flags.writeable or not m.flags.owndata:
         m = m.copy()
@@ -65,25 +73,26 @@ def _as_square_complex(matrix, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Operator:
-    """A dense operator tagged with the layout it acts on."""
+    """A real dense Hamiltonian tagged with the layout it acts on."""
 
     layout: SpaceLayout
     matrix: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix",
-                           _as_square_complex(self.matrix, self.layout.total_dim))
+        m = _as_square(self.matrix, self.layout.total_dim)
+        if np.iscomplexobj(m):
+            raise ValueError("Hamiltonian must be real: the propagator "
+                             "diagonalizes real symmetric matrices only")
+        object.__setattr__(self, "matrix", m)
 
     def is_hermitian(self, rtol: float = HERMITICITY_RTOL) -> bool:
-        """||A - A^dag||_F <= rtol max|A_ij|, in O(dim^2) without an SVD."""
+        """||A - A^T||_F <= rtol max|A_ij|, in O(dim^2) without an SVD."""
         m = self.matrix
         scale = np.abs(m).max()
         if scale == 0.0:
             return True
-        d = m.conj()
-        d -= m.T  # conj(A - A^dag), in one dim^2 temporary
         # ||.||_2 <= ||.||_F and max|A_ij| <= ||A||_2: implies the spectral test
-        return np.linalg.norm(d) <= rtol * scale
+        return np.linalg.norm(m - m.T) <= rtol * scale
 
 
 @dataclass(frozen=True)
@@ -97,12 +106,12 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = _as_square_complex(self.matrix, self.layout.total_dim)
+        m = _as_square(self.matrix, self.layout.total_dim)
         tr = np.trace(m)
         if abs(tr - 1.0) > 1e-9:
             raise ValueError(f"density matrix trace {tr} is not 1")
         tol = 1e-10 * max(1.0, np.abs(m).max())
-        d = m.conj()
+        d = np.conj(m)  # a new array; m.conj() is m itself when m is real
         d -= m.T  # conj(A - A^dag), in one dim^2 temporary
         np.abs(d, out=d)
         if d.real.max() > tol:
@@ -118,7 +127,7 @@ def annihilation_matrix(n_max: int) -> Operator:
     """
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
-    a = np.diag(np.sqrt(np.arange(1, n_max)), k=1).astype(np.complex128)
+    a = np.diag(np.sqrt(np.arange(1, n_max)), k=1)
     return Operator(SpaceLayout((n_max,)), a)
 
 

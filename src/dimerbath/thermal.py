@@ -47,8 +47,7 @@ def gibbs_state(omega: float, beta: float, n_max: int) -> DensityMatrix:
     else:
         p = np.exp(-beta * omega * np.arange(n_max))
         p /= p.sum()
-    return DensityMatrix(SpaceLayout((n_max,)),
-                         np.diag(p).astype(np.complex128))
+    return DensityMatrix(SpaceLayout((n_max,)), np.diag(p))
 
 
 def thermal_occupation(omega: float, beta: float) -> float:

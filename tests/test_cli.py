@@ -212,14 +212,16 @@ class TestRunTrajectory:
                            evolution__dim_cap="8")
         assert run(parse_config(text)) == 3
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_unbuildable_model_is_config_error(self, tmp_path, capsys):
-        # sqrt(2) g overflows to inf, so the Hamiltonian fails its check
+        # sqrt(2) g overflows to inf: named before the Hamiltonian is built
         text = config_text(bath__kind="independent", bath__modes__0__g="1e308",
                            output__directory=str(tmp_path))
         assert run(parse_config(text)) == 2
         err = capsys.readouterr().err
-        assert "config-error" in err and "Traceback" not in err
+        assert ("config-error: cannot build the independent model: "
+                "a Hamiltonian entry overflows float64") in err
+        assert "Traceback" not in err
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_output_is_verification_failure(self, tmp_path, capsys):
@@ -368,7 +370,7 @@ class TestRunAlphaSweep:
         assert message in err and "Traceback" not in err
         assert not list(tmp_path.iterdir())
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_hamiltonian_is_config_error(self, tmp_path, capsys):
         # g_eff ~ 1.2e308 is finite, sqrt(3) g_eff is not: the sweep's build
         # fails as the trajectory task's does

@@ -32,7 +32,8 @@ KIND_ARGS = [("shared", {}), ("independent", {}),
 
 
 def _bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
 
 
 class TestKronReference:
@@ -44,7 +45,9 @@ class TestKronReference:
     def test_bit_identical(self, params, name, extra, n_modes, n_max):
         modes = [ModeSpec(0.8, 0.15), ModeSpec(1.3, -0.1)][:n_modes]
         model = models.build(name, params, modes, n_max, **extra)
-        assert _bitwise_equal(model.hamiltonian.matrix, kron_hamiltonian(model))
+        reference = kron_hamiltonian(model)
+        assert not reference.imag.any()
+        assert _bitwise_equal(model.hamiltonian.matrix, reference.real)
 
     @settings(max_examples=60, deadline=None)
     @given(name=st.sampled_from(sorted(models.MODEL_KINDS)),
@@ -62,7 +65,9 @@ class TestKronReference:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # |alpha| > 1
             model = models.build(name, params, modes, n_max, alpha, scale)
-        assert _bitwise_equal(model.hamiltonian.matrix, kron_hamiltonian(model))
+        reference = kron_hamiltonian(model)
+        assert not reference.imag.any()
+        assert _bitwise_equal(model.hamiltonian.matrix, reference.real)
 
 
 class TestElectronicHamiltonian:
@@ -258,6 +263,17 @@ class TestHermiticity:
         h[0, 1] += 1e-6
         with pytest.raises(ValueError, match="not Hermitian"):
             replace(model, hamiltonian=Operator(model.layout, h))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("mode, eps1", [
+        (ModeSpec(1.0, 1.5e308), 0.0),  # g sqrt(2) off the diagonal
+        (ModeSpec(1e308, 0.1), 0.0),  # omega n_k with n_k = 2 on it
+        (ModeSpec(1e307, 0.1), 1.7e308),  # eps1 + omega n_k on it
+    ])
+    def test_overflowing_entry_is_named_before_assembly(self, mode, eps1):
+        p = ElectronicParams(eps1, 0.0, 0.5)
+        with pytest.raises(ValueError, match="overflows float64"):
+            build_shared_anticorrelated(p, [mode], 3)
 
     def test_site_swap_leaves_spectrum_invariant(self):
         p = ElectronicParams(0.25, -0.25, 0.5)

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dimerbath.models import ModeSpec, build_independent_local, build_shared_anticorrelated
+from dimerbath.models import (
+    MODEL_KINDS,
+    ModeSpec,
+    build,
+    build_independent_local,
+    build_shared_anticorrelated,
+)
+from dimerbath.spaces import DensityMatrix, SpaceLayout
 from dimerbath.thermal import (
     ThermalSpec,
     choose_truncation,
@@ -98,3 +105,19 @@ class TestInitialState:
         rho0 = initial_state(site1, model, ThermalSpec(beta=2.0))
         assert np.trace(rho0.matrix).real == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.eigvalsh(rho0.matrix)[0] > -1e-14
+
+    @pytest.mark.parametrize("name", sorted(MODEL_KINDS))
+    @pytest.mark.parametrize("rho_e, dtype", [
+        (np.diag([1.0, 0.0]), np.float64),  # site1
+        (np.full((2, 2), 0.5), np.float64),  # plus
+        # explicit states, stored complex only when rho12_im != 0
+        (np.array([[0.6, 0.1 + 0j], [0.1 - 0j, 0.4]]), np.float64),
+        (np.array([[0.6, 0.1 + 0.2j], [0.1 - 0.2j, 0.4]]), np.complex128),
+    ])
+    def test_real_matrices_are_stored_real(self, params, mode, name, rho_e,
+                                           dtype):
+        model = build(name, params, [mode], 3, alpha=0.3)
+        assert model.hamiltonian.matrix.dtype == np.float64
+        rho_e0 = DensityMatrix(SpaceLayout.electronic_only(), rho_e)
+        rho0 = initial_state(rho_e0, model, ThermalSpec(beta=1.0))
+        assert rho_e0.matrix.dtype == rho0.matrix.dtype == dtype
