@@ -162,6 +162,15 @@ def _list_of(conv):
     return parse
 
 
+def _strictly_ascending(values: tuple) -> bool:
+    return all(a < b for a, b in zip(values, values[1:]))
+
+
+def _alpha_csv(base: str, alpha: float) -> str:
+    """The alpha_sweep CSV file of one alpha."""
+    return f"{base}_alpha_{alpha:g}.csv"
+
+
 def _parse_modes(e: _Entries) -> tuple[tuple[float, float], ...]:
     indices = set()
     for key in e.entries:
@@ -187,8 +196,7 @@ def _parse_modes(e: _Entries) -> tuple[tuple[float, float], ...]:
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate the line-oriented config format."""
-    from .dynamics import DEFAULT_DIM_CAP
-    from .models import MODEL_KINDS
+    from .models import DEFAULT_DIM_CAP, MODEL_KINDS
 
     e = _Entries(_parse_entries(text))
 
@@ -233,6 +241,8 @@ def parse_config(text: str) -> RunConfig:
     if n_steps < 1:
         e.fail("evolution.n_steps", "must be >= 1")
     dim_cap = e.get("evolution.dim_cap", _integer, DEFAULT_DIM_CAP)
+    if dim_cap < 1:
+        e.fail("evolution.dim_cap", "must be >= 1")
 
     electronic_state = e.get("initial.electronic_state",
                              _one_of(INITIAL_STATES), "site1")
@@ -269,13 +279,18 @@ def parse_config(text: str) -> RunConfig:
                    f"task.compare_with is {' or '.join(takers)}")
     alphas = e.get("task.alphas", _list_of(float), (),
                    required=(task == "alpha_sweep"))
-    if alphas and list(alphas) != sorted(alphas):
-        e.fail("task.alphas", "alpha list must be ascending")
+    if not _strictly_ascending(alphas):
+        e.fail("task.alphas", "alpha list must be strictly ascending")
+    # {a:g} rounds monotonically, so a shared file name is an adjacent pair
+    for a, b in zip(alphas, alphas[1:]):
+        if _alpha_csv("", a) == _alpha_csv("", b):
+            e.fail("task.alphas", f"alphas {a!r} and {b!r} share the CSV "
+                   f"file suffix {_alpha_csv('', a)}")
     n_max_list = e.get("task.n_max_list", _list_of(int), (),
                        required=(task == "convergence"))
-    if n_max_list and (min(n_max_list) < 2
-                       or list(n_max_list) != sorted(n_max_list)):
-        e.fail("task.n_max_list", "must be an ascending list of integers >= 2")
+    if min(n_max_list, default=2) < 2 or not _strictly_ascending(n_max_list):
+        e.fail("task.n_max_list",
+               "must be a strictly ascending list of integers >= 2")
     threshold = e.get("task.threshold", _finite, 1e-6)
 
     out_dir = e.get("output.directory", str, ".")
@@ -298,7 +313,7 @@ def _build_model(config: RunConfig, kind: str, modes, n_max: int):
     try:
         p = models.ElectronicParams(config.eps1, config.eps2, config.j)
         return models.build(kind, p, modes, n_max, config.alpha,
-                            config.coupling_scale)
+                            config.coupling_scale, config.dim_cap)
     except ValueError as exc:  # e.g. couplings that overflow the Hamiltonian
         raise ConfigError(f"cannot build the {kind} model: {exc}") from exc
 
@@ -329,18 +344,24 @@ def _format(value) -> str:
     return str(value)
 
 
+def _open_output(path: str):
+    # the directory is made at the first write: a failed run creates nothing
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    return open(path, "w")
+
+
 def _write_csv(path: str, traj):
     rows = [CSV_HEADER]
     for t, p1, p2, c in zip(traj.grid.points, traj.rho11, traj.rho22,
                             traj.rho12):
         rows.append(",".join(_format(float(v))
                              for v in (t, p1, p2, c.real, c.imag, abs(c))))
-    with open(path, "w") as fh:
+    with _open_output(path) as fh:
         fh.write("\n".join(rows) + "\n")
 
 
 def _write_report(path: str, items: dict):
-    with open(path, "w") as fh:
+    with _open_output(path) as fh:
         for key, value in items.items():
             fh.write(f"{key} = {_format(value)}\n")
 
@@ -351,10 +372,10 @@ def _exit_status(call, *args) -> int:
         return call(*args)
     except ConfigError as exc:
         label, code, failure = "config-error", 2, exc
-    # the package imports dynamics lazily: a config error never loads numpy
+    # the package imports its modules lazily: a config error never loads numpy
     except (VerificationError, dimerbath.dynamics.TrajectoryError) as exc:
         label, code, failure = "verification-failure", 1, exc
-    except dimerbath.dynamics.DimensionCapError as exc:
+    except dimerbath.models.DimensionCapError as exc:
         label, code, failure = "resource-cap", 3, exc
     print(f"{label}: {failure}", file=sys.stderr)
     return code
@@ -365,32 +386,14 @@ def run(config: RunConfig) -> int:
     return _exit_status(_run, config)
 
 
-def _check_dim_cap(config: RunConfig, n_modes: int, n_max: int):
-    """Reject, before any assembly, a task that builds a model over the cap."""
-    from .dynamics import DimensionCapError
-    from .models import MODEL_KINDS
-    from .spaces import exciton_dim
-
-    if config.task in ("trajectory", "alpha_sweep"):
-        builds = [(config.bath_kind, n_max)]
-    elif config.task == "compare":
-        builds = [(config.bath_kind, n_max), (config.compare_with, n_max)]
-    else:
-        builds = [(kind, n) for n in config.n_max_list
-                  for kind in (config.bath_kind, config.compare_with)]
-    for kind, n in builds:
-        dim = exciton_dim(MODEL_KINDS[kind].factors_per_mode * n_modes, n)
-        if dim > config.dim_cap:
-            raise DimensionCapError(
-                f"{kind} model at n_max {n} has total dimension {dim}, "
-                f"over cap {config.dim_cap}")
-
-
 def _run(config: RunConfig) -> int:
     from . import dynamics, equivalence, models, thermal
 
     if config.ohmic is not None:
         lam, gamma, m, omega_max = config.ohmic
+        # every build has n_max >= 2 and the dimension grows with n_max, so
+        # m modes over the cap at n_max 2 are rejected before discretizing
+        models.check_dim_cap(config.bath_kind, m, 2, config.dim_cap)
         modes = models.ohmic_drude_modes(lam, gamma, m, omega_max)
     else:
         modes = [models.ModeSpec(omega, g) for omega, g in config.modes]
@@ -401,16 +404,14 @@ def _run(config: RunConfig) -> int:
     else:
         n_max = max(thermal.choose_truncation(m.omega, spec) for m in modes)
 
-    _check_dim_cap(config, len(modes), n_max)
     rho_e0 = _initial_electronic(config)
     grid = dynamics.TimeGrid(config.t_max, config.n_steps)
-    os.makedirs(config.out_dir, exist_ok=True)
     base = os.path.join(config.out_dir, config.basename)
 
     if config.task == "trajectory":
         model = _build_model(config, config.bath_kind, modes, n_max)
         rho0 = thermal.initial_state(rho_e0, model, spec)
-        traj = dynamics.evolve_reduced(model, rho0, grid, dim_cap=config.dim_cap)
+        traj = dynamics.evolve_reduced(model, rho0, grid)
         _write_csv(base + ".csv", traj)
         return 0
 
@@ -462,10 +463,9 @@ def _run(config: RunConfig) -> int:
         p = models.ElectronicParams(config.eps1, config.eps2, config.j)
         sweep = equivalence.coherence_vs_alpha(p, modes, spec, grid,
                                                config.alphas, n_max, rho_e0,
-                                               dim_cap=config.dim_cap,
                                                build=build)
         for a, traj in zip(sweep.alphas, sweep.trajectories):
-            _write_csv(f"{base}_alpha_{a:g}.csv", traj)
+            _write_csv(_alpha_csv(base, a), traj)
         decreasing = sweep.couplings_strictly_decreasing()
         report_items["effective_coupling_strictly_decreasing"] = decreasing
         _write_report(base + ".report", report_items)
@@ -474,14 +474,16 @@ def _run(config: RunConfig) -> int:
                 "effective coupling magnitude not strictly decreasing in alpha")
         return 0
 
-    # convergence task: comparison distance across an explicit n_max list
-    distances = []
-    for n in config.n_max_list:
+    # convergence task: comparison distance across an explicit n_max list,
+    # largest first, so a list over the cap fails before any trajectory
+    by_n_max = {}
+    for n in reversed(config.n_max_list):
         _, per_time = equivalence.compare_trajectories(
             _build_model(config, config.bath_kind, modes, n),
             _build_model(config, config.compare_with, modes, n),
-            rho_e0, spec, grid, config.dim_cap)
-        distances.append(float(per_time.max()))
+            rho_e0, spec, grid)
+        by_n_max[n] = float(per_time.max())
+    distances = [by_n_max[n] for n in config.n_max_list]
     report_items = {"task": "convergence",
                     "model_a": config.bath_kind, "model_b": config.compare_with,
                     "t_max": grid.t_max, "n_steps": grid.n_steps}

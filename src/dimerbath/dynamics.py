@@ -18,17 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import TotalModel
+# DEFAULT_DIM_CAP is re-exported: models.build checks the cap before assembly
+from .models import DEFAULT_DIM_CAP, TotalModel  # noqa: F401
 from .spaces import DensityMatrix
-
-DEFAULT_DIM_CAP = 4096
 
 # (cos, sin) element pairs per (dim x chunk) phase block in reduced_trajectory
 PHASE_CHUNK_ELEMENTS = 1 << 20
-
-
-class DimensionCapError(RuntimeError):
-    """Total dimension exceeds the configured dense-solver cap."""
 
 
 class TrajectoryError(ValueError):
@@ -114,11 +109,7 @@ class SpectralPropagator:
     construction; safe to share across threads.
     """
 
-    def __init__(self, model: TotalModel, dim_cap: int = DEFAULT_DIM_CAP):
-        dim = model.layout.total_dim
-        if dim > dim_cap:
-            raise DimensionCapError(
-                f"total dimension {dim} exceeds cap {dim_cap}")
+    def __init__(self, model: TotalModel):
         h = model.hamiltonian
         if not h.is_hermitian():
             raise ValueError("Hamiltonian must be Hermitian")
@@ -210,7 +201,7 @@ def _phase_sum(w: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     return re + 1j * im
 
 
-def evolve_reduced(model: TotalModel, rho0: DensityMatrix, grid: TimeGrid,
-                   dim_cap: int = DEFAULT_DIM_CAP) -> ReducedTrajectory:
+def evolve_reduced(model: TotalModel, rho0: DensityMatrix,
+                   grid: TimeGrid) -> ReducedTrajectory:
     """Reduced electronic trajectory of rho0 under the model Hamiltonian."""
-    return SpectralPropagator(model, dim_cap).reduced_trajectory(rho0, grid)
+    return SpectralPropagator(model).reduced_trajectory(rho0, grid)

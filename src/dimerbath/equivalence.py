@@ -16,8 +16,6 @@ from typing import Sequence
 import numpy as np
 
 from .dynamics import (
-    DEFAULT_DIM_CAP,
-    DimensionCapError,
     ReducedTrajectory,
     SpectralPropagator,
     TimeGrid,
@@ -25,15 +23,17 @@ from .dynamics import (
 )
 from .models import (
     CENTER_OF_MASS_B,
+    DEFAULT_DIM_CAP,
+    DimensionCapError,
     ElectronicParams,
     ModeSpec,
     TotalModel,
     build_reduced_effective,
+    check_dim_cap,
     effective_coupling,
 )
 from .spaces import (
     DensityMatrix,
-    exciton_dim,
     partial_trace_matrix,
     permute_factors_matrix,
 )
@@ -72,19 +72,18 @@ class ComparisonReport:
 
 
 def _reduced(model: TotalModel, rho_e0: DensityMatrix, spec: ThermalSpec,
-             grid: TimeGrid, dim_cap: int) -> ReducedTrajectory:
+             grid: TimeGrid) -> ReducedTrajectory:
     rho0 = initial_state(rho_e0, model, spec)
-    return evolve_reduced(model, rho0, grid, dim_cap=dim_cap)
+    return evolve_reduced(model, rho0, grid)
 
 
 def compare_trajectories(model_a: TotalModel, model_b: TotalModel,
                          rho_e0: DensityMatrix, spec: ThermalSpec,
-                         grid: TimeGrid, dim_cap: int
-                         ) -> tuple[ReducedTrajectory, np.ndarray]:
+                         grid: TimeGrid) -> tuple[ReducedTrajectory, np.ndarray]:
     """model_a's reduced trajectory and its trace distance from model_b's at
     every grid time, both started from rho_e0 and the thermal bath state."""
-    traj_a = _reduced(model_a, rho_e0, spec, grid, dim_cap)
-    traj_b = _reduced(model_b, rho_e0, spec, grid, dim_cap)
+    traj_a = _reduced(model_a, rho_e0, spec, grid)
+    traj_b = _reduced(model_b, rho_e0, spec, grid)
     return traj_a, pointwise_distances(traj_a, traj_b)
 
 
@@ -102,28 +101,23 @@ def compare_reduced(model_a: TotalModel, model_b: TotalModel,
     if model_a.electronic != model_b.electronic:
         raise ValueError("models must share electronic parameters")
     traj_a, distances = compare_trajectories(model_a, model_b, rho_e0, spec,
-                                             grid, dim_cap)
+                                             grid)
     max_distance = float(distances.max())
 
     converged = False
     delta = math.nan
     try:
-        # reject an over-cap refinement before materializing its Hamiltonian
+        # both refinements are checked before either is assembled
         for model in (model_a, model_b):
-            fine_dim = exciton_dim(len(model.bath_partition),
-                                   model.n_max + CONVERGENCE_STEP)
-            if fine_dim > dim_cap:
-                raise DimensionCapError(
-                    f"refined dimension {fine_dim} exceeds cap {dim_cap}")
-        fine_a = model_a.rebuild(model_a.n_max + CONVERGENCE_STEP)
-        fine_b = model_b.rebuild(model_b.n_max + CONVERGENCE_STEP)
-        _, fine = compare_trajectories(fine_a, fine_b, rho_e0, spec, grid,
-                                       dim_cap)
-        fine_max = float(fine.max())
+            check_dim_cap(model.name, len(model.modes),
+                          model.n_max + CONVERGENCE_STEP, dim_cap)
     except DimensionCapError:
         pass
     else:
-        delta = abs(fine_max - max_distance)
+        fine_a = model_a.rebuild(model_a.n_max + CONVERGENCE_STEP, dim_cap)
+        fine_b = model_b.rebuild(model_b.n_max + CONVERGENCE_STEP, dim_cap)
+        _, fine = compare_trajectories(fine_a, fine_b, rho_e0, spec, grid)
+        delta = abs(float(fine.max()) - max_distance)
         converged = delta < CONVERGENCE_TOL
 
     return ComparisonReport(
@@ -154,8 +148,8 @@ def spectrum_equivalence(model_a: TotalModel, model_b: TotalModel,
     return float(np.abs(e_a[:k] - e_b[:k]).max() / (1.0 + radius))
 
 
-def factorization_check(model: TotalModel, rho0: DensityMatrix, grid: TimeGrid,
-                        dim_cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
+def factorization_check(model: TotalModel, rho0: DensityMatrix,
+                        grid: TimeGrid) -> np.ndarray:
     """Per-time distance of the full state from (rest x center-of-mass) form.
 
     For the transformed model the center-of-mass factors couple only through
@@ -172,7 +166,7 @@ def factorization_check(model: TotalModel, rho0: DensityMatrix, grid: TimeGrid,
     rest_index = [i for i in range(n) if i not in fock_index]
     order = rest_index + fock_index
 
-    prop = SpectralPropagator(model, dim_cap)
+    prop = SpectralPropagator(model)
     v = prop.eigenvectors
     # rho(t) = V X V^T with X = rt0 o exp(-i (L_m - L_n) t), rt0 = V^T rho0 V,
     # formed from real matrices: with cos_d = cos((L_m - L_n) t) and
@@ -234,19 +228,22 @@ def coherence_vs_alpha(p: ElectronicParams, modes: Sequence[ModeSpec],
                        spec: ThermalSpec, grid: TimeGrid,
                        alphas: Sequence[float], n_max: int,
                        rho_e0: DensityMatrix,
-                       dim_cap: int = DEFAULT_DIM_CAP,
-                       build=build_reduced_effective) -> AlphaSweepResult:
+                       build=None) -> AlphaSweepResult:
     """Reduced-effective trajectory for each alpha, ascending.
 
-    ``build(p, modes, n_max, alpha)`` makes each model; a caller that maps
-    build errors to its own failures passes its own builder.
+    ``build(p, modes, n_max, alpha)`` makes each model; by default it is the
+    reduced-effective builder, checked once against DEFAULT_DIM_CAP. A
+    caller that maps build errors to its own failures passes its own builder.
     """
+    if build is None:
+        check_dim_cap("reduced_effective", len(modes), n_max, DEFAULT_DIM_CAP)
+        build = build_reduced_effective
     alphas = tuple(float(a) for a in alphas)
     if list(alphas) != sorted(alphas):
         raise ValueError("alphas must be sorted ascending")
     couplings = np.array([[effective_coupling(m.g, a) for m in modes]
                           for a in alphas])
     trajectories = tuple(
-        _reduced(build(p, modes, n_max, a), rho_e0, spec, grid, dim_cap)
+        _reduced(build(p, modes, n_max, a), rho_e0, spec, grid)
         for a in alphas)
     return AlphaSweepResult(alphas, couplings, trajectories)

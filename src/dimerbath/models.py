@@ -38,6 +38,13 @@ from .spaces import (
 
 SQRT2 = math.sqrt(2.0)
 
+DEFAULT_DIM_CAP = 4096
+
+
+class DimensionCapError(RuntimeError):
+    """Total dimension exceeds the configured dense-solver cap."""
+
+
 # TotalModel.kind values
 SHARED_ANTICORRELATED = "shared_anticorrelated"
 INDEPENDENT_LOCAL = "independent_local"
@@ -140,20 +147,50 @@ class TotalModel:
             s += f"(scale={self.coupling_scale:g})"
         return s + f"[M={len(self.modes)}, n_max={self.n_max}]"
 
-    def rebuild(self, n_max: int) -> "TotalModel":
-        """Same model family and parameters at a different Fock truncation."""
+    @property
+    def name(self) -> str:
+        """The config kind name, the key of this model's MODEL_KINDS entry."""
         for name, kind in MODEL_KINDS.items():
             if kind.label == self.kind:
-                return build(name, self.electronic, self.modes, n_max,
-                             self.alpha, self.coupling_scale)
+                return name
         raise ValueError(f"unknown model kind {self.kind!r}")
+
+    def rebuild(self, n_max: int, dim_cap: int = DEFAULT_DIM_CAP
+                ) -> "TotalModel":
+        """Same model family and parameters at a different Fock truncation."""
+        return build(self.name, self.electronic, self.modes, n_max,
+                     self.alpha, self.coupling_scale, dim_cap)
+
+
+def check_dim_cap(name: str, n_modes: int, n_max: int, dim_cap: int):
+    """Raise DimensionCapError if the model of config kind ``name`` with
+    ``n_modes`` modes at ``n_max`` levels has more than dim_cap states.
+
+    The dimension 2 n_max^k of k Fock factors has more than k (b - 1) bits
+    for an n_max of b bits. A model whose bound is over 64 bits past the
+    cap's is rejected without forming the power, which is shown as
+    2*n_max^k: thousands of modes would make it too long to print.
+    """
+    n_fock = MODEL_KINDS[name].factors_per_mode * n_modes
+    if n_fock * (int(n_max).bit_length() - 1) <= dim_cap.bit_length() + 64:
+        dim = exciton_dim(n_fock, n_max)
+        if dim <= dim_cap:
+            return
+    else:
+        dim = f"2*{n_max}^{n_fock}"
+    raise DimensionCapError(f"{name} model at n_max {n_max} has total "
+                            f"dimension {dim}, over cap {dim_cap}")
 
 
 def build(name: str, p: ElectronicParams, modes: Sequence[ModeSpec],
           n_max: int, alpha: float | None = None,
-          coupling_scale: float | None = None) -> TotalModel:
-    """Model of config kind ``name``; its builder gets only the parameter
-    that MODEL_KINDS names for the kind (alpha, coupling_scale or none)."""
+          coupling_scale: float | None = None,
+          dim_cap: int = DEFAULT_DIM_CAP) -> TotalModel:
+    """Model of config kind ``name``, checked against dim_cap before any
+    assembly; its builder gets only the parameter that MODEL_KINDS names
+    for the kind (alpha, coupling_scale or none). The ``build_<label>``
+    builders below are the uncapped primitives."""
+    check_dim_cap(name, len(modes), n_max, dim_cap)
     kind = MODEL_KINDS[name]
     # looked up at call time, so a wrapper set on the module attribute sees it
     builder = globals()["build_" + kind.label]

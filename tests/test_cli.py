@@ -152,12 +152,32 @@ class TestParseConfig:
                                      bath__kind="reduced_effective",
                                      bath__alpha="0.0",
                                      task__alphas="0.5,0.0"))
+        with pytest.raises(ConfigError, match="strictly ascending"):
+            parse_config(config_text(task__kind="alpha_sweep",
+                                     bath__kind="reduced_effective",
+                                     task__alphas="0.5,0.5"))
 
     def test_n_max_list_validation(self):
         with pytest.raises(ConfigError, match="task.n_max_list"):
             parse_config(config_text(task__kind="convergence",
                                      task__compare_with="independent",
                                      task__n_max_list="4,3"))
+        with pytest.raises(ConfigError, match="task.n_max_list"):
+            parse_config(config_text(task__kind="convergence",
+                                     task__compare_with="independent",
+                                     task__n_max_list="4,4"))
+
+    def test_alphas_sharing_a_csv_name_rejected(self):
+        # both would write out_alpha_0.123457.csv
+        with pytest.raises(ConfigError, match=r"task\.alphas.*"
+                           r"_alpha_0\.123457\.csv"):
+            parse_config(config_text(task__kind="alpha_sweep",
+                                     bath__kind="reduced_effective",
+                                     task__alphas="0.1234567,0.1234568"))
+
+    def test_dim_cap_must_be_positive(self):
+        with pytest.raises(ConfigError, match="evolution.dim_cap"):
+            parse_config(config_text(evolution__dim_cap="0"))
 
     def test_empty_alpha_list_rejected(self):
         with pytest.raises(ConfigError, match="task.alphas"):
@@ -246,6 +266,35 @@ class TestRunTrajectory:
         err = capsys.readouterr().err
         assert "resource-cap" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("overrides", [
+        {"thermal__n_max_override": "4",
+         **{f"bath__modes__{i}__{key}": value for i in range(8000)
+            for key, value in (("omega", "1.0"), ("g", "0.2"))}},
+        {"thermal__n_max_override": str(10**1000),
+         **{f"bath__modes__{i}__{key}": value for i in range(5)
+            for key, value in (("omega", "1.0"), ("g", "0.2"))}},
+        {"bath__ohmic__m": "100000"},
+        {"bath__ohmic__m": str(10**12)},
+    ], ids=["8000-modes", "1000-digit-n_max", "ohmic-1e5", "ohmic-1e12"])
+    def test_astronomical_dimension_is_resource_cap(self, tmp_path, capsys,
+                                                    monkeypatch, overrides):
+        # 2 * 4^8000 states, like 2 * (10^1000)^5, has more digits than
+        # int() may print; 10^12 Ohmic modes would take 7.28 TiB to discretize
+        monkeypatch.setattr(dimerbath.models, "ohmic_drude_modes",
+                            lambda *args: pytest.fail("bath discretized"))
+        if "bath__ohmic__m" in overrides:
+            overrides = dict(overrides, bath__modes__0__omega=None,
+                             bath__modes__0__g=None, bath__ohmic__lambda="0.1",
+                             bath__ohmic__gamma="1.0",
+                             bath__ohmic__omega_max="5.0")
+        text = config_text(output__directory=str(tmp_path / "out"),
+                           **overrides)
+        assert run(parse_config(text)) == 3
+        err = capsys.readouterr().err
+        assert "resource-cap: shared model at n_max " in err
+        assert "over cap 4096" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_dim_cap_covers_every_convergence_truncation(self, tmp_path, capsys):
         text = config_text(task__kind="convergence",
                            task__compare_with="independent",
@@ -255,6 +304,19 @@ class TestRunTrajectory:
         assert run(parse_config(text)) == 3
         assert "independent model at n_max 8" in capsys.readouterr().err
         assert not (tmp_path / "out.report").exists()
+
+    def test_ohmic_convergence_capped_at_listed_truncations(self, tmp_path):
+        # 2 * 4^4 = 512 states at the thermal headroom are over the cap, but
+        # the list never builds it: the largest, 2 * 3^4 = 162, fits
+        text = config_text(bath__kind="independent", bath__modes__0__omega=None,
+                           bath__modes__0__g=None, bath__ohmic__lambda="0.1",
+                           bath__ohmic__gamma="1.0", bath__ohmic__m="2",
+                           bath__ohmic__omega_max="5.0",
+                           task__kind="convergence", task__compare_with="shared",
+                           task__n_max_list="2,3", evolution__dim_cap="200",
+                           output__directory=str(tmp_path))
+        assert run(parse_config(text)) in (0, 1)
+        assert (tmp_path / "out.report").exists()
 
 
 class TestRunCompare:
@@ -470,8 +532,10 @@ def fuzz_entries(draw):
     if "independent" in used and not rare():
         scale = draw(st.floats(-2.0, 2.0))
     size = 0 if rare() else 1  # empty lists are config errors
-    alphas = st.lists(st.floats(-1.5, 1.5), min_size=size, max_size=3)
-    n_max_list = st.lists(st.integers(2, 3), min_size=size, max_size=3)
+    alphas = st.lists(st.floats(-1.5, 1.5), min_size=size, max_size=3,
+                      unique=True)
+    n_max_list = st.lists(st.integers(2, 3), min_size=size, max_size=3,
+                          unique=True)
     return {
         "bath__kind": kind,
         "bath__alpha": None if alpha is None else repr(alpha),

@@ -5,7 +5,6 @@ import pytest
 from conftest import random_density
 from dimerbath import dynamics
 from dimerbath.dynamics import (
-    DimensionCapError,
     ReducedTrajectory,
     SpectralPropagator,
     TimeGrid,
@@ -86,10 +85,6 @@ class TestUnitary:
         prop = SpectralPropagator(small_model)
         composed = prop.unitary(1.1) @ prop.unitary(2.3)
         assert np.abs(composed - prop.unitary(3.4)).max() < 1e-10
-
-    def test_dimension_cap(self, small_model):
-        with pytest.raises(DimensionCapError):
-            SpectralPropagator(small_model, dim_cap=4)
 
 
 class TestEvolve:

@@ -16,6 +16,7 @@ from dimerbath.equivalence import (
     spectrum_equivalence,
 )
 from dimerbath.models import (
+    DimensionCapError,
     ModeSpec,
     build_correlated_alpha,
     build_independent_local,
@@ -214,6 +215,12 @@ class TestCoherenceVsAlpha:
         with pytest.raises(ValueError):
             coherence_vs_alpha(params, [mode], GROUND, GRID, [0.5, 0.0],
                                n_max=4, rho_e0=site1)
+
+    def test_default_build_is_capped(self, params, mode, site1):
+        # 2 * 65^2 states, over the default cap of 4096
+        with pytest.raises(DimensionCapError, match="over cap 4096"):
+            coherence_vs_alpha(params, [mode, mode], GROUND, GRID, [0.5],
+                               n_max=65, rho_e0=site1)
 
     def test_zero_coupling_modes_never_decrease(self, params, site1):
         result = coherence_vs_alpha(params, [ModeSpec(1.0, 0.0)], GROUND,

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import embed_matrix, kron_hamiltonian
 from dimerbath import models
 from dimerbath.models import (
+    DimensionCapError,
     ElectronicParams,
     ModeSpec,
     build_correlated_alpha,
@@ -283,6 +285,31 @@ class TestHermiticity:
         b = build_shared_anticorrelated(swapped, [ModeSpec(1.0, -0.2)], 6)
         assert np.linalg.eigvalsh(a.hamiltonian.matrix) == pytest.approx(
             np.linalg.eigvalsh(b.hamiltonian.matrix), abs=1e-12)
+
+
+class TestDimensionCap:
+    def test_build_over_cap_allocates_nothing(self, params):
+        # 4 Fock factors at 18 levels: 2 * 18^4 states, a 328 GiB H
+        modes = [ModeSpec(0.8, 0.15), ModeSpec(1.3, 0.1)]
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionCapError, match=(
+                    "independent model at n_max 18 has total dimension "
+                    "209952, over cap 4096")):
+                models.build("independent", params, modes, 18)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        reduced = models.build("reduced_effective", params, modes, 3, 0.5)
+        with pytest.raises(DimensionCapError, match="over cap 40"):
+            reduced.rebuild(5, dim_cap=40)
+
+    def test_rebuild_of_unknown_kind_rejected(self, params):
+        model = replace(models.build("shared", params, [ModeSpec(1.0, 0.2)], 3),
+                        kind="bogus")
+        with pytest.raises(ValueError, match="unknown model kind 'bogus'"):
+            model.rebuild(4)
 
 
 class TestOhmicDrudeModes:
