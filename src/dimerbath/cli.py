@@ -310,12 +310,9 @@ def parse_config(text: str) -> RunConfig:
 def _build_model(config: RunConfig, kind: str, modes, n_max: int):
     from . import models
 
-    try:
-        p = models.ElectronicParams(config.eps1, config.eps2, config.j)
-        return models.build(kind, p, modes, n_max, config.alpha,
-                            config.coupling_scale, config.dim_cap)
-    except ValueError as exc:  # e.g. couplings that overflow the Hamiltonian
-        raise ConfigError(f"cannot build the {kind} model: {exc}") from exc
+    p = models.ElectronicParams(config.eps1, config.eps2, config.j)
+    return models.build(kind, p, modes, n_max, config.alpha,
+                        config.coupling_scale, config.dim_cap)
 
 
 def _initial_electronic(config: RunConfig):
@@ -373,6 +370,8 @@ def _exit_status(call, *args) -> int:
     except ConfigError as exc:
         label, code, failure = "config-error", 2, exc
     # the package imports its modules lazily: a config error never loads numpy
+    except dimerbath.models.ModelBuildError as exc:
+        label, code, failure = "config-error", 2, exc
     except (VerificationError, dimerbath.dynamics.TrajectoryError) as exc:
         label, code, failure = "verification-failure", 1, exc
     except dimerbath.models.DimensionCapError as exc:
@@ -474,27 +473,22 @@ def _run(config: RunConfig) -> int:
                 "effective coupling magnitude not strictly decreasing in alpha")
         return 0
 
-    # convergence task: comparison distance across an explicit n_max list,
-    # largest first, so a list over the cap fails before any trajectory
-    by_n_max = {}
-    for n in reversed(config.n_max_list):
-        _, per_time = equivalence.compare_trajectories(
-            _build_model(config, config.bath_kind, modes, n),
-            _build_model(config, config.compare_with, modes, n),
-            rho_e0, spec, grid)
-        by_n_max[n] = float(per_time.max())
-    distances = [by_n_max[n] for n in config.n_max_list]
+    # convergence task: the ladder over task.n_max_list, built largest
+    # first, so a list over the cap fails before any model is assembled
+    report = equivalence.compare_ladder([
+        tuple(_build_model(config, kind, modes, n)
+              for kind in (config.bath_kind, config.compare_with))
+        for n in reversed(config.n_max_list)][::-1], rho_e0, spec, grid)
     report_items = {"task": "convergence",
                     "model_a": config.bath_kind, "model_b": config.compare_with,
                     "t_max": grid.t_max, "n_steps": grid.n_steps}
-    for n, d in zip(config.n_max_list, distances):
+    distances = report.max_distances
+    for n, d in zip(report.n_max, distances):
         report_items[f"max_trace_distance_n{n}"] = d
     monotone = all(b <= a + 1e-8 for a, b in zip(distances, distances[1:]))
-    delta = (abs(distances[-1] - distances[-2])
-             if len(distances) > 1 else math.nan)
     report_items["monotone_non_increasing"] = monotone
-    report_items["convergence_delta"] = delta
-    report_items["converged"] = bool(delta < equivalence.CONVERGENCE_TOL)
+    report_items["convergence_delta"] = report.convergence_delta
+    report_items["converged"] = report.converged
     _write_report(base + ".report", report_items)
     if not monotone:
         raise VerificationError(

@@ -135,18 +135,6 @@ class SpectralPropagator:
         sin = np.sin(angles)
         return np.cos(angles, out=angles), sin
 
-    def unitary(self, t: float) -> np.ndarray:
-        """U(t) = V exp(-i L t) V^T."""
-        v = self.eigenvectors
-        return (v * np.exp(-1j * self.eigenvalues * t)) @ v.T
-
-    def evolve(self, rho0: DensityMatrix, t: float) -> DensityMatrix:
-        """Full rho(t); cost is two dense products at the total dimension."""
-        if rho0.layout != self.model.layout:
-            raise ValueError("rho0 layout does not match model")
-        u = self.unitary(t)
-        return DensityMatrix(self.model.layout, u @ rho0.matrix @ u.conj().T)
-
     def reduced_trajectory(self, rho0: DensityMatrix,
                            grid: TimeGrid) -> ReducedTrajectory:
         """rho_e(t_k) at every grid point from the one eigendecomposition.

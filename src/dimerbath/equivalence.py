@@ -2,9 +2,13 @@
 decoupling, spectral equivalence, and truncation-convergence certificates.
 
 Equivalence between model families holds exactly only in the untruncated
-limit, so every reduced-dynamics comparison is paired with a convergence
-certificate: the comparison is repeated with every Fock factor enlarged by
-two levels and the change of the maximal distance is recorded.
+limit, so every reduced-dynamics comparison is a ladder: one rung per
+truncation, in ascending order, each the maximal distance of the two models'
+reduced trajectories. ``compare_ladder`` is the one rung loop, and its
+report holds the one certificate, the change of the maximal distance
+between the two finest rungs. ``compare_reduced`` is the two-rung ladder
+(n_max and n_max + CONVERGENCE_STEP); the CLI's ``convergence`` task is the
+ladder over an explicit n_max list.
 """
 
 from __future__ import annotations
@@ -50,16 +54,15 @@ def pointwise_distances(a: ReducedTrajectory, b: ReducedTrajectory) -> np.ndarra
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Per-time reduced-state distances between two models plus the
-    truncation-convergence certificate and model_a's trajectory."""
+    """A comparison ladder: the maximal distance of two models per rung,
+    plus the first rung's per-time distances and model_a trajectory."""
 
     model_a: str
     model_b: str
     per_time_distance: np.ndarray
-    n_max_used: int
-    converged: bool
-    convergence_delta: float
     trajectory_a: ReducedTrajectory
+    n_max: tuple[int, ...]  # per rung
+    max_distances: tuple[float, ...]  # per rung
 
     def __post_init__(self):
         d = np.asarray(self.per_time_distance, dtype=float)
@@ -68,7 +71,21 @@ class ComparisonReport:
 
     @property
     def max_distance(self) -> float:
-        return float(np.max(self.per_time_distance))
+        return self.max_distances[0]
+
+    @property
+    def n_max_used(self) -> int:
+        return self.n_max[0]
+
+    @property
+    def convergence_delta(self) -> float:
+        """|d[-1] - d[-2]| of the two finest rungs; nan with one rung."""
+        d = self.max_distances
+        return abs(d[-1] - d[-2]) if len(d) > 1 else math.nan
+
+    @property
+    def converged(self) -> bool:
+        return bool(self.convergence_delta < CONVERGENCE_TOL)
 
 
 def _reduced(model: TotalModel, rho_e0: DensityMatrix, spec: ThermalSpec,
@@ -77,35 +94,33 @@ def _reduced(model: TotalModel, rho_e0: DensityMatrix, spec: ThermalSpec,
     return evolve_reduced(model, rho0, grid)
 
 
-def compare_trajectories(model_a: TotalModel, model_b: TotalModel,
-                         rho_e0: DensityMatrix, spec: ThermalSpec,
-                         grid: TimeGrid) -> tuple[ReducedTrajectory, np.ndarray]:
-    """model_a's reduced trajectory and its trace distance from model_b's at
-    every grid time, both started from rho_e0 and the thermal bath state."""
-    traj_a = _reduced(model_a, rho_e0, spec, grid)
-    traj_b = _reduced(model_b, rho_e0, spec, grid)
-    return traj_a, pointwise_distances(traj_a, traj_b)
+def compare_ladder(pairs: Sequence[tuple[TotalModel, TotalModel]],
+                   rho_e0: DensityMatrix, spec: ThermalSpec,
+                   grid: TimeGrid) -> ComparisonReport:
+    """One rung per (model_a, model_b) pair, in ascending truncation: the
+    reduced trajectories' trace distance at every grid time. Every rung is
+    built before any trajectory, so a cap or build failure comes first."""
+    n_max = tuple(max(a.n_max, b.n_max) for a, b in pairs)
+    if any(a.electronic != b.electronic for a, b in pairs):
+        raise ValueError("models must share electronic parameters")
+    trajectories, distances = [], []
+    for model_a, model_b in pairs:
+        trajectories.append(_reduced(model_a, rho_e0, spec, grid))
+        distances.append(pointwise_distances(
+            trajectories[-1], _reduced(model_b, rho_e0, spec, grid)))
+    return ComparisonReport(
+        pairs[0][0].describe(), pairs[0][1].describe(), distances[0],
+        trajectories[0], n_max, tuple(float(d.max()) for d in distances))
 
 
 def compare_reduced(model_a: TotalModel, model_b: TotalModel,
                     rho_e0: DensityMatrix, spec: ThermalSpec, grid: TimeGrid,
                     dim_cap: int = DEFAULT_DIM_CAP) -> ComparisonReport:
-    """Trace distance of the two reduced trajectories at every grid time.
-
-    Both models are re-run with every Fock factor enlarged by
-    CONVERGENCE_STEP levels; ``converged`` is true iff that changes the
-    maximal distance by less than CONVERGENCE_TOL. A refinement that would
-    exceed ``dim_cap`` is reported as non-converged (delta = nan) rather
-    than raised, since the base comparison itself is still valid.
-    """
-    if model_a.electronic != model_b.electronic:
-        raise ValueError("models must share electronic parameters")
-    traj_a, distances = compare_trajectories(model_a, model_b, rho_e0, spec,
-                                             grid)
-    max_distance = float(distances.max())
-
-    converged = False
-    delta = math.nan
+    """The ladder of the two models and both with every Fock factor enlarged
+    by CONVERGENCE_STEP levels. A refinement that would exceed ``dim_cap``
+    is left out, so the report is non-converged (delta = nan) rather than
+    raised, since the base comparison itself is still valid."""
+    pairs = [(model_a, model_b)]
     try:
         # both refinements are checked before either is assembled
         for model in (model_a, model_b):
@@ -114,17 +129,9 @@ def compare_reduced(model_a: TotalModel, model_b: TotalModel,
     except DimensionCapError:
         pass
     else:
-        fine_a = model_a.rebuild(model_a.n_max + CONVERGENCE_STEP, dim_cap)
-        fine_b = model_b.rebuild(model_b.n_max + CONVERGENCE_STEP, dim_cap)
-        _, fine = compare_trajectories(fine_a, fine_b, rho_e0, spec, grid)
-        delta = abs(float(fine.max()) - max_distance)
-        converged = delta < CONVERGENCE_TOL
-
-    return ComparisonReport(
-        model_a=model_a.describe(), model_b=model_b.describe(),
-        per_time_distance=distances,
-        n_max_used=max(model_a.n_max, model_b.n_max),
-        converged=converged, convergence_delta=delta, trajectory_a=traj_a)
+        pairs.append(tuple(m.rebuild(m.n_max + CONVERGENCE_STEP, dim_cap)
+                           for m in (model_a, model_b)))
+    return compare_ladder(pairs, rho_e0, spec, grid)
 
 
 def spectrum_equivalence(model_a: TotalModel, model_b: TotalModel,
@@ -233,7 +240,7 @@ def coherence_vs_alpha(p: ElectronicParams, modes: Sequence[ModeSpec],
 
     ``build(p, modes, n_max, alpha)`` makes each model; by default it is the
     reduced-effective builder, checked once against DEFAULT_DIM_CAP. A
-    caller that maps build errors to its own failures passes its own builder.
+    caller with its own cap passes its own builder, such as models.build.
     """
     if build is None:
         check_dim_cap("reduced_effective", len(modes), n_max, DEFAULT_DIM_CAP)

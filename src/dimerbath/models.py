@@ -45,6 +45,10 @@ class DimensionCapError(RuntimeError):
     """Total dimension exceeds the configured dense-solver cap."""
 
 
+class ModelBuildError(ValueError):
+    """A builder rejected its parameters; names the model kind and why."""
+
+
 # TotalModel.kind values
 SHARED_ANTICORRELATED = "shared_anticorrelated"
 INDEPENDENT_LOCAL = "independent_local"
@@ -188,15 +192,19 @@ def build(name: str, p: ElectronicParams, modes: Sequence[ModeSpec],
           dim_cap: int = DEFAULT_DIM_CAP) -> TotalModel:
     """Model of config kind ``name``, checked against dim_cap before any
     assembly; its builder gets only the parameter that MODEL_KINDS names
-    for the kind (alpha, coupling_scale or none). The ``build_<label>``
-    builders below are the uncapped primitives."""
+    for the kind (alpha, coupling_scale or none), and a ValueError it raises
+    becomes a ModelBuildError. The ``build_<label>`` builders below are the
+    uncapped primitives."""
     check_dim_cap(name, len(modes), n_max, dim_cap)
     kind = MODEL_KINDS[name]
     # looked up at call time, so a wrapper set on the module attribute sees it
     builder = globals()["build_" + kind.label]
     given = {"alpha": alpha, "coupling_scale": coupling_scale}
-    return builder(p, modes, n_max,
-                   **{k: v for k, v in given.items() if k == kind.parameter})
+    try:
+        return builder(p, modes, n_max, **{
+            k: v for k, v in given.items() if k == kind.parameter})
+    except ValueError as exc:  # e.g. couplings that overflow the Hamiltonian
+        raise ModelBuildError(f"cannot build the {name} model: {exc}") from exc
 
 
 def electronic_hamiltonian(p: ElectronicParams) -> Operator:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import TotalModel
+from .models import DimensionCapError, TotalModel
 from .spaces import DensityMatrix, SpaceLayout
 
 #: extra Fock levels kept above the thermal support; the (b^dag + b) coupling
@@ -50,28 +50,29 @@ def gibbs_state(omega: float, beta: float, n_max: int) -> DensityMatrix:
     return DensityMatrix(SpaceLayout((n_max,)), np.diag(p))
 
 
-def thermal_occupation(omega: float, beta: float) -> float:
-    """Bose-Einstein mean occupation 1/(exp(beta omega) - 1)."""
-    if not (omega > 0 and beta > 0):
-        raise ValueError("omega and beta must be positive")
-    if math.isinf(beta):
-        return 0.0
-    return 1.0 / math.expm1(beta * omega)
-
 def choose_truncation(omega: float, spec: ThermalSpec) -> int:
     """Smallest truncation holding the Gibbs tail below tail_tol, plus headroom.
 
     The untruncated geometric tail above level n - 1 is bounded by
     exp(-beta omega n); the returned value adds DYNAMICAL_HEADROOM levels
-    and never drops below that headroom.
+    and never drops below that headroom. A beta omega so small that the
+    level count is not finite raises DimensionCapError.
     """
     if not (omega > 0):
         raise ValueError(f"omega must be positive, got {omega}")
     if math.isinf(spec.beta):
         n_thermal = 0
     else:
-        # smallest n with exp(-beta omega n) < tail_tol
-        n_thermal = math.floor(-math.log(spec.tail_tol) / (spec.beta * omega)) + 1
+        # smallest n with exp(-beta omega n) < tail_tol; beta omega may
+        # underflow to 0
+        rate = spec.beta * omega
+        levels = -math.log(spec.tail_tol) / rate if rate > 0 else math.inf
+        if not math.isfinite(levels):
+            raise DimensionCapError(
+                f"thermal truncation at beta {spec.beta:g} and omega "
+                f"{omega:g} is unbounded: -log(tail_tol)/(beta omega) "
+                "is not finite")
+        n_thermal = math.floor(levels) + 1
     return max(DYNAMICAL_HEADROOM, n_thermal + DYNAMICAL_HEADROOM)
 
 

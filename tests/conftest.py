@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,30 @@ def mode():
 def site1():
     return DensityMatrix(SpaceLayout.electronic_only(),
                          np.diag([1.0, 0.0]).astype(complex))
+
+
+def unitary(prop, t: float) -> np.ndarray:
+    """U(t) = V exp(-i L t) V^T of a SpectralPropagator."""
+    v = prop.eigenvectors
+    return (v * np.exp(-1j * prop.eigenvalues * t)) @ v.T
+
+
+def evolve(prop, rho0: DensityMatrix, t: float) -> DensityMatrix:
+    """Full rho(t) under a SpectralPropagator's model: two dense products
+    at the total dimension, a reference for the reduced contraction."""
+    if rho0.layout != prop.model.layout:
+        raise ValueError("rho0 layout does not match model")
+    u = unitary(prop, t)
+    return DensityMatrix(prop.model.layout, u @ rho0.matrix @ u.conj().T)
+
+
+def thermal_occupation(omega: float, beta: float) -> float:
+    """Bose-Einstein mean occupation 1/(exp(beta omega) - 1)."""
+    if not (omega > 0 and beta > 0):
+        raise ValueError("omega and beta must be positive")
+    if math.isinf(beta):
+        return 0.0
+    return 1.0 / math.expm1(beta * omega)
 
 
 def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -256,6 +256,21 @@ class TestRunTrajectory:
         assert "Traceback" not in err
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("beta, omega", [
+        ("1e-300", "1e-10"),  # -log(tail_tol) / (beta omega) overflows
+        ("1e-300", "1e-300"),  # beta omega underflows to 0
+    ])
+    def test_unbounded_thermal_truncation_is_resource_cap(
+            self, tmp_path, capsys, beta, omega):
+        text = config_text(thermal__beta=beta, bath__modes__0__omega=omega,
+                           output__directory=str(tmp_path / "out"))
+        assert run(parse_config(text)) == 3
+        err = capsys.readouterr().err
+        assert ("resource-cap: thermal truncation at beta 1e-300 and omega "
+                f"{omega} is unbounded") in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_dim_cap_checked_before_assembly(self, tmp_path, capsys):
         # 2 * 20^8 states: numpy refuses the allocation, so assembly must not start
         modes = {f"bath__modes__{i}__{key}": value for i in range(8)
@@ -356,6 +371,25 @@ class TestRunCompare:
         assert run(parse_config(text)) in (0, 1)
         assert "Traceback" not in capsys.readouterr().err
         assert (tmp_path / "out.report").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_refinement_that_cannot_be_built_is_config_error(self, tmp_path,
+                                                             capsys):
+        # the n_max 4 models build; at n_max 6 eps1 + 5 omega overflows, and
+        # the refinement is built before any trajectory is computed
+        text = config_text(electronic__eps1="1.76e308",
+                           bath__modes__0__omega="1e306",
+                           thermal__n_max_override="4",
+                           evolution__t_max="1.0", evolution__n_steps="2",
+                           task__kind="compare",
+                           task__compare_with="reduced_effective",
+                           bath__alpha="0.0",
+                           output__directory=str(tmp_path / "out"))
+        assert run(parse_config(text)) == 2
+        err = capsys.readouterr().err
+        assert err == ("config-error: cannot build the shared model: "
+                       "a Hamiltonian entry overflows float64\n")
+        assert not (tmp_path / "out").exists()
 
     def test_threshold_breach_fails_with_code_one(self, tmp_path):
         # at n_max = 6 the residual truncation distance is ~3e-5 >> 1e-8
@@ -461,6 +495,35 @@ class TestRunConvergence:
         d8 = float(report["max_trace_distance_n8"])
         assert d8 < d4
         assert report["monotone_non_increasing"] == "true"
+
+    def test_same_certificate_as_compare(self, tmp_path):
+        # compare at n_max 4 is the ladder 4, 6: the same two rungs
+        def report(task, **overrides):
+            out = tmp_path / task
+            run(parse_config(config_text(
+                task__kind=task, task__compare_with="independent",
+                output__directory=str(out), **overrides)))
+            return dict(line.split(" = ") for line in
+                        (out / "out.report").read_text().splitlines())
+
+        compare = report("compare", thermal__n_max_override="4")
+        convergence = report("convergence", task__n_max_list="4,6")
+        assert (compare["max_trace_distance"]
+                == convergence["max_trace_distance_n4"])
+        for key in ("convergence_delta", "converged"):
+            assert compare[key] == convergence[key]
+        assert float(compare["convergence_delta"]) > 0
+
+    def test_one_truncation_has_no_certificate(self, tmp_path):
+        # an unconverged convergence run still exits 0: it gates on
+        # monotonicity only
+        text = config_text(task__kind="convergence",
+                           task__compare_with="independent",
+                           task__n_max_list="4",
+                           output__directory=str(tmp_path))
+        assert run(parse_config(text)) == 0
+        report = (tmp_path / "out.report").read_text()
+        assert "convergence_delta = nan\nconverged = false\n" in report
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_trajectory_is_verification_failure(self, tmp_path,

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_density
+from conftest import evolve, random_density, unitary
 from dimerbath import dynamics
 from dimerbath.dynamics import (
     ReducedTrajectory,
@@ -73,30 +73,30 @@ class TestRealPath:
 class TestUnitary:
     def test_identity_at_time_zero(self, small_model):
         prop = SpectralPropagator(small_model)
-        u = prop.unitary(0.0)
+        u = unitary(prop, 0.0)
         assert np.abs(u - np.eye(u.shape[0])).max() < 1e-12
 
     def test_unitarity(self, small_model):
         prop = SpectralPropagator(small_model)
-        u = prop.unitary(3.7)
+        u = unitary(prop, 3.7)
         assert np.abs(u @ u.conj().T - np.eye(u.shape[0])).max() < 1e-10
 
     def test_group_property(self, small_model):
         prop = SpectralPropagator(small_model)
-        composed = prop.unitary(1.1) @ prop.unitary(2.3)
-        assert np.abs(composed - prop.unitary(3.4)).max() < 1e-10
+        composed = unitary(prop, 1.1) @ unitary(prop, 2.3)
+        assert np.abs(composed - unitary(prop, 3.4)).max() < 1e-10
 
 
 class TestEvolve:
     def test_preserves_trace_and_positivity(self, small_model, rho0):
         prop = SpectralPropagator(small_model)
-        rho_t = prop.evolve(rho0, 4.0)
+        rho_t = evolve(prop, rho0, 4.0)
         assert np.trace(rho_t.matrix).real == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.eigvalsh(rho_t.matrix)[0] > -1e-12
 
     def test_purity_invariant(self, small_model, rho0):
         prop = SpectralPropagator(small_model)
-        rho_t = prop.evolve(rho0, 6.0).matrix
+        rho_t = evolve(prop, rho0, 6.0).matrix
         before = np.einsum("ij,ji->", rho0.matrix, rho0.matrix).real
         after = np.einsum("ij,ji->", rho_t, rho_t).real
         assert after == pytest.approx(before, abs=1e-11)
@@ -105,7 +105,7 @@ class TestEvolve:
         prop = SpectralPropagator(small_model)
         h = small_model.hamiltonian.matrix
         e0 = np.einsum("ij,ji->", h, rho0.matrix).real
-        e1 = np.einsum("ij,ji->", h, prop.evolve(rho0, 8.0).matrix).real
+        e1 = np.einsum("ij,ji->", h, evolve(prop, rho0, 8.0).matrix).real
         assert e1 == pytest.approx(e0, rel=1e-9, abs=1e-12)
 
 
@@ -115,7 +115,7 @@ class TestReducedTrajectory:
         grid = TimeGrid(t_max=5.0, n_steps=20)
         traj = prop.reduced_trajectory(rho0, grid)
         for k in (0, 7, 20):
-            full = prop.evolve(rho0, grid.points[k]).matrix
+            full = evolve(prop, rho0, grid.points[k]).matrix
             direct = partial_trace_matrix(full, small_model.layout.dims, [0])
             assert np.abs(traj.states[k] - direct).max() < 1e-11
 
@@ -129,7 +129,7 @@ class TestReducedTrajectory:
         chunked = prop.reduced_trajectory(rho0, grid)
         assert np.abs(chunked.states - whole).max() < 1e-15
         for k in (0, 6, 7, 20, 40):  # chunk edges and interiors
-            full = prop.evolve(rho0, grid.points[k]).matrix
+            full = evolve(prop, rho0, grid.points[k]).matrix
             direct = partial_trace_matrix(full, small_model.layout.dims, [0])
             assert np.abs(chunked.states[k] - direct).max() < 1e-12
 
@@ -148,7 +148,7 @@ class TestReducedTrajectory:
                             7 * model.layout.total_dim)
         traj = prop.reduced_trajectory(rho0, grid)
         for k in (0, 6, 7, 20, 40):  # chunk edges and interiors
-            full = prop.evolve(rho0, grid.points[k]).matrix
+            full = evolve(prop, rho0, grid.points[k]).matrix
             direct = partial_trace_matrix(full, model.layout.dims, [0])
             assert np.abs(traj.states[k] - direct).max() < 1e-12
 
@@ -233,12 +233,12 @@ class TestExpectation:
         rho0 = initial_state(site1, model, ThermalSpec(beta=np.inf))
         num = np.kron(np.eye(2), np.diag(np.arange(14.0)))
         n0 = np.einsum("ij,ji->", num, rho0.matrix).real
-        nt = np.einsum("ij,ji->", num, prop.evolve(rho0, 3.0).matrix).real
+        nt = np.einsum("ij,ji->", num, evolve(prop, rho0, 3.0).matrix).real
         assert n0 == pytest.approx(0.0, abs=1e-13)
         assert nt > 1e-4
 
     def test_hermitian_observable_real(self, small_model, rho0):
         prop = SpectralPropagator(small_model)
         val = np.einsum("ij,ji->", small_model.hamiltonian.matrix,
-                        prop.evolve(rho0, 2.0).matrix)
+                        evolve(prop, rho0, 2.0).matrix)
         assert abs(val.imag) < 1e-12

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,8 +10,11 @@ from dimerbath.dynamics import (
     TimeGrid,
     evolve_reduced,
 )
+from dimerbath import models
 from dimerbath.equivalence import (
+    CONVERGENCE_TOL,
     coherence_vs_alpha,
+    compare_ladder,
     compare_reduced,
     factorization_check,
     pointwise_distances,
@@ -27,7 +32,7 @@ from dimerbath.models import (
 from dimerbath.spaces import DensityMatrix, SpaceLayout, partial_trace_matrix
 from dimerbath.thermal import ThermalSpec, initial_state
 
-from conftest import random_density
+from conftest import evolve, random_density
 
 GROUND = ThermalSpec(beta=np.inf)
 GRID = TimeGrid(t_max=20.0, n_steps=80)
@@ -112,6 +117,16 @@ class TestCompareReduced:
         assert np.isnan(report.convergence_delta)
         assert np.isfinite(report.max_distance)
 
+    def test_refinement_over_cap_is_one_rung_and_never_built(
+            self, params, mode, site1, monkeypatch):
+        shared = build_shared_anticorrelated(params, [mode], 8)
+        indep = build_independent_local(params, [mode], 8)
+        monkeypatch.setattr(models, "build",
+                            lambda *args, **kw: pytest.fail("model built"))
+        report = compare_reduced(shared, indep, site1, GROUND, GRID,
+                                 dim_cap=150)
+        assert report.n_max == (8,) and len(report.max_distances) == 1
+
     def test_electronic_mismatch_rejected(self, params, mode, site1):
         from dimerbath.models import ElectronicParams
 
@@ -119,6 +134,43 @@ class TestCompareReduced:
         b = build_shared_anticorrelated(ElectronicParams(0, 0, 0.5), [mode], 4)
         with pytest.raises(ValueError):
             compare_reduced(a, b, site1, GROUND, GRID)
+
+
+class TestCompareLadder:
+    def _pairs(self, params, mode, truncations):
+        return [(build_shared_anticorrelated(params, [mode], n),
+                 build_independent_local(params, [mode], n))
+                for n in truncations]
+
+    def test_one_rung_has_no_certificate(self, params, mode, site1):
+        report = compare_ladder(self._pairs(params, mode, [4]), site1,
+                                GROUND, GRID)
+        assert report.n_max == (4,) and report.n_max_used == 4
+        assert report.max_distance == report.per_time_distance.max() > 0
+        assert math.isnan(report.convergence_delta)
+        assert report.converged is False
+
+    def test_compare_reduced_is_the_two_rung_ladder(self, params, mode,
+                                                     site1):
+        pairs = self._pairs(params, mode, [4, 6])
+        ladder = compare_ladder(pairs, site1, GROUND, GRID)
+        report = compare_reduced(*pairs[0], site1, GROUND, GRID)
+        assert report.n_max == ladder.n_max == (4, 6)
+        assert report.max_distances == ladder.max_distances
+        d4, d6 = ladder.max_distances
+        assert report.convergence_delta == abs(d6 - d4) > 0
+        assert report.converged == (abs(d6 - d4) < CONVERGENCE_TOL)
+        assert np.array_equal(report.per_time_distance,
+                              ladder.per_time_distance)
+        assert np.array_equal(report.trajectory_a.states,
+                              ladder.trajectory_a.states)
+
+    def test_three_rungs_certify_the_two_finest(self, params, mode, site1):
+        report = compare_ladder(self._pairs(params, mode, [4, 6, 8]), site1,
+                                GROUND, GRID)
+        d4, d6, d8 = report.max_distances
+        assert report.max_distance == d4
+        assert report.convergence_delta == abs(d8 - d6)
 
 
 class TestPointwiseDistances:
@@ -177,7 +229,7 @@ class TestFactorizationCheck:
         defect = factorization_check(model, rho0, GRID)
         assert defect.min() > 1e-3
         for k in (0, 1, 40, 80):
-            rho_t = prop.evolve(rho0, GRID.points[k]).matrix
+            rho_t = evolve(prop, rho0, GRID.points[k]).matrix
             product = np.kron(partial_trace_matrix(rho_t, dims, [0, 1]),
                               partial_trace_matrix(rho_t, dims, [2]))
             direct = 0.5 * np.abs(np.linalg.eigvalsh(rho_t - product)).sum()

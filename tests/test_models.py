@@ -277,6 +277,14 @@ class TestHermiticity:
         with pytest.raises(ValueError, match="overflows float64"):
             build_shared_anticorrelated(p, [mode], 3)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_build_names_the_kind_of_a_rejected_model(self, params):
+        # the uncapped builder's ValueError, re-raised with the config name
+        with pytest.raises(models.ModelBuildError, match=(
+                "^cannot build the independent model: a Hamiltonian entry "
+                "overflows float64$")):
+            models.build("independent", params, [ModeSpec(1.0, 1.5e308)], 3)
+
     def test_site_swap_leaves_spectrum_invariant(self):
         p = ElectronicParams(0.25, -0.25, 0.5)
         swapped = ElectronicParams(-0.25, 0.25, 0.5)

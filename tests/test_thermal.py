@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dimerbath.models import (
+    DimensionCapError,
     MODEL_KINDS,
     ModeSpec,
     build,
@@ -15,8 +16,9 @@ from dimerbath.thermal import (
     choose_truncation,
     gibbs_state,
     initial_state,
-    thermal_occupation,
 )
+
+from conftest import thermal_occupation
 
 
 class TestGibbsState:
@@ -74,6 +76,16 @@ class TestChooseTruncation:
         warm = choose_truncation(1.0, ThermalSpec(beta=0.5))
         cold = choose_truncation(1.0, ThermalSpec(beta=4.0))
         assert cold < warm
+
+    @pytest.mark.parametrize("beta, omega", [
+        (1e-300, 1e-10),  # -log(tail_tol) / (beta omega) overflows to inf
+        (1e-300, 1e-300),  # beta omega underflows to 0
+    ])
+    def test_unbounded_level_count_is_resource_cap(self, beta, omega):
+        with pytest.raises(DimensionCapError, match=(
+                f"thermal truncation at beta 1e-300 and omega {omega:g} is "
+                "unbounded")):
+            choose_truncation(omega, ThermalSpec(beta))
 
     def test_tail_below_tolerance(self):
         spec = ThermalSpec(beta=0.8, tail_tol=1e-10)
