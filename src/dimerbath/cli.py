@@ -348,13 +348,14 @@ def _open_output(path: str):
 
 
 def _write_csv(path: str, traj):
-    rows = [CSV_HEADER]
-    for t, p1, p2, c in zip(traj.grid.points, traj.rho11, traj.rho22,
-                            traj.rho12):
-        rows.append(",".join(_format(float(v))
-                             for v in (t, p1, p2, c.real, c.imag, abs(c))))
+    # rows are written as they are formatted, never held as one string
     with _open_output(path) as fh:
-        fh.write("\n".join(rows) + "\n")
+        fh.write(CSV_HEADER + "\n")
+        fh.writelines(
+            ",".join(_format(float(v))
+                     for v in (t, p1, p2, c.real, c.imag, abs(c))) + "\n"
+            for t, p1, p2, c in zip(traj.grid.points, traj.rho11,
+                                    traj.rho22, traj.rho12))
 
 
 def _write_report(path: str, items: dict):
@@ -388,6 +389,8 @@ def run(config: RunConfig) -> int:
 def _run(config: RunConfig) -> int:
     from . import dynamics, equivalence, models, thermal
 
+    # the grid checks its point count against its cap before anything is built
+    grid = dynamics.TimeGrid(config.t_max, config.n_steps)
     if config.ohmic is not None:
         lam, gamma, m, omega_max = config.ohmic
         # every build has n_max >= 2 and the dimension grows with n_max, so
@@ -404,7 +407,6 @@ def _run(config: RunConfig) -> int:
         n_max = max(thermal.choose_truncation(m.omega, spec) for m in modes)
 
     rho_e0 = _initial_electronic(config)
-    grid = dynamics.TimeGrid(config.t_max, config.n_steps)
     base = os.path.join(config.out_dir, config.basename)
 
     if config.task == "trajectory":

@@ -6,9 +6,42 @@ with no step-to-step error accumulation. A ``spaces.Operator`` is real by
 type, so V and L are real and the work runs in real arithmetic; rho(0) is
 float64 unless its imaginary part is nonzero.
 Reduced 2x2 trajectories are extracted without ever forming the full
-rho(t): in the eigenbasis each matrix element of rho_e(t) is a sum of phase
-factors, which batches over fixed-size chunks of the time grid as two real
-matrix products each, one against cos(L t) and one against sin(L t).
+rho(t): in the eigenbasis each matrix element of rho_e(t) is a sum of dim^2
+phase factors exp(-i (L_m - L_n) t) with fixed real weights. Two kernels
+evaluate that sum, chosen by grid length alone:
+
+* grids shorter than FFT_MIN_POINTS batch over fixed-size chunks of the
+  time grid as two real matrix products each, one against cos(L t) and one
+  against sin(L t): O(dim^2 n_points);
+* longer grids use that the grid is uniform, t_k = k h: the sum is a
+  non-uniform DFT of the dim (dim - 1) / 2 frequencies L_m - L_n (m < n),
+  evaluated by binning each phase (L_m - L_n) h onto the nearest point of an
+  FFT grid of size M >= n_points and correcting the offset
+  |delta| <= pi / M with a Taylor series, one real FFT per term and weight
+  row (Anderson & Dahleh, SIAM J. Sci. Comput. 17, 913 (1996); Dutt &
+  Rokhlin, SIAM J. Sci. Comput. 14, 1368 (1993)):
+  O(dim^2 terms + terms M log M). With b = (n_points - 1) pi / M <= pi and
+  R + 1 terms, the truncation error of a row of weights w is at most
+  sum|w| b^(R+1) / (R+1)! e^b; R + 1 is the smallest count that makes
+  b^(R+1) / (R+1)! e^b <= 1e-17, about 31 at b = pi. An FFT grid of
+  4 n_points (b = pi / 4, 18 terms) costs 1.4 times as much at dim 392
+  and 20001 points.
+
+Time of ``reduced_trajectory``, GEMM kernel / FFT kernel, one BLAS thread
+(2-core host, numpy 2.4 / OpenBLAS 0.3.31, dim from one bath mode, best of
+three); above 1 the FFT kernel is faster:
+
+    dim | n_points   201    501   1001   2001   5001
+       4            0.21   0.28   0.36   0.39   0.55
+      12            0.21   0.30   0.42   0.51   0.61
+      50            0.30   0.52   1.17   1.52   1.79
+     392            0.52   0.88   1.58   2.79   5.01
+    1250            0.46   0.66   0.96   1.56   3.18
+
+The two kernels agree to 3.5e-14 on a 20001-point grid at dim 392 with
+t_max = 1000; against a full-state propagation whose phases are reduced in
+long double, the GEMM kernel is within 6.0e-15 and the FFT kernel within
+1.4e-14 at t = 1000.
 """
 
 from __future__ import annotations
@@ -19,11 +52,26 @@ from dataclasses import dataclass
 import numpy as np
 
 # DEFAULT_DIM_CAP is re-exported: models.build checks the cap before assembly
-from .models import DEFAULT_DIM_CAP, TotalModel  # noqa: F401
+from .models import DEFAULT_DIM_CAP, DimensionCapError, TotalModel  # noqa: F401
 from .spaces import DensityMatrix
 
 # (cos, sin) element pairs per (dim x chunk) phase block in reduced_trajectory
 PHASE_CHUNK_ELEMENTS = 1 << 20
+
+# grids of at least this many points take the FFT phase sum: in the module
+# docstring's table it wins at 2001 points from dim 50 up, and loses at
+# 1001 points at dim 1250. Below dim 50 it loses at every length (7.5 s
+# against 1.9 s at dim 4 and 10^6 points). Every bundled config and every
+# benchmark workload but long_trajectory stays on the GEMM kernel.
+FFT_MIN_POINTS = 2048
+
+# truncation error of the Taylor series in the FFT phase sum, per unit weight
+FFT_TAYLOR_TOL = 1e-17
+
+# TimeGrid's point cap: a trajectory run peaks at about 250 bytes per grid
+# point (rabi.cfg through the CLI: 299 MB at 10^6 steps, 1042 MB at 4 10^6),
+# so the largest grid stays near 1 GB
+MAX_GRID_POINTS = 4_000_001
 
 
 class TrajectoryError(ValueError):
@@ -32,7 +80,11 @@ class TrajectoryError(ValueError):
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid t_k = k t_max / n_steps for k = 0 .. n_steps."""
+    """Uniform grid t_k = k t_max / n_steps for k = 0 .. n_steps.
+
+    More than MAX_GRID_POINTS points raise DimensionCapError here, before
+    any point is allocated.
+    """
 
     t_max: float
     n_steps: int
@@ -42,6 +94,10 @@ class TimeGrid:
             raise ValueError(f"t_max must be positive, got {self.t_max}")
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
+        if self.n_steps + 1 > MAX_GRID_POINTS:
+            raise DimensionCapError(
+                f"evolution.n_steps {self.n_steps} gives {self.n_steps + 1} "
+                f"time points, over cap {MAX_GRID_POINTS}")
 
     @property
     def points(self) -> np.ndarray:
@@ -125,15 +181,17 @@ class SpectralPropagator:
         max|L| * max|t| is not finite.
         """
         times = np.atleast_1d(times)
-        bound = float(np.abs(self.eigenvalues).max()) * float(
-            np.abs(times).max())
+        self._check_phase_bound(float(np.abs(times).max()))
+        angles = np.outer(self.eigenvalues, times)
+        sin = np.sin(angles)
+        return np.cos(angles, out=angles), sin
+
+    def _check_phase_bound(self, t_max: float):
+        bound = float(np.abs(self.eigenvalues).max()) * t_max
         if not math.isfinite(bound):
             raise TrajectoryError(
                 f"non-finite value of max|eigenvalue| * t = {bound:g}: "
                 "the phases overflow")
-        angles = np.outer(self.eigenvalues, times)
-        sin = np.sin(angles)
-        return np.cos(angles, out=angles), sin
 
     def reduced_trajectory(self, rho0: DensityMatrix,
                            grid: TimeGrid) -> ReducedTrajectory:
@@ -146,11 +204,11 @@ class SpectralPropagator:
         Re rho0 and Im rho0 (the second only for a complex rho0); the
         sum is linear in them, so both run through one real kernel. Only
         (0,0), (1,1) and (0,1) are contracted; rho_e[1,0] is the conjugate
-        of rho_e[0,1].
+        of rho_e[0,1]. Grids of FFT_MIN_POINTS or more take the FFT kernel
+        (module docstring); shorter ones the chunked GEMM kernel.
         """
         if rho0.layout != self.model.layout:
             raise ValueError("rho0 layout does not match model")
-        points = grid.points
         v = self.eigenvectors
         dim = v.shape[0]
         blocks = (v[:dim // 2, :], v[dim // 2:, :])
@@ -166,13 +224,43 @@ class SpectralPropagator:
                 weighted.append((a, b, unit, w))
             del rt0
 
-        step = max(1, PHASE_CHUNK_ELEMENTS // dim)
-        states = np.zeros((points.size, 2, 2), dtype=np.complex128)
-        for start in range(0, points.size, step):
-            chunk = slice(start, start + step)
-            cos, sin = self.phases(points[chunk])
-            for a, b, unit, w in weighted:
-                states[chunk, a, b] += unit * _phase_sum(w, cos, sin)
+        n_points = grid.n_steps + 1
+        states = np.zeros((n_points, 2, 2), dtype=np.complex128)
+        if n_points < FFT_MIN_POINTS:
+            points = grid.points
+            step = max(1, PHASE_CHUNK_ELEMENTS // dim)
+            for start in range(0, n_points, step):
+                chunk = slice(start, start + step)
+                cos, sin = self.phases(points[chunk])
+                for a, b, unit, w in weighted:
+                    states[chunk, a, b] += unit * _phase_sum(w, cos, sin)
+        else:
+            self._check_phase_bound(grid.t_max)
+            # pair m < n: w[m,n] e^{-i x} + w[n,m] e^{+i x}, x = (L_m - L_n) t,
+            # is (w + w^T)[m,n] cos x - i (w - w^T)[m,n] sin x. For a = b,
+            # Q_aa is symmetric and the real (imaginary) half of rt0 is
+            # symmetric (antisymmetric), so each half feeds only the real
+            # part of unit * sum, and rho_e[a,a] needs one row per half.
+            upper = np.triu(np.ones((dim, dim), dtype=bool), 1)
+            rows, targets = [], []
+            while weighted:  # each matrix is freed once its rows are taken
+                a, b, unit, w = weighted.pop(0)
+                if a != b or unit == 1.0:
+                    states[:, a, b] += unit * np.trace(w)
+                    rows.append((w + w.T)[upper])
+                    targets.append((a, b, unit, np.real))
+                if a != b or unit == 1j:
+                    rows.append((w - w.T)[upper])
+                    targets.append((a, b, 1j * unit, np.imag))
+                del w
+            h = grid.t_max / grid.n_steps
+            # halved, so the difference is finite whenever max|L| t_max is;
+            # fmod is exact and keeps the small phases that matter exact
+            half = 0.5 * h * self.eigenvalues
+            sums = _uniform_phase_sums(rows, 2.0 * np.fmod(
+                np.subtract.outer(half, half)[upper], np.pi), n_points)
+            for (a, b, unit, part), f in zip(targets, sums):
+                states[:, a, b] += unit * part(f)
         states[:, 1, 0] = states[:, 0, 1].conj()
         return ReducedTrajectory(grid, states)
 
@@ -187,6 +275,66 @@ def _phase_sum(w: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     re = np.einsum("mk,mk->k", x, cos) + np.einsum("mk,mk->k", y, sin)
     im = np.einsum("mk,mk->k", y, cos) - np.einsum("mk,mk->k", x, sin)
     return re + 1j * im
+
+
+def _uniform_phase_sums(rows: list[np.ndarray], x: np.ndarray,
+                        n_points: int) -> np.ndarray:
+    """f[r, k] = sum_p rows[r, p] exp(-i x_p k) for k < n_points.
+
+    Each phase x_p is binned to the nearest point 2 pi j_p / M of an FFT grid
+    of M >= n_points points, leaving |delta_p| = |x_p - 2 pi j_p / M| <= pi / M;
+    then f[r, k] = sum_s (-i k)^s / s! F_s[k], where F_s is the DFT of the
+    binned weights rows[r] delta^s. The weights are real, so F_s[k] for
+    k > M / 2 is the conjugate of F_s[M - k]. Terms are streamed: one grid of
+    M points per term and row, never all terms at once. The arrays in
+    ``rows`` are overwritten.
+    """
+    m = _fft_size(n_points)
+    u = x * (m / (2.0 * np.pi))
+    bins = np.rint(u)
+    u -= bins  # delta M / (2 pi), in [-1/2, 1/2]
+    bins = bins.astype(np.intp)
+    bins %= m
+    # |delta k| <= b: after n terms the Taylor remainder of exp(-i delta k)
+    # is at most b^n / n! e^b
+    b = (n_points - 1) * np.pi / m
+    n_terms, bound = 1, b * math.exp(b)
+    while bound > FFT_TAYLOR_TOL:
+        n_terms += 1
+        bound *= b / n_terms
+    z = (-2j * np.pi / m) * np.arange(n_points)
+    coef = np.ones(n_points, dtype=np.complex128)
+    out = np.zeros((len(rows), n_points), dtype=np.complex128)
+    half = m // 2 + 1
+    for s in range(n_terms):
+        if s:
+            for w in rows:
+                w *= u
+            coef *= z / s
+        for row, w in zip(out, rows):
+            spec = np.fft.rfft(np.bincount(bins, w, minlength=m))
+            if n_points > half:
+                spec = np.concatenate(
+                    (spec, spec[m - n_points + 1:m - half + 1][::-1].conj()))
+            row += coef * spec[:n_points]
+    return out
+
+
+def _fft_size(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n: numpy's FFT is fastest at 5-smooth sizes
+    (an rfft of 20250 points takes 0.50 ms, of 20001 points 0.90 ms)."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < n:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def evolve_reduced(model: TotalModel, rho0: DensityMatrix,

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -217,6 +218,46 @@ class TestRunTrajectory:
         assert data[:, 1] == pytest.approx(np.cos(0.5 * data[:, 0]) ** 2,
                                            abs=1e-9)
         assert data[:, 1] + data[:, 2] == pytest.approx(np.ones(21), abs=1e-12)
+
+    def test_rabi_on_fft_kernel_through_cli(self, tmp_path, monkeypatch):
+        # rabi.cfg's keys on a grid long enough for the FFT phase sum
+        calls = []
+        kernel = dimerbath.dynamics._uniform_phase_sums
+        monkeypatch.setattr(dimerbath.dynamics, "_uniform_phase_sums",
+                            lambda *args: calls.append(1) or kernel(*args))
+        n_steps = 2 * dimerbath.dynamics.FFT_MIN_POINTS
+        text = (CONFIGS / "rabi.cfg").read_text().replace(
+            "evolution.n_steps = 200", f"evolution.n_steps = {n_steps}")
+        assert f"evolution.n_steps = {n_steps}" in text
+        path = tmp_path / "rabi.cfg"
+        path.write_text(text + f"output.directory = {tmp_path}\n")
+        assert main([str(path), "--threads", "1"]) == 0
+        assert calls == [1]
+        data = np.loadtxt(tmp_path / "rabi.csv", delimiter=",", skiprows=1)
+        assert data.shape == (n_steps + 1, 6)
+        j = parse_config(text).j
+        assert np.abs(data[:, 1] - np.cos(j * data[:, 0]) ** 2).max() < 1e-12
+
+    def test_grid_over_cap_is_resource_cap(self, tmp_path, capsys,
+                                           monkeypatch):
+        # 1e11 + 1 points would take about 30 TB; nothing may be allocated
+        monkeypatch.setattr(dimerbath.models, "build",
+                            lambda *args: pytest.fail("model built"))
+        text = config_text(evolution__n_steps="100000000000",
+                           output__directory=str(tmp_path / "out"))
+        config = parse_config(text)
+        tracemalloc.start()
+        try:
+            assert run(config) == 3
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        err = capsys.readouterr().err
+        assert ("resource-cap: evolution.n_steps 100000000000 gives "
+                "100000000001 time points, over cap") in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_deterministic_output(self, tmp_path):
         text = config_text(output__directory=str(tmp_path),

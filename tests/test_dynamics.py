@@ -12,6 +12,7 @@ from dimerbath.dynamics import (
 )
 from dimerbath.models import (
     MODEL_KINDS,
+    DimensionCapError,
     ElectronicParams,
     ModeSpec,
     build,
@@ -53,6 +54,14 @@ class TestTimeGrid:
             TimeGrid(t_max=-1.0, n_steps=10)
         with pytest.raises(ValueError):
             TimeGrid(t_max=1.0, n_steps=0)
+
+    def test_point_count_capped(self):
+        cap = dynamics.MAX_GRID_POINTS
+        assert TimeGrid(t_max=1.0, n_steps=cap - 1).n_steps == cap - 1
+        with pytest.raises(DimensionCapError, match=(
+                f"evolution.n_steps {cap} gives {cap + 1} time points, "
+                f"over cap {cap}")):
+            TimeGrid(t_max=1.0, n_steps=cap)
 
 
 class TestRealPath:
@@ -223,6 +232,79 @@ class TestReducedTrajectory:
         prop.eigenvectors = prop.eigenvectors * (1.0 + 1e-6)
         with pytest.raises(TrajectoryError, match="off unit trace at t=0$"):
             prop.reduced_trajectory(rho0, TimeGrid(t_max=1.0, n_steps=4))
+
+
+def both_kernels(prop, rho0, grid, monkeypatch):
+    """(GEMM, FFT) reduced trajectories, each path forced by the threshold."""
+    monkeypatch.setattr(dynamics, "FFT_MIN_POINTS", grid.n_steps + 2)
+    gemm = prop.reduced_trajectory(rho0, grid)
+    monkeypatch.setattr(dynamics, "FFT_MIN_POINTS", 1)
+    return gemm, prop.reduced_trajectory(rho0, grid)
+
+
+class TestFFTKernel:
+    @pytest.mark.parametrize("name, n_max", [
+        ("shared", 4), ("independent", 6), ("independent", 14)])
+    @pytest.mark.parametrize("beta", [1.0, np.inf])
+    @pytest.mark.parametrize("complex_state", [False, True])
+    def test_matches_gemm_kernel(self, params, mode, monkeypatch, name, n_max,
+                                 beta, complex_state):
+        # dims 8, 72 and 392
+        rho_e0 = (random_density(2, np.random.default_rng(7)) if complex_state
+                  else np.diag([1.0, 0.0]))
+        model = build(name, params, [mode], n_max)
+        rho0 = initial_state(DensityMatrix(SpaceLayout.electronic_only(),
+                                           rho_e0), model, ThermalSpec(beta))
+        assert np.iscomplexobj(rho0.matrix) == complex_state
+        gemm, fft = both_kernels(SpectralPropagator(model), rho0,
+                                 TimeGrid(t_max=40.0, n_steps=300),
+                                 monkeypatch)
+        assert np.abs(fft.states - gemm.states).max() < 1e-12
+
+    def test_phase_angles_near_1e4(self, params, mode, monkeypatch):
+        model = build("independent", params, [mode], 6)
+        rho0 = initial_state(
+            DensityMatrix(SpaceLayout.electronic_only(),
+                          random_density(2, np.random.default_rng(3))),
+            model, ThermalSpec(beta=1.0))
+        prop = SpectralPropagator(model)
+        grid = TimeGrid(t_max=1000.0, n_steps=700)
+        spread = prop.eigenvalues.max() - prop.eigenvalues.min()
+        assert 5e3 < spread * grid.t_max < 5e4
+        gemm, fft = both_kernels(prop, rho0, grid, monkeypatch)
+        assert np.abs(fft.states - gemm.states).max() < 1e-12
+
+    def test_degenerate_spectrum(self, params, site1, monkeypatch):
+        # g = 0: two equal local modes make (n1, n2) and (n2, n1) degenerate
+        model = build_independent_local(params, [ModeSpec(1.0, 0.0)], 5)
+        rho0 = initial_state(site1, model, ThermalSpec(beta=1.0))
+        prop = SpectralPropagator(model)
+        gaps = np.abs(np.subtract.outer(prop.eigenvalues, prop.eigenvalues))
+        assert (gaps < 1e-12).sum() > 2 * model.layout.total_dim
+        gemm, fft = both_kernels(prop, rho0, TimeGrid(t_max=30.0, n_steps=200),
+                                 monkeypatch)
+        assert np.abs(fft.states - gemm.states).max() < 1e-12
+
+    def test_matches_direct_evolution(self, small_model, rho0, monkeypatch):
+        monkeypatch.setattr(dynamics, "FFT_MIN_POINTS", 1)
+        prop = SpectralPropagator(small_model)
+        grid = TimeGrid(t_max=25.0, n_steps=250)
+        traj = prop.reduced_trajectory(rho0, grid)
+        for k in (0, 125, 250):
+            full = evolve(prop, rho0, grid.points[k]).matrix
+            direct = partial_trace_matrix(full, small_model.layout.dims, [0])
+            assert np.abs(traj.states[k] - direct).max() < 1e-12
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_phases_rejected(self, params, site1, monkeypatch):
+        monkeypatch.setattr(dynamics, "FFT_MIN_POINTS", 1)
+        model = build_shared_anticorrelated(params, [ModeSpec(1.0, 1e308)], 4)
+        rho0 = initial_state(site1, model, ThermalSpec(beta=np.inf))
+        monkeypatch.setattr(dynamics, "_uniform_phase_sums",
+                            lambda *args: pytest.fail("phases formed"))
+        with pytest.raises(TrajectoryError, match="the phases overflow"):
+            SpectralPropagator(model).reduced_trajectory(
+                rho0, TimeGrid(t_max=10.0, n_steps=20))
 
 
 class TestExpectation:
