@@ -8,15 +8,17 @@ float64 unless its imaginary part is nonzero.
 Reduced 2x2 trajectories are extracted without ever forming the full
 rho(t): in the eigenbasis each matrix element of rho_e(t) is a sum of dim^2
 phase factors exp(-i (L_m - L_n) t) with fixed real weights. Two kernels
-evaluate that sum, chosen by grid length alone:
+evaluate that sum, chosen by dim and grid length:
 
-* grids shorter than FFT_MIN_POINTS batch over fixed-size chunks of the
-  time grid as two real matrix products each, one against cos(L t) and one
-  against sin(L t): O(dim^2 n_points);
-* longer grids use that the grid is uniform, t_k = k h: the sum is a
-  non-uniform DFT of the dim (dim - 1) / 2 frequencies L_m - L_n (m < n),
-  evaluated by binning each phase (L_m - L_n) h onto the nearest point of an
-  FFT grid of size M >= n_points and correcting the offset
+* grids shorter than FFT_MIN_POINTS, and every grid below dim FFT_MIN_DIM,
+  batch over fixed-size chunks of the time grid as two real matrix
+  products each, one against cos(L t) and one against sin(L t):
+  O(dim^2 n_points);
+* longer grids from dim FFT_MIN_DIM up use that the grid is uniform,
+  t_k = k h: the sum is a non-uniform DFT of the dim (dim - 1) / 2
+  frequencies L_m - L_n (m < n), evaluated by binning each phase
+  (L_m - L_n) h onto the nearest point of an FFT grid of size
+  M >= n_points and correcting the offset
   |delta| <= pi / M with a Taylor series, one real FFT per term and weight
   row (Anderson & Dahleh, SIAM J. Sci. Comput. 17, 913 (1996); Dutt &
   Rokhlin, SIAM J. Sci. Comput. 14, 1368 (1993)):
@@ -28,15 +30,21 @@ evaluate that sum, chosen by grid length alone:
   and 20001 points.
 
 Time of ``reduced_trajectory``, GEMM kernel / FFT kernel, one BLAS thread
-(2-core host, numpy 2.4 / OpenBLAS 0.3.31, dim from one bath mode, best of
-three); above 1 the FFT kernel is faster:
+(2-core host, numpy 2.4 / OpenBLAS 0.3.31, shared model of one bath mode
+at beta = 1, best of three, "-" not measured); above 1 the FFT kernel is
+faster:
 
-    dim | n_points   201    501   1001   2001   5001
-       4            0.21   0.28   0.36   0.39   0.55
-      12            0.21   0.30   0.42   0.51   0.61
-      50            0.30   0.52   1.17   1.52   1.79
-     392            0.52   0.88   1.58   2.79   5.01
-    1250            0.46   0.66   0.96   1.56   3.18
+    dim | n_points  201   501  1001  2001  5001  10^5  10^6
+       4           0.14  0.15  0.16  0.21  0.27  0.19  0.15
+      12           0.16  0.19  0.23  0.35  0.57  0.25  0.23
+      24           0.19  0.29  0.36  0.59  1.02  0.55  0.40
+      50           0.29  0.49  0.74  1.18  2.09  1.21  0.74
+     392           0.67  1.06  1.87  2.95  6.55  12.3     -
+    1250           0.57  0.67  1.02  1.63  3.67     -     -
+
+At 10^6 points the FFT kernel takes 4.5 to 4.9 s from dim 4 to dim 50,
+because its terms M log M part does not shrink with dim; the GEMM kernel
+takes 0.73 s at dim 4 and 3.7 s at dim 50.
 
 The two kernels agree to 3.5e-14 on a 20001-point grid at dim 392 with
 t_max = 1000; against a full-state propagation whose phases are reduced in
@@ -58,19 +66,21 @@ from .spaces import DensityMatrix
 # (cos, sin) element pairs per (dim x chunk) phase block in reduced_trajectory
 PHASE_CHUNK_ELEMENTS = 1 << 20
 
-# grids of at least this many points take the FFT phase sum: in the module
-# docstring's table it wins at 2001 points from dim 50 up, and loses at
-# 1001 points at dim 1250. Below dim 50 it loses at every length (7.5 s
-# against 1.9 s at dim 4 and 10^6 points). Every bundled config and every
-# benchmark workload but long_trajectory stays on the GEMM kernel.
+# grids of at least FFT_MIN_POINTS points at dim FFT_MIN_DIM or more take
+# the FFT phase sum. In the module docstring's table it wins from 2001
+# points at dim 50 and up, ties at 1001 points at dim 1250, and below
+# dim 50 loses at every length but one tie; at dim 50 it also loses at
+# 10^6 points (0.74). Every bundled config and every benchmark workload but
+# long_trajectory (dim 392) stays on the GEMM kernel.
 FFT_MIN_POINTS = 2048
+FFT_MIN_DIM = 50
 
 # truncation error of the Taylor series in the FFT phase sum, per unit weight
 FFT_TAYLOR_TOL = 1e-17
 
-# TimeGrid's point cap: a trajectory run peaks at about 250 bytes per grid
-# point (rabi.cfg through the CLI: 299 MB at 10^6 steps, 1042 MB at 4 10^6),
-# so the largest grid stays near 1 GB
+# TimeGrid's point cap: a trajectory run peaks at about 210 bytes per grid
+# point (rabi.cfg through the CLI: 255 MB at 10^6 steps, 849 MB at 4 10^6),
+# so the largest grid stays under 1 GB
 MAX_GRID_POINTS = 4_000_001
 
 
@@ -132,7 +142,7 @@ class ReducedTrajectory:
         tr = np.einsum("kii->k", s).real
         s[:, 0, 0] -= (tr - 1.0) / 2.0
         s[:, 1, 1] -= (tr - 1.0) / 2.0
-        check(np.linalg.eigvalsh(s).min(axis=1) < -1e-10,
+        check(_lowest_eigenvalues(s) < -1e-10,
               "reduced state not positive semidefinite")
         # the checks above bound any excursion outside [0, 1] by about 1e-10
         for i in (0, 1):
@@ -155,6 +165,15 @@ class ReducedTrajectory:
     @property
     def rho12(self) -> np.ndarray:
         return self.states[:, 0, 1]
+
+
+def _lowest_eigenvalues(s: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of each Hermitian 2x2 [[p1, c], [c*, p2]] in s.
+
+    Closed form (p1 + p2) / 2 - hypot((p1 - p2) / 2, |c|), no LAPACK call.
+    """
+    p1, p2 = s[:, 0, 0].real, s[:, 1, 1].real
+    return 0.5 * (p1 + p2) - np.hypot(0.5 * (p1 - p2), np.abs(s[:, 0, 1]))
 
 
 class SpectralPropagator:
@@ -204,8 +223,9 @@ class SpectralPropagator:
         Re rho0 and Im rho0 (the second only for a complex rho0); the
         sum is linear in them, so both run through one real kernel. Only
         (0,0), (1,1) and (0,1) are contracted; rho_e[1,0] is the conjugate
-        of rho_e[0,1]. Grids of FFT_MIN_POINTS or more take the FFT kernel
-        (module docstring); shorter ones the chunked GEMM kernel.
+        of rho_e[0,1]. Grids of FFT_MIN_POINTS or more at dim FFT_MIN_DIM
+        or more take the FFT kernel (module docstring); the rest the
+        chunked GEMM kernel.
         """
         if rho0.layout != self.model.layout:
             raise ValueError("rho0 layout does not match model")
@@ -226,7 +246,7 @@ class SpectralPropagator:
 
         n_points = grid.n_steps + 1
         states = np.zeros((n_points, 2, 2), dtype=np.complex128)
-        if n_points < FFT_MIN_POINTS:
+        if n_points < FFT_MIN_POINTS or dim < FFT_MIN_DIM:
             points = grid.points
             step = max(1, PHASE_CHUNK_ELEMENTS // dim)
             for start in range(0, n_points, step):

@@ -7,6 +7,7 @@ import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,12 +16,15 @@ from hypothesis import strategies as st
 
 import dimerbath
 from dimerbath.cli import (
+    CSV_CHUNK_ROWS,
     CSV_HEADER,
     ConfigError,
+    _write_csv,
     main,
     parse_config,
     run,
 )
+from dimerbath.dynamics import ReducedTrajectory, TimeGrid
 from dimerbath.models import MODEL_KINDS
 
 SRC = Path(dimerbath.__file__).resolve().parents[1]
@@ -225,6 +229,8 @@ class TestRunTrajectory:
         kernel = dimerbath.dynamics._uniform_phase_sums
         monkeypatch.setattr(dimerbath.dynamics, "_uniform_phase_sums",
                             lambda *args: calls.append(1) or kernel(*args))
+        # rabi.cfg's dim 4 is under FFT_MIN_DIM, so the FFT path is forced
+        monkeypatch.setattr(dimerbath.dynamics, "FFT_MIN_DIM", 1)
         n_steps = 2 * dimerbath.dynamics.FFT_MIN_POINTS
         text = (CONFIGS / "rabi.cfg").read_text().replace(
             "evolution.n_steps = 200", f"evolution.n_steps = {n_steps}")
@@ -602,6 +608,68 @@ class TestMain:
         path = tmp_path / "run.cfg"
         path.write_text(config_text())
         assert main([str(path), "--threads", "0"]) == 2
+
+
+def _reference_csv(traj) -> str:
+    """The per-value writer: every value through f"{float(v):.12g}"."""
+    rows = zip(traj.grid.points, traj.rho11, traj.rho22, traj.rho12)
+    return "".join([CSV_HEADER + "\n"] + [
+        ",".join(f"{float(v):.12g}"
+                 for v in (t, p1, p2, c.real, c.imag, abs(c))) + "\n"
+        for t, p1, p2, c in rows])
+
+
+# 13 significant digits ending in 5: the rounding edge of 12-digit output
+_ROUNDING_EDGES = st.builds(lambda m, e: float(f"{m}5e{e}"),
+                            st.integers(10**11, 10**12 - 1),
+                            st.integers(-330, 280))
+_CSV_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 0.1, 1.0]),
+    _ROUNDING_EDGES,
+    _ROUNDING_EDGES.map(lambda x: math.nextafter(x, -math.inf)),
+    st.floats(-1e300, 1e300))
+
+
+@settings(max_examples=25, deadline=None)
+@given(n_points=st.sampled_from([1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS,
+                                 CSV_CHUNK_ROWS + 1, 3 * CSV_CHUNK_ROWS + 7]),
+       pool=st.lists(_CSV_VALUES, min_size=1, max_size=30),
+       seed=st.integers(0, 2**32 - 1))
+def test_csv_matches_per_value_writer(n_points, pool, seed):
+    # half drawn values, half uniform in [-1, 1], where np.abs of a complex
+    # array and abs() of its elements can differ in the last bit
+    rng = np.random.default_rng(seed)
+    t, p1, p2, re, im = np.where(rng.random((5, n_points)) < 0.5,
+                                 rng.choice(np.array(pool), (5, n_points)),
+                                 rng.uniform(-1.0, 1.0, (5, n_points)))
+    rho12 = np.empty(n_points, dtype=complex)  # keeps the sign of -0.0
+    rho12.real, rho12.imag = re, im
+    traj = SimpleNamespace(grid=SimpleNamespace(points=t), rho11=p1,
+                           rho22=p2, rho12=rho12)
+    with tempfile.TemporaryDirectory() as out:
+        path = Path(out) / "traj.csv"
+        _write_csv(str(path), traj)
+        assert path.read_text() == _reference_csv(traj)
+
+
+def test_csv_memory_bounded_per_chunk(tmp_path):
+    # a pure Rabi trajectory; its 17 MB of CSV text is never held at once
+    grid = TimeGrid(t_max=1000.0, n_steps=200000)
+    cos, sin = np.cos(0.5 * grid.points), np.sin(0.5 * grid.points)
+    states = np.empty((grid.n_steps + 1, 2, 2), dtype=complex)
+    states[:, 0, 0], states[:, 1, 1] = cos**2, sin**2
+    states[:, 0, 1] = 1j * cos * sin
+    states[:, 1, 0] = -1j * cos * sin
+    traj = ReducedTrajectory(grid, states)
+    tracemalloc.start()
+    try:
+        _write_csv(str(tmp_path / "traj.csv"), traj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the time column is 1.6 MB of it; a (n_points, 6) float copy alone
+    # would be 9.6 MB
+    assert peak < 5 << 20
 
 
 def _list_text(values):

@@ -222,6 +222,32 @@ class TestReducedTrajectory:
         with pytest.raises(TrajectoryError, match=f"{check} at t=2$"):
             ReducedTrajectory(grid, states)
 
+    def test_lowest_eigenvalue_closed_form(self):
+        # Hermitian, unit trace, not necessarily positive
+        rng, n = np.random.default_rng(11), 10000
+        p1 = rng.uniform(-0.5, 1.5, n)
+        c = rng.uniform(0.0, 1.0, n) * np.exp(2j * np.pi * rng.random(n))
+        s = np.empty((n, 2, 2), dtype=complex)
+        s[:, 0, 0], s[:, 1, 1] = p1, 1.0 - p1
+        s[:, 0, 1], s[:, 1, 0] = c, c.conj()
+        exact = np.linalg.eigvalsh(s).min(axis=1)
+        assert np.abs(dynamics._lowest_eigenvalues(s) - exact).max() < 1e-15
+
+    def test_positivity_threshold(self):
+        # [[1/2, c], [c, 1/2]] has the eigenvalues 1/2 + c and 1/2 - c; the
+        # states at t = 1 and t = 2 are the same, so t = 1 must be named
+        grid = TimeGrid(t_max=2.0, n_steps=2)
+
+        def states(lowest):
+            c = 0.5 - lowest
+            return np.array([np.diag([1.0, 0.0])] + 2 * [[[0.5, c], [c, 0.5]]],
+                            dtype=complex)
+
+        ReducedTrajectory(grid, states(-5e-11))
+        with pytest.raises(TrajectoryError,
+                           match="not positive semidefinite at t=1$"):
+            ReducedTrajectory(grid, states(-2e-10))
+
     def test_trace_defect_of_propagator_rejected(self, small_model):
         # eigenvectors off unit norm by 1e-6 scale rho_e by (1 + 1e-6)^4; a
         # mixed state keeps the populations positive after any clean-up
@@ -234,11 +260,17 @@ class TestReducedTrajectory:
             prop.reduced_trajectory(rho0, TimeGrid(t_max=1.0, n_steps=4))
 
 
+def force_fft(monkeypatch):
+    """Send every grid at every dim to the FFT kernel."""
+    monkeypatch.setattr(dynamics, "FFT_MIN_POINTS", 1)
+    monkeypatch.setattr(dynamics, "FFT_MIN_DIM", 1)
+
+
 def both_kernels(prop, rho0, grid, monkeypatch):
-    """(GEMM, FFT) reduced trajectories, each path forced by the threshold."""
+    """(GEMM, FFT) reduced trajectories, each path forced by the thresholds."""
     monkeypatch.setattr(dynamics, "FFT_MIN_POINTS", grid.n_steps + 2)
     gemm = prop.reduced_trajectory(rho0, grid)
-    monkeypatch.setattr(dynamics, "FFT_MIN_POINTS", 1)
+    force_fft(monkeypatch)
     return gemm, prop.reduced_trajectory(rho0, grid)
 
 
@@ -285,8 +317,26 @@ class TestFFTKernel:
                                  monkeypatch)
         assert np.abs(fft.states - gemm.states).max() < 1e-12
 
+    @pytest.mark.parametrize("dim, fft", [(4, False), (50, True)])
+    def test_dispatch_on_dim_and_grid_length(self, params, site1, monkeypatch,
+                                             dim, fft):
+        # past FFT_MIN_POINTS, dim 4 stays on the chunked kernel and dim 50,
+        # FFT_MIN_DIM, takes the FFT kernel
+        calls = []
+        kernel = dynamics._uniform_phase_sums
+        monkeypatch.setattr(dynamics, "_uniform_phase_sums",
+                            lambda *args: calls.append(1) or kernel(*args))
+        model = build_shared_anticorrelated(params, [ModeSpec(1.0, 0.2)],
+                                            dim // 2)
+        assert model.layout.total_dim == dim
+        rho0 = initial_state(site1, model, ThermalSpec(beta=1.0))
+        grid = TimeGrid(t_max=400.0, n_steps=4095)
+        assert grid.n_steps + 1 >= dynamics.FFT_MIN_POINTS
+        SpectralPropagator(model).reduced_trajectory(rho0, grid)
+        assert calls == ([1] if fft else [])
+
     def test_matches_direct_evolution(self, small_model, rho0, monkeypatch):
-        monkeypatch.setattr(dynamics, "FFT_MIN_POINTS", 1)
+        force_fft(monkeypatch)
         prop = SpectralPropagator(small_model)
         grid = TimeGrid(t_max=25.0, n_steps=250)
         traj = prop.reduced_trajectory(rho0, grid)
@@ -297,7 +347,7 @@ class TestFFTKernel:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_phases_rejected(self, params, site1, monkeypatch):
-        monkeypatch.setattr(dynamics, "FFT_MIN_POINTS", 1)
+        force_fft(monkeypatch)
         model = build_shared_anticorrelated(params, [ModeSpec(1.0, 1e308)], 4)
         rho0 = initial_state(site1, model, ThermalSpec(beta=np.inf))
         monkeypatch.setattr(dynamics, "_uniform_phase_sums",
