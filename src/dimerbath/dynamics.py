@@ -3,17 +3,35 @@
 Propagation is spectral: one eigendecomposition of the total Hamiltonian
 gives rho(t) = V exp(-i L t) V^T rho(0) V exp(+i L t) V^T at every grid time
 with no step-to-step error accumulation. A ``spaces.Operator`` is real by
-type, so V and L are real and the work runs in real arithmetic; rho(0) is
-float64 unless its imaginary part is nonzero.
+type, so V and L are real and the work runs in real arithmetic.
 Reduced 2x2 trajectories are extracted without ever forming the full
-rho(t): in the eigenbasis each matrix element of rho_e(t) is a sum of dim^2
-phase factors exp(-i (L_m - L_n) t) with fixed real weights. Two kernels
-evaluate that sum, chosen by dim and grid length:
+rho(t), or the full rho(0): in the eigenbasis each matrix element of
+rho_e(t) is a sum of dim^2 phase factors exp(-i (L_m - L_n) t) with fixed
+real weights.
+
+The weights come from the product initial state rho(0) = rho_e x diag(p)
+(``spaces.ProductState``). With G_c = sqrt(p) o V_c, the Gibbs-weighted
+electronic row block c of V, rt0 = V^T rho(0) V = sum_cd rho_e[c,d]
+G_c^T G_d; only the Gram products with a nonzero coefficient are formed,
+G_c^T G_c as a symmetric rank-k update: dim^3 / 4 multiply-adds for a
+single site, at most dim^3 for any rho_e, against 2 dim^3 for V^T rho(0) V.
+rt0 is real, with a second real half Im rt0 only for a complex rho_e. The
+weight matrices W_ab = Q_ab o rt0 of the elements (0,0), (1,1) and (0,1)
+come from a generator, one at a time, so beside the Hamiltonian, V and
+rt0 one W is alive. Two kernels evaluate the phase sum, chosen by dim and
+grid length:
 
 * grids shorter than FFT_MIN_POINTS, and every grid below dim FFT_MIN_DIM,
   batch over fixed-size chunks of the time grid as two real matrix
   products each, one against cos(L t) and one against sin(L t):
-  O(dim^2 n_points);
+  O(dim^2 n_points). A grid of one chunk, as in every bundled config but
+  the dim-2592 model of many_mode_equivalence.cfg (501 points, two
+  chunks), forms its phases once for all W. On a grid of several
+  chunks each W forms each chunk's phases again, which costs O(dim
+  n_points) against the contraction's O(dim^2 n_points); below dim
+  FFT_MIN_DIM, where sin and cos cost more than the contraction, all W
+  are kept instead (each smaller than one phase block), and each chunk's
+  phases are formed once;
 * longer grids from dim FFT_MIN_DIM up use that the grid is uniform,
   t_k = k h: the sum is a non-uniform DFT of the dim (dim - 1) / 2
   frequencies L_m - L_n (m < n), evaluated by binning each phase
@@ -54,6 +72,7 @@ long double, the GEMM kernel is within 6.0e-15 and the FFT kernel within
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -61,7 +80,7 @@ import numpy as np
 
 # DEFAULT_DIM_CAP is re-exported: models.build checks the cap before assembly
 from .models import DEFAULT_DIM_CAP, DimensionCapError, TotalModel  # noqa: F401
-from .spaces import DensityMatrix
+from .spaces import ProductState
 
 # (cos, sin) element pairs per (dim x chunk) phase block in reduced_trajectory
 PHASE_CHUNK_ELEMENTS = 1 << 20
@@ -109,9 +128,12 @@ class TimeGrid:
                 f"evolution.n_steps {self.n_steps} gives {self.n_steps + 1} "
                 f"time points, over cap {MAX_GRID_POINTS}")
 
-    @property
+    @functools.cached_property
     def points(self) -> np.ndarray:
-        return np.linspace(0.0, self.t_max, self.n_steps + 1)
+        """The n_steps + 1 times, built once per grid and read-only."""
+        p = np.linspace(0.0, self.t_max, self.n_steps + 1)
+        p.flags.writeable = False
+        return p
 
 
 @dataclass(frozen=True)
@@ -212,48 +234,52 @@ class SpectralPropagator:
                 f"non-finite value of max|eigenvalue| * t = {bound:g}: "
                 "the phases overflow")
 
-    def reduced_trajectory(self, rho0: DensityMatrix,
+    def reduced_trajectory(self, rho0: ProductState,
                            grid: TimeGrid) -> ReducedTrajectory:
         """rho_e(t_k) at every grid point from the one eigendecomposition.
 
         With rt0 = V^T rho0 V and Q_ab = V_b^T V_a built from the electronic
         row blocks of V,
         rho_e(t)[a,b] = sum_mn rt0[m,n] Q_ab[n,m] exp(-i (L_m - L_n) t).
-        The weights rt0[m,n] Q_ab[n,m] split into the real matrices of
-        Re rho0 and Im rho0 (the second only for a complex rho0); the
-        sum is linear in them, so both run through one real kernel. Only
-        (0,0), (1,1) and (0,1) are contracted; rho_e[1,0] is the conjugate
-        of rho_e[0,1]. Grids of FFT_MIN_POINTS or more at dim FFT_MIN_DIM
-        or more take the FFT kernel (module docstring); the rest the
-        chunked GEMM kernel.
+        rt0 comes from the product form of rho0 without the dense rho0
+        (``_rotated``). The weights W_ab[m,n] = rt0[m,n] Q_ab[n,m] split into
+        the real matrices of Re rt0 and Im rt0 (the second only for a
+        complex rho_e); the sum is linear in them, so both run through one
+        real kernel. Only (0,0), (1,1) and (0,1) are contracted; rho_e[1,0]
+        is the conjugate of rho_e[0,1]. The weight matrices are formed one
+        at a time (``_weighted``), so one is alive at a time in either
+        kernel. Grids of FFT_MIN_POINTS or more at dim FFT_MIN_DIM or more
+        take the FFT kernel (module docstring); the rest the chunked GEMM
+        kernel. It forms the phases of a one-chunk grid once for all
+        weight matrices. On a longer grid it forms each chunk's phases once
+        per weight matrix, except below dim FFT_MIN_DIM, where it keeps the
+        (small) weight matrices and forms each chunk's phases once.
         """
         if rho0.layout != self.model.layout:
             raise ValueError("rho0 layout does not match model")
-        v = self.eigenvectors
-        dim = v.shape[0]
-        blocks = (v[:dim // 2, :], v[dim // 2:, :])
-        rho = rho0.matrix
-        halves = [(1.0, rho.real)] + (
-            [(1j, rho.imag)] if np.iscomplexobj(rho) else [])
-        weighted = []
-        for unit, part in halves:
-            rt0 = v.T @ part @ v
-            for a, b in ((0, 0), (1, 1), (0, 1)):
-                w = blocks[a].T @ blocks[b]
-                w *= rt0
-                weighted.append((a, b, unit, w))
-            del rt0
-
+        dim = self.eigenvectors.shape[0]
         n_points = grid.n_steps + 1
         states = np.zeros((n_points, 2, 2), dtype=np.complex128)
         if n_points < FFT_MIN_POINTS or dim < FFT_MIN_DIM:
             points = grid.points
             step = max(1, PHASE_CHUNK_ELEMENTS // dim)
-            for start in range(0, n_points, step):
-                chunk = slice(start, start + step)
-                cos, sin = self.phases(points[chunk])
-                for a, b, unit, w in weighted:
-                    states[chunk, a, b] += unit * _phase_sum(w, cos, sin)
+            chunks = [slice(s, s + step) for s in range(0, n_points, step)]
+            if dim < FFT_MIN_DIM:
+                # sin and cos outweigh the contraction here, and all W
+                # together are smaller than one phase block: keep them, so
+                # each chunk's phases are formed once
+                weighted = list(self._weighted(rho0))
+                for chunk in chunks:
+                    cos, sin = self.phases(points[chunk])
+                    for a, b, unit, w in weighted:
+                        states[chunk, a, b] += unit * _phase_sum(w, cos, sin)
+            else:
+                whole = self.phases(points) if len(chunks) == 1 else None
+                for a, b, unit, w in self._weighted(rho0):
+                    for chunk in chunks:
+                        cos, sin = whole or self.phases(points[chunk])
+                        states[chunk, a, b] += unit * _phase_sum(w, cos, sin)
+                    del w  # before the generator forms the next one
         else:
             self._check_phase_bound(grid.t_max)
             # pair m < n: w[m,n] e^{-i x} + w[n,m] e^{+i x}, x = (L_m - L_n) t,
@@ -263,8 +289,7 @@ class SpectralPropagator:
             # part of unit * sum, and rho_e[a,a] needs one row per half.
             upper = np.triu(np.ones((dim, dim), dtype=bool), 1)
             rows, targets = [], []
-            while weighted:  # each matrix is freed once its rows are taken
-                a, b, unit, w = weighted.pop(0)
+            for a, b, unit, w in self._weighted(rho0):
                 if a != b or unit == 1.0:
                     states[:, a, b] += unit * np.trace(w)
                     rows.append((w + w.T)[upper])
@@ -272,7 +297,7 @@ class SpectralPropagator:
                 if a != b or unit == 1j:
                     rows.append((w - w.T)[upper])
                     targets.append((a, b, 1j * unit, np.imag))
-                del w
+                del w  # before the generator forms the next one
             h = grid.t_max / grid.n_steps
             # halved, so the difference is finite whenever max|L| t_max is;
             # fmod is exact and keeps the small phases that matter exact
@@ -284,16 +309,77 @@ class SpectralPropagator:
         states[:, 1, 0] = states[:, 0, 1].conj()
         return ReducedTrajectory(grid, states)
 
+    def _weighted(self, rho0: ProductState):
+        """Yield (a, b, unit, W_ab) for (a, b) = (0,0), (1,1), (0,1): the
+        real weights of Re rt0 with unit 1, then those of Im rt0 with unit
+        1j when rho_e is complex. Each W is formed when it is asked for and
+        dropped before the next, so a caller that drops its own reference
+        holds one at a time."""
+        v = self.eigenvectors
+        half = v.shape[0] // 2
+        blocks = (v[:half], v[half:])
+        for unit, rt0 in self._rotated(rho0):
+            for a, b in ((0, 0), (1, 1), (0, 1)):
+                w = blocks[a].T @ blocks[b]
+                w *= rt0
+                yield a, b, unit, w
+                del w
+
+    def _rotated(self, rho0: ProductState) -> list[tuple[complex, np.ndarray]]:
+        """rt0 = V^T rho0 V as [(1, Re rt0)], plus (1j, Im rt0) when
+        Im rho_e != 0, from the product form rho0 = rho_e x diag(p).
+
+        With G_c = sqrt(p) o V_c, the Gibbs-weighted electronic row block c
+        of V, rt0 = sum_cd rho_e[c,d] G_c^T G_d. Only the Gram products
+        with a nonzero coefficient are formed; G_c^T G_c is a symmetric
+        rank-k update (numpy calls syrk for g.T @ g), and G_1^T G_0 is the
+        transpose of G_0^T G_1. For rho_e = |1><1| that is one product of
+        dim^3 / 4 multiply-adds, against 2 dim^3 for V^T rho0 V; at most
+        dim^3 for any rho_e.
+        """
+        v = self.eigenvectors
+        half = v.shape[0] // 2
+        r = rho0.electronic.matrix
+        root = np.sqrt(rho0.weights)[:, None]
+
+        def gibbs_block(c: int) -> np.ndarray:
+            return root * v[c * half:(c + 1) * half]
+
+        re = None
+        for c in (0, 1):
+            if r[c, c] != 0:  # unit trace: at least one is nonzero
+                g = gibbs_block(c)
+                gram = g.T @ g
+                gram *= r[c, c].real
+                re = gram if re is None else np.add(re, gram, out=re)
+                del g, gram
+        halves = [(1.0, re)]
+        if r[0, 1] != 0:
+            m = gibbs_block(0).T @ gibbs_block(1)
+            if r[0, 1].real != 0:
+                s = m + m.T
+                s *= r[0, 1].real
+                re += s
+                del s
+            if r[0, 1].imag != 0:
+                im = m - m.T
+                im *= r[0, 1].imag
+                halves.append((1j, im))
+        return halves
+
 
 def _phase_sum(w: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     """sum_mn w[m,n] exp(-i (L_m - L_n) t) for real w, one value per column.
 
-    With x + iy = w exp(i L t): (x + iy)(cos - i sin) summed over m.
+    With x + iy = w exp(i L t): (x + iy)(cos - i sin) summed over m. y is
+    written over x, so one (dim x chunk) product is alive at a time.
     """
     x = w @ cos
-    y = w @ sin
-    re = np.einsum("mk,mk->k", x, cos) + np.einsum("mk,mk->k", y, sin)
-    im = np.einsum("mk,mk->k", y, cos) - np.einsum("mk,mk->k", x, sin)
+    re = np.einsum("mk,mk->k", x, cos)
+    x_sin = np.einsum("mk,mk->k", x, sin)
+    y = np.matmul(w, sin, out=x)
+    re += np.einsum("mk,mk->k", y, sin)
+    im = np.einsum("mk,mk->k", y, cos) - x_sin
     return re + 1j * im
 
 
@@ -357,7 +443,7 @@ def _fft_size(n: int) -> int:
     return best
 
 
-def evolve_reduced(model: TotalModel, rho0: DensityMatrix,
+def evolve_reduced(model: TotalModel, rho0: ProductState,
                    grid: TimeGrid) -> ReducedTrajectory:
     """Reduced electronic trajectory of rho0 under the model Hamiltonian."""
     return SpectralPropagator(model).reduced_trajectory(rho0, grid)

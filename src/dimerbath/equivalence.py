@@ -38,6 +38,7 @@ from .models import (
 )
 from .spaces import (
     DensityMatrix,
+    ProductState,
     partial_trace_matrix,
     permute_factors_matrix,
 )
@@ -155,9 +156,13 @@ def spectrum_equivalence(model_a: TotalModel, model_b: TotalModel,
     return float(np.abs(e_a[:k] - e_b[:k]).max() / (1.0 + radius))
 
 
-def factorization_check(model: TotalModel, rho0: DensityMatrix,
+def factorization_check(model: TotalModel,
+                        rho0: DensityMatrix | ProductState,
                         grid: TimeGrid) -> np.ndarray:
     """Per-time distance of the full state from (rest x center-of-mass) form.
+
+    rho0 may be any state on the model's layout; its dense ``matrix`` is
+    read once, since the full rho(t) is rebuilt at every grid time.
 
     For the transformed model the center-of-mass factors couple only through
     the electronic identity, so an initially factorized state stays

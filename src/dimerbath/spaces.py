@@ -5,7 +5,10 @@ dimensions: the two-level electronic factor first, when present, followed
 by truncated Fock factors. The bath of an exciton space is one
 occupation-number basis, listed by :func:`occupation_basis`. Operators and
 states are stored dense, in float64 when their imaginary part is exactly
-zero and in complex128 otherwise; one converter makes that choice. An
+zero and in complex128 otherwise; one converter makes that choice. The
+exception is :class:`ProductState`, an electronic state times a bath state
+diagonal in the occupation basis, stored as the 2x2 factor and one weight
+per basis row. An
 :class:`Operator` is a Hamiltonian and must be real, as every model
 Hamiltonian is. All values are immutable after construction and all
 operations are pure functions.
@@ -117,6 +120,47 @@ class DensityMatrix:
         if d.real.max() > tol:
             raise ValueError("density matrix is not Hermitian")
         object.__setattr__(self, "matrix", m)
+
+
+@dataclass(frozen=True)
+class ProductState:
+    """rho_e x diag(weights): a 2x2 electronic state times a bath state that
+    is diagonal in the occupation basis, one weight per basis row.
+
+    Construction checks the weights in O(dim): a 1-D array of length dim/2,
+    finite, non-negative and summing to 1. The dense matrix is formed only
+    when ``matrix`` is read.
+    """
+
+    layout: SpaceLayout
+    electronic: DensityMatrix
+    weights: np.ndarray
+
+    def __post_init__(self):
+        if (self.electronic.layout != SpaceLayout.electronic_only()
+                or self.layout.dims[0] != 2):
+            raise LayoutError("a product state needs a 2x2 electronic factor "
+                              "first in its layout")
+        w = np.array(self.weights, dtype=np.float64)
+        if w.shape != (self.layout.total_dim // 2,):
+            raise LayoutError(f"bath weights of shape {w.shape} do not match "
+                              f"layout dim {self.layout.total_dim}")
+        if not np.isfinite(w).all():
+            raise ValueError("bath weights have a non-finite entry")
+        if (w < 0.0).any():
+            raise ValueError("bath weights have a negative entry")
+        if abs(w.sum() - 1.0) > 1e-9:
+            raise ValueError(f"bath weights sum to {w.sum()}, not 1")
+        w.flags.writeable = False
+        object.__setattr__(self, "weights", w)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense rho_e x diag(weights), dim^2 entries, formed anew on
+        every read; complex128 exactly when rho_e is."""
+        m = np.kron(self.electronic.matrix, np.diag(self.weights))
+        m.flags.writeable = False
+        return m
 
 
 def annihilation_matrix(n_max: int) -> Operator:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import DimensionCapError, TotalModel
-from .spaces import DensityMatrix, SpaceLayout
+from .spaces import DensityMatrix, ProductState, SpaceLayout
 
 #: extra Fock levels kept above the thermal support; the (b^dag + b) coupling
 #: displaces population beyond thermal occupancy, so the tail bound alone
@@ -77,11 +77,13 @@ def choose_truncation(omega: float, spec: ThermalSpec) -> int:
 
 
 def initial_state(rho_e0: DensityMatrix, model: TotalModel,
-                  spec: ThermalSpec) -> DensityMatrix:
-    """Product state: electronic rho_e0 times one Gibbs factor per mode."""
-    if rho_e0.layout != SpaceLayout.electronic_only():
-        raise ValueError("rho_e0 must live on the electronic-only layout")
-    total = rho_e0.matrix
+                  spec: ThermalSpec) -> ProductState:
+    """Product state: electronic rho_e0 times the bath Gibbs state, one
+    diagonal over the occupation basis, the 1-D kron of the diagonals of
+    one Gibbs factor per Fock factor. ``ProductState`` checks that rho_e0
+    is 2x2."""
+    weights = np.ones(1)
     for omega in model.factor_frequencies:
-        total = np.kron(total, gibbs_state(omega, spec.beta, model.n_max).matrix)
-    return DensityMatrix(model.layout, total)
+        gibbs = gibbs_state(omega, spec.beta, model.n_max)
+        weights = np.kron(weights, np.diagonal(gibbs.matrix))
+    return ProductState(model.layout, rho_e0, weights)

@@ -1,4 +1,6 @@
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,9 @@ from dimerbath.dynamics import (
     SpectralPropagator,
     TimeGrid,
     TrajectoryError,
+    evolve_reduced,
 )
+from dimerbath.equivalence import compare_reduced
 from dimerbath.models import (
     MODEL_KINDS,
     DimensionCapError,
@@ -22,6 +26,7 @@ from dimerbath.models import (
 from dimerbath.spaces import (
     DensityMatrix,
     Operator,
+    ProductState,
     SpaceLayout,
     partial_trace_matrix,
 )
@@ -62,6 +67,16 @@ class TestTimeGrid:
                 f"evolution.n_steps {cap} gives {cap + 1} time points, "
                 f"over cap {cap}")):
             TimeGrid(t_max=1.0, n_steps=cap)
+
+    def test_points_built_once_and_read_only(self):
+        grid = TimeGrid(t_max=5.0, n_steps=10)
+        assert grid.points is grid.points
+        assert not grid.points.flags.writeable
+        with pytest.raises(ValueError):
+            grid.points[0] = 1.0
+        # the cached array is no field: equality and hash are unchanged
+        fresh = TimeGrid(t_max=5.0, n_steps=10)
+        assert grid == fresh and hash(grid) == hash(fresh)
 
 
 class TestRealPath:
@@ -141,6 +156,29 @@ class TestReducedTrajectory:
             full = evolve(prop, rho0, grid.points[k]).matrix
             direct = partial_trace_matrix(full, small_model.layout.dims, [0])
             assert np.abs(chunked.states[k] - direct).max() < 1e-12
+
+    @pytest.mark.parametrize("complex_state", [False, True])
+    def test_chunked_grid_from_fft_min_dim(self, params, mode, monkeypatch,
+                                           complex_state):
+        # from FFT_MIN_DIM up each W walks every chunk on its own; below it
+        # (the tests above) the chunks are walked with every W kept
+        model = build_shared_anticorrelated(params, [mode], 25)
+        dim = model.layout.total_dim
+        assert dim == dynamics.FFT_MIN_DIM
+        rho_e0 = (random_density(2, np.random.default_rng(7)) if complex_state
+                  else np.diag([1.0, 0.0]))
+        rho0 = initial_state(DensityMatrix(SpaceLayout.electronic_only(),
+                                           rho_e0), model, ThermalSpec(1.0))
+        prop = SpectralPropagator(model)
+        grid = TimeGrid(t_max=12.0, n_steps=40)
+        whole = prop.reduced_trajectory(rho0, grid).states
+        monkeypatch.setattr(dynamics, "PHASE_CHUNK_ELEMENTS", 7 * dim)
+        chunked = prop.reduced_trajectory(rho0, grid).states
+        assert np.abs(chunked - whole).max() < 1e-15
+        for k in (0, 6, 7, 20, 40):  # chunk edges and interiors
+            full = evolve(prop, rho0, grid.points[k]).matrix
+            direct = partial_trace_matrix(full, model.layout.dims, [0])
+            assert np.abs(chunked[k] - direct).max() < 1e-12
 
     def test_complex_initial_state_matches_direct_evolution(
             self, params, mode, monkeypatch):
@@ -258,6 +296,59 @@ class TestReducedTrajectory:
         prop.eigenvectors = prop.eigenvectors * (1.0 + 1e-6)
         with pytest.raises(TrajectoryError, match="off unit trace at t=0$"):
             prop.reduced_trajectory(rho0, TimeGrid(t_max=1.0, n_steps=4))
+
+
+class TestWorkingSet:
+    @pytest.mark.parametrize("rho_e, halves", [
+        (np.diag([1.0, 0.0]), 1),  # site1
+        (np.full((2, 2), 0.5), 1),  # plus
+        (np.array([[0.6, 0.1 + 0.2j], [0.1 - 0.2j, 0.4]]), 2),
+    ])
+    def test_reduced_trajectory_peak(self, params, mode, rho_e, halves):
+        # dim 392 on 301 points: one chunk, so the phases are formed once
+        model = build("independent", params, [mode], 14)
+        dim = model.layout.total_dim
+        grid = TimeGrid(t_max=30.0, n_steps=300)
+        n_points = grid.n_steps + 1
+        assert dim == 392 and dim * n_points <= dynamics.PHASE_CHUNK_ELEMENTS
+        rho0 = initial_state(
+            DensityMatrix(SpaceLayout.electronic_only(), rho_e), model,
+            ThermalSpec(beta=1.0))
+        prop = SpectralPropagator(model)
+        grid.points  # cached before tracing
+        tracemalloc.start()
+        try:
+            prop.reduced_trajectory(rho0, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one real dim^2 matrix per half of rt0, one weight matrix W and
+        # two more dim^2 for the Gram products of the set-up and the
+        # kernel's dim x n_points product, plus the phase block (cos and
+        # sin, dim x n_points each): 5.54 dim^2 for a real rho_e, where
+        # this change measures 4.3-4.6 dim^2 and its parent, which formed
+        # all three W at once, 6.1
+        bound = (3 + halves) * dim ** 2 * 8 + 2 * dim * n_points * 8
+        assert peak < bound
+
+    @pytest.mark.parametrize("fft", [False, True])
+    def test_dense_initial_state_never_formed(self, params, mode, monkeypatch,
+                                              fft):
+        def dense(state):
+            pytest.fail("the dense rho0 was formed")
+
+        if fft:
+            force_fft(monkeypatch)
+        monkeypatch.setattr(ProductState, "matrix", property(dense))
+        rho_e0 = DensityMatrix(SpaceLayout.electronic_only(),
+                               random_density(2, np.random.default_rng(7)))
+        spec = ThermalSpec(beta=1.0)
+        grid = TimeGrid(t_max=10.0, n_steps=40)
+        shared = build("shared", params, [mode], 4)
+        evolve_reduced(shared, initial_state(rho_e0, shared, spec), grid)
+        report = compare_reduced(shared, build("independent", params, [mode], 4),
+                                 rho_e0, spec, grid)
+        assert len(report.max_distances) == 2
 
 
 def force_fft(monkeypatch):

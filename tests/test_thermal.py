@@ -10,7 +10,12 @@ from dimerbath.models import (
     build_independent_local,
     build_shared_anticorrelated,
 )
-from dimerbath.spaces import DensityMatrix, SpaceLayout
+from dimerbath.spaces import (
+    DensityMatrix,
+    LayoutError,
+    ProductState,
+    SpaceLayout,
+)
 from dimerbath.thermal import (
     ThermalSpec,
     choose_truncation,
@@ -133,3 +138,60 @@ class TestInitialState:
         rho_e0 = DensityMatrix(SpaceLayout.electronic_only(), rho_e)
         rho0 = initial_state(rho_e0, model, ThermalSpec(beta=1.0))
         assert rho_e0.matrix.dtype == rho0.matrix.dtype == dtype
+
+    def test_bath_weights_are_one_diagonal(self, params, site1):
+        modes = [ModeSpec(1.0, 0.1), ModeSpec(2.0, 0.2)]
+        model = build_independent_local(params, modes, 3)
+        rho0 = initial_state(site1, model, ThermalSpec(beta=0.5))
+        assert rho0.electronic is site1
+        assert rho0.weights.shape == (model.layout.total_dim // 2,)
+        assert np.array_equal(np.diag(rho0.weights), rho0.matrix[:81, :81])
+
+
+class TestProductState:
+    LAYOUT = SpaceLayout((2, 3, 3))  # 9 bath rows
+
+    def test_matrix_is_kron_of_factors(self, site1):
+        w = np.arange(1.0, 10.0) / 45.0
+        state = ProductState(self.LAYOUT, site1, w)
+        assert not state.weights.flags.writeable
+        assert not state.matrix.flags.writeable
+        assert np.array_equal(state.matrix, np.kron(site1.matrix, np.diag(w)))
+
+    @pytest.mark.parametrize("weights, match", [
+        (np.full(8, 1 / 8), r"shape \(8,\) do not match layout dim 18"),
+        (np.full((3, 3), 1 / 9), r"shape \(3, 3\)"),
+        (np.r_[-0.1, 0.2, np.full(7, 0.9 / 7)], "negative entry"),
+        (np.r_[np.nan, np.full(8, 1 / 8)], "non-finite entry"),
+        (np.r_[np.inf, np.full(8, 1 / 8)], "non-finite entry"),
+        (np.full(9, 0.1), "sum to 0.9"),
+        (np.full(9, (1.0 + 2e-9) / 9), "not 1"),
+    ])
+    def test_rejects_bad_weights(self, site1, weights, match):
+        with pytest.raises(ValueError, match=match):
+            ProductState(self.LAYOUT, site1, weights)
+
+    def test_weight_sum_tolerance(self, site1):
+        w = np.full(9, (1.0 + 5e-10) / 9)
+        assert ProductState(self.LAYOUT, site1, w).weights.sum() != 1.0
+
+    @pytest.mark.parametrize("layout, rho_e", [
+        # a qutrit electronic factor
+        (SpaceLayout((3, 3)), DensityMatrix(SpaceLayout((3,)), np.eye(3) / 3)),
+        # a 2x2 state on a layout whose first factor is not electronic
+        (SpaceLayout((3, 6)), DensityMatrix(SpaceLayout((2,)), np.eye(2) / 2)),
+    ])
+    def test_rejects_non_2x2_electronic_factor(self, layout, rho_e):
+        with pytest.raises(LayoutError, match="2x2 electronic factor"):
+            ProductState(layout, rho_e, np.full(layout.total_dim // 2,
+                                                2.0 / layout.total_dim))
+
+    @pytest.mark.parametrize("rho_e, dtype", [
+        (np.diag([1.0, 0.0]), np.float64),
+        (np.array([[0.6, 0.1 + 0j], [0.1 - 0j, 0.4]]), np.float64),
+        (np.array([[0.6, 0.1 + 0.2j], [0.1 - 0.2j, 0.4]]), np.complex128),
+    ])
+    def test_matrix_complex_exactly_when_electronic_is(self, rho_e, dtype):
+        rho_e0 = DensityMatrix(SpaceLayout.electronic_only(), rho_e)
+        state = ProductState(self.LAYOUT, rho_e0, np.full(9, 1 / 9))
+        assert rho_e0.matrix.dtype == state.matrix.dtype == dtype
