@@ -28,10 +28,8 @@ grid length:
   the dim-2592 model of many_mode_equivalence.cfg (501 points, two
   chunks), forms its phases once for all W. On a grid of several
   chunks each W forms each chunk's phases again, which costs O(dim
-  n_points) against the contraction's O(dim^2 n_points); below dim
-  FFT_MIN_DIM, where sin and cos cost more than the contraction, all W
-  are kept instead (each smaller than one phase block), and each chunk's
-  phases are formed once;
+  n_points) against the contraction's O(dim^2 n_points); at small dim,
+  where sin and cos outweigh the contraction, that is most of the time;
 * longer grids from dim FFT_MIN_DIM up use that the grid is uniform,
   t_k = k h: the sum is a non-uniform DFT of the dim (dim - 1) / 2
   frequencies L_m - L_n (m < n), evaluated by binning each phase
@@ -53,16 +51,16 @@ at beta = 1, best of three, "-" not measured); above 1 the FFT kernel is
 faster:
 
     dim | n_points  201   501  1001  2001  5001  10^5  10^6
-       4           0.14  0.15  0.16  0.21  0.27  0.19  0.15
-      12           0.16  0.19  0.23  0.35  0.57  0.25  0.23
-      24           0.19  0.29  0.36  0.59  1.02  0.55  0.40
-      50           0.29  0.49  0.74  1.18  2.09  1.21  0.74
-     392           0.67  1.06  1.87  2.95  6.55  12.3     -
-    1250           0.57  0.67  1.02  1.63  3.67     -     -
+       4           0.12  0.12  0.16  0.19  0.26  0.19  0.21
+      12           0.15  0.19  0.24  0.27  0.35  0.46  0.35
+      24           0.19  0.26  0.34  0.43  0.63  0.85  0.69
+      50           0.30  0.58  0.65  0.87  1.57  1.89  1.24
+     392           0.51  1.04  1.59  2.51  8.44  19.5     -
+    1250           0.43  0.64  1.25  1.87  4.31     -     -
 
-At 10^6 points the FFT kernel takes 4.5 to 4.9 s from dim 4 to dim 50,
+At 10^6 points the FFT kernel takes 5.2 to 5.6 s from dim 4 to dim 50,
 because its terms M log M part does not shrink with dim; the GEMM kernel
-takes 0.73 s at dim 4 and 3.7 s at dim 50.
+takes 1.1 s at dim 4 and 6.9 s at dim 50.
 
 The two kernels agree to 3.5e-14 on a 20001-point grid at dim 392 with
 t_max = 1000; against a full-state propagation whose phases are reduced in
@@ -86,11 +84,11 @@ from .spaces import ProductState
 PHASE_CHUNK_ELEMENTS = 1 << 20
 
 # grids of at least FFT_MIN_POINTS points at dim FFT_MIN_DIM or more take
-# the FFT phase sum. In the module docstring's table it wins from 2001
-# points at dim 50 and up, ties at 1001 points at dim 1250, and below
-# dim 50 loses at every length but one tie; at dim 50 it also loses at
-# 10^6 points (0.74). Every bundled config and every benchmark workload but
-# long_trajectory (dim 392) stays on the GEMM kernel.
+# the FFT phase sum. In the module docstring's table it wins at every
+# length from 5001 points at dim 50 and up (and from 1001 points at dims
+# 392 and 1250), and below dim 50 loses at every length. Every bundled
+# config and every benchmark workload but long_trajectory (dim 392) stays
+# on the GEMM kernel.
 FFT_MIN_POINTS = 2048
 FFT_MIN_DIM = 50
 
@@ -251,9 +249,8 @@ class SpectralPropagator:
         kernel. Grids of FFT_MIN_POINTS or more at dim FFT_MIN_DIM or more
         take the FFT kernel (module docstring); the rest the chunked GEMM
         kernel. It forms the phases of a one-chunk grid once for all
-        weight matrices. On a longer grid it forms each chunk's phases once
-        per weight matrix, except below dim FFT_MIN_DIM, where it keeps the
-        (small) weight matrices and forms each chunk's phases once.
+        weight matrices; on a longer grid it forms each chunk's phases once
+        per weight matrix.
         """
         if rho0.layout != self.model.layout:
             raise ValueError("rho0 layout does not match model")
@@ -264,22 +261,12 @@ class SpectralPropagator:
             points = grid.points
             step = max(1, PHASE_CHUNK_ELEMENTS // dim)
             chunks = [slice(s, s + step) for s in range(0, n_points, step)]
-            if dim < FFT_MIN_DIM:
-                # sin and cos outweigh the contraction here, and all W
-                # together are smaller than one phase block: keep them, so
-                # each chunk's phases are formed once
-                weighted = list(self._weighted(rho0))
+            whole = self.phases(points) if len(chunks) == 1 else None
+            for a, b, unit, w in self._weighted(rho0):
                 for chunk in chunks:
-                    cos, sin = self.phases(points[chunk])
-                    for a, b, unit, w in weighted:
-                        states[chunk, a, b] += unit * _phase_sum(w, cos, sin)
-            else:
-                whole = self.phases(points) if len(chunks) == 1 else None
-                for a, b, unit, w in self._weighted(rho0):
-                    for chunk in chunks:
-                        cos, sin = whole or self.phases(points[chunk])
-                        states[chunk, a, b] += unit * _phase_sum(w, cos, sin)
-                    del w  # before the generator forms the next one
+                    cos, sin = whole or self.phases(points[chunk])
+                    states[chunk, a, b] += unit * _phase_sum(w, cos, sin)
+                del w  # before the generator forms the next one
         else:
             self._check_phase_bound(grid.t_max)
             # pair m < n: w[m,n] e^{-i x} + w[n,m] e^{+i x}, x = (L_m - L_n) t,

@@ -229,7 +229,7 @@ class TestRunTrajectory:
         kernel = dimerbath.dynamics._uniform_phase_sums
         monkeypatch.setattr(dimerbath.dynamics, "_uniform_phase_sums",
                             lambda *args: calls.append(1) or kernel(*args))
-        # rabi.cfg's dim 4 is under FFT_MIN_DIM, so the FFT path is forced
+        # rabi.cfg's dim 8 is under FFT_MIN_DIM, so the FFT path is forced
         monkeypatch.setattr(dimerbath.dynamics, "FFT_MIN_DIM", 1)
         n_steps = 2 * dimerbath.dynamics.FFT_MIN_POINTS
         text = (CONFIGS / "rabi.cfg").read_text().replace(

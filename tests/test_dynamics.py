@@ -160,8 +160,8 @@ class TestReducedTrajectory:
     @pytest.mark.parametrize("complex_state", [False, True])
     def test_chunked_grid_from_fft_min_dim(self, params, mode, monkeypatch,
                                            complex_state):
-        # from FFT_MIN_DIM up each W walks every chunk on its own; below it
-        # (the tests above) the chunks are walked with every W kept
+        # a shared model at dim FFT_MIN_DIM, real and complex rho_e, on a
+        # grid of several chunks: each W walks every chunk on its own
         model = build_shared_anticorrelated(params, [mode], 25)
         dim = model.layout.total_dim
         assert dim == dynamics.FFT_MIN_DIM
