@@ -18,7 +18,11 @@ single site, at most dim^3 for any rho_e, against 2 dim^3 for V^T rho(0) V.
 rt0 is real, with a second real half Im rt0 only for a complex rho_e. The
 weight matrices W_ab = Q_ab o rt0 of the elements (0,0), (1,1) and (0,1)
 come from a generator, one at a time, so beside the Hamiltonian, V and
-rt0 one W is alive. Two kernels evaluate the phase sum, chosen by dim and
+rt0 one W is alive; W_11 = diag(rt0) - W_00 is written over W_00, since
+Q_00 + Q_11 = V^T V = I. The same Gibbs blocks give ``factor``, the
+factor V^T rho(0) V = G S G^H (S a diagonal of +-1) from which
+``equivalence.factorization_check`` rebuilds the full rho(t) without the
+dense rho(0). Two kernels evaluate the phase sum, chosen by dim and
 grid length:
 
 * grids shorter than FFT_MIN_POINTS, and every grid below dim FFT_MIN_DIM,
@@ -78,7 +82,7 @@ import numpy as np
 
 # DEFAULT_DIM_CAP is re-exported: models.build checks the cap before assembly
 from .models import DEFAULT_DIM_CAP, DimensionCapError, TotalModel  # noqa: F401
-from .spaces import ProductState
+from .spaces import DensityMatrix, ProductState
 
 # (cos, sin) element pairs per (dim x chunk) phase block in reduced_trajectory
 PHASE_CHUNK_ELEMENTS = 1 << 20
@@ -299,18 +303,25 @@ class SpectralPropagator:
     def _weighted(self, rho0: ProductState):
         """Yield (a, b, unit, W_ab) for (a, b) = (0,0), (1,1), (0,1): the
         real weights of Re rt0 with unit 1, then those of Im rt0 with unit
-        1j when rho_e is complex. Each W is formed when it is asked for and
-        dropped before the next, so a caller that drops its own reference
-        holds one at a time."""
+        1j when rho_e is complex. One W is alive at a time: W_11 is written
+        over W_00, so a caller must be done with each W before it asks for
+        the next. Q_00 + Q_11 = V^T V = I, so W_11 = diag(rt0) - W_00 and
+        only Q_00 and Q_01 take a product."""
         v = self.eigenvectors
         half = v.shape[0] // 2
-        blocks = (v[:half], v[half:])
+        diagonal = np.diag_indices(v.shape[0])
         for unit, rt0 in self._rotated(rho0):
-            for a, b in ((0, 0), (1, 1), (0, 1)):
-                w = blocks[a].T @ blocks[b]
-                w *= rt0
-                yield a, b, unit, w
-                del w
+            w = v[:half].T @ v[:half]
+            w *= rt0
+            yield 0, 0, unit, w
+            np.negative(w, out=w)
+            w[diagonal] += np.diagonal(rt0)
+            yield 1, 1, unit, w
+            del w
+            w = v[:half].T @ v[half:]
+            w *= rt0
+            yield 0, 1, unit, w
+            del w
 
     def _rotated(self, rho0: ProductState) -> list[tuple[complex, np.ndarray]]:
         """rt0 = V^T rho0 V as [(1, Re rt0)], plus (1j, Im rt0) when
@@ -324,25 +335,18 @@ class SpectralPropagator:
         dim^3 / 4 multiply-adds, against 2 dim^3 for V^T rho0 V; at most
         dim^3 for any rho_e.
         """
-        v = self.eigenvectors
-        half = v.shape[0] // 2
         r = rho0.electronic.matrix
-        root = np.sqrt(rho0.weights)[:, None]
-
-        def gibbs_block(c: int) -> np.ndarray:
-            return root * v[c * half:(c + 1) * half]
-
         re = None
         for c in (0, 1):
             if r[c, c] != 0:  # unit trace: at least one is nonzero
-                g = gibbs_block(c)
+                g = self._gibbs_block(rho0, c)
                 gram = g.T @ g
                 gram *= r[c, c].real
                 re = gram if re is None else np.add(re, gram, out=re)
                 del g, gram
         halves = [(1.0, re)]
         if r[0, 1] != 0:
-            m = gibbs_block(0).T @ gibbs_block(1)
+            m = self._gibbs_block(rho0, 0).T @ self._gibbs_block(rho0, 1)
             if r[0, 1].real != 0:
                 s = m + m.T
                 s *= r[0, 1].real
@@ -353,6 +357,61 @@ class SpectralPropagator:
                 im *= r[0, 1].imag
                 halves.append((1j, im))
         return halves
+
+    def _gibbs_block(self, rho0: ProductState, c: int) -> np.ndarray:
+        """G_c = sqrt(p) o V_c: the electronic row block c of V, each row
+        scaled by the square root of its bath weight; (dim/2) x dim."""
+        half = self.eigenvectors.shape[0] // 2
+        return (np.sqrt(rho0.weights)[:, None]
+                * self.eigenvectors[c * half:(c + 1) * half])
+
+    def factor(self, rho0: ProductState | DensityMatrix
+               ) -> tuple[np.ndarray, np.ndarray]:
+        """(G, s) with V^T rho0 V = G diag(s) G^H and every s = +-1.
+
+        G = V^T K for a factor rho0 = K diag(s) K^H with one column per
+        nonzero eigenvalue lambda of rho0, the eigenvector times
+        sqrt|lambda|; the signs keep a state that is not positive exact.
+        Eigenvalues within rank precision (n eps max|lambda|, n the matrix
+        size) of zero are dropped. A ``ProductState`` rho_e x diag(p) takes
+        the closed-form eigenpairs (lambda_j, u_j) of its 2x2 rho_e: with
+        the Gibbs blocks G_c, the block of G of u_j is
+        sqrt|lambda_j| (u_j[0] G_0 + u_j[1] G_1)^T, dim/2 columns per
+        nonzero lambda_j and no LAPACK call. A dense ``DensityMatrix``
+        takes one eigh of its matrix and one product with V^T. G is real
+        when rho0 is.
+        """
+        if rho0.layout != self.model.layout:
+            raise ValueError("rho0 layout does not match model")
+        product = isinstance(rho0, ProductState)
+        lam, u = (_eigh2(rho0.electronic.matrix) if product
+                  else np.linalg.eigh(rho0.matrix))
+        keep = np.abs(lam) > lam.size * np.finfo(float).eps * np.abs(lam).max()
+        s, u = np.sign(lam[keep]), u[:, keep] * np.sqrt(np.abs(lam[keep]))
+        if not product:
+            return self.eigenvectors.T @ u, s
+        g = np.concatenate([sum(x * self._gibbs_block(rho0, c)
+                                for c, x in enumerate(col) if x != 0).T
+                            for col in u.T], axis=1)
+        return g, np.repeat(s, rho0.weights.size)
+
+
+def _eigh2(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues, descending, and orthonormal eigenvectors (columns) of a
+    Hermitian 2x2 [[a, c], [c*, b]] in closed form: (a + b) / 2 +- rho with
+    rho = hypot((a - b) / 2, |c|). The first eigenvector is
+    (lambda_1 - b, c*) when a >= b and (c, lambda_1 - a) otherwise, so its
+    large entry lambda_1 - min(a, b) has no cancellation; the second is its
+    orthogonal complement (-u_1*, u_0*)."""
+    a, b, c = r[0, 0].real, r[1, 1].real, r[0, 1]
+    mean, radius = 0.5 * (a + b), math.hypot(0.5 * (a - b), abs(c))
+    if radius == 0.0:
+        return np.array([mean, mean]), np.eye(2, dtype=r.dtype)
+    u = (np.array([radius + 0.5 * (a - b), np.conj(c)]) if a >= b
+         else np.array([c, radius + 0.5 * (b - a)]))
+    u /= np.linalg.norm(u)
+    return (np.array([mean + radius, mean - radius]),
+            np.stack([u, [-np.conj(u[1]), np.conj(u[0])]], axis=1))
 
 
 def _phase_sum(w: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:

@@ -9,6 +9,15 @@ report holds the one certificate, the change of the maximal distance
 between the two finest rungs. ``compare_reduced`` is the two-rung ladder
 (n_max and n_max + CONVERGENCE_STEP); the CLI's ``convergence`` task is the
 ladder over an explicit n_max list.
+
+``factorization_check`` certifies the center-of-mass decoupling on the full
+state. It never forms the dense rho(0): it rebuilds rho(t) = F S F^H at
+every grid time from the propagator's factor V^T rho(0) V = G S G^H, with
+F = V (exp(-i L t) o G), in 2 dim^3 multiply-adds per grid time for a pure
+rho_e (one real product for F, one syrk for Re rho(t), one product for
+Im rho(t)), against 4 dim^3 for V X V^T. Per grid time it then takes two
+partial traces, one factor permutation and one eigvalsh of the explicit
+defect.
 """
 
 from __future__ import annotations
@@ -161,13 +170,23 @@ def factorization_check(model: TotalModel,
                         grid: TimeGrid) -> np.ndarray:
     """Per-time distance of the full state from (rest x center-of-mass) form.
 
-    rho0 may be any state on the model's layout; its dense ``matrix`` is
-    read once, since the full rho(t) is rebuilt at every grid time.
-
     For the transformed model the center-of-mass factors couple only through
     the electronic identity, so an initially factorized state stays
     factorized; the returned values measure the defect
     T(rho(t), rho_rest(t) x rho_B(t)) at every grid point.
+
+    rho0 may be any state on the model's layout; its dense ``matrix`` is
+    never read. rho(t) is rebuilt at every grid time from the factor
+    V^T rho0 V = G S G^H of ``SpectralPropagator.factor`` (r columns, S a
+    diagonal of +-1): F = V (Phi(t) o G), Phi(t) = exp(-i L t) scaling the
+    rows, is one real product of V with [Re | Im] (dim^2 2r multiply-adds),
+    and rho(t) = F S F^H is Re F S Re F^T + Im F S Im F^T, one symmetric
+    rank-2r update (syrk, dim^2 r), plus i (A - A^T) with A = Im F S Re F^T
+    (dim^2 r). For a pure rho_e of a ``ProductState`` (r = dim/2) that is
+    2 dim^3 per grid time. Per grid time the check then takes two partial
+    traces, one factor permutation, and one eigvalsh of the explicit
+    defect, from which rho_rest x rho_B is subtracted in place by
+    broadcasting.
     """
     fock_index = [i + 1 for i, lbl in enumerate(model.bath_partition)
                   if lbl == CENTER_OF_MASS_B]
@@ -177,37 +196,44 @@ def factorization_check(model: TotalModel,
     n = len(dims)
     rest_index = [i for i in range(n) if i not in fock_index]
     order = rest_index + fock_index
+    d_b = math.prod(dims[i] for i in fock_index)
+    d_rest = model.layout.total_dim // d_b
 
     prop = SpectralPropagator(model)
     v = prop.eigenvectors
-    # rho(t) = V X V^T with X = rt0 o exp(-i (L_m - L_n) t), rt0 = V^T rho0 V,
-    # formed from real matrices: with cos_d = cos((L_m - L_n) t) and
-    # sin_d = sin((L_n - L_m) t), Re X = Re rt0 o cos_d - Im rt0 o sin_d and
-    # Im X = Re rt0 o sin_d + Im rt0 o cos_d
-    rho = rho0.matrix
-    rt_re = v.T @ rho.real @ v
-    rt_im = v.T @ rho.imag @ v if np.iscomplexobj(rho) else None
-    x, vx = np.empty_like(rt_re), np.empty_like(rt_re)
-    rho_t = np.empty(rho.shape, dtype=np.complex128)
+    g, s = prop.factor(rho0)
+    dim, r = g.shape
+    g_re, g_im = (g.real, g.imag) if np.iscomplexobj(g) else (g, None)
+    # [Re | Im] of Phi o G in x, then of F = V (Phi o G) in f. x is dead
+    # once f is formed, so Re rho(t) and then A are written over it
+    f = np.empty((dim, 2 * r))
+    shared = np.empty(dim * max(2 * r, dim))
+    x = shared[:f.size].reshape(f.shape)
+    part = shared[:dim * dim].reshape(dim, dim)
+    # f S is f itself when S = 1, so that f S f^T is one syrk
+    signs = None if (s > 0).all() else np.concatenate([s, s])
+    rho_t = np.empty((dim, dim), dtype=np.complex128)
     values = np.empty(grid.n_steps + 1)
     for k, t in enumerate(grid.points):
-        cos, sin = (p[:, 0] for p in prop.phases(t))
-        # rank-2 factors: cos_d = cs @ cos_f and sin_d = cs @ sin_f
-        cs = np.stack([cos, sin], axis=1)
-        cos_f, sin_f = cs.T, np.stack([sin, -cos])
-        for part, with_re, with_im in ((rho_t.real, cos_f, -sin_f),
-                                       (rho_t.imag, sin_f, cos_f)):
-            np.multiply(np.matmul(cs, with_re, out=x), rt_re, out=x)
-            if rt_im is not None:
-                x += np.multiply(np.matmul(cs, with_im, out=vx), rt_im,
-                                 out=vx)
-            np.matmul(v, x, out=vx)
-            part[...] = np.matmul(vx, v.T, out=x)
+        cos, sin = prop.phases(t)
+        # exp(-i L t) (G_re + i G_im): real part cos G_re + sin G_im,
+        # imaginary part cos G_im - sin G_re
+        np.multiply(cos, g_re, out=x[:, :r])
+        np.multiply(-sin, g_re, out=x[:, r:])
+        if g_im is not None:
+            x[:, :r] += sin * g_im
+            x[:, r:] += cos * g_im
+        np.matmul(v, x, out=f)
+        f_s = f if signs is None else f * signs
+        rho_t.real[...] = np.matmul(f_s, f.T, out=part)
+        np.matmul(f_s[:, r:], f[:, :r].T, out=part)
+        np.subtract(part, part.T, out=rho_t.imag)
         rho_rest = partial_trace_matrix(rho_t, dims, rest_index)
         rho_b = partial_trace_matrix(rho_t, dims, fock_index)
         # the defect in place: rho_t is rewritten at the next step anyway
         defect = permute_factors_matrix(rho_t, dims, order)
-        defect -= np.kron(rho_rest, rho_b)
+        defect.reshape(d_rest, d_b, d_rest, d_b)[...] -= (
+            rho_rest[:, None, :, None] * rho_b[None, :, None, :])
         values[k] = 0.5 * np.abs(np.linalg.eigvalsh(defect)).sum()
     return values
 

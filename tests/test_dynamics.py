@@ -298,6 +298,34 @@ class TestReducedTrajectory:
             prop.reduced_trajectory(rho0, TimeGrid(t_max=1.0, n_steps=4))
 
 
+class TestFactor:
+    @pytest.mark.parametrize("rho_e, rank", [
+        (np.diag([1.0, 0.0]), 1),
+        (np.diag([0.0, 1.0]), 1),
+        (np.full((2, 2), 0.5), 1),
+        (np.eye(2) / 2, 2),  # degenerate: no eigenvector is preferred
+        (np.outer([0.6, 0.8j], [0.6, -0.8j]), 1),
+        (np.array([[0.3, 0.1 + 0.2j], [0.1 - 0.2j, 0.7]]), 2),
+        (np.diag([1.2, -0.2]), 2),  # not positive: one sign is -1
+    ])
+    def test_product_state_factor_gives_rotated_state(self, params, mode,
+                                                      rho_e, rank):
+        model = build("independent", params, [mode], 4)
+        rho0 = initial_state(
+            DensityMatrix(SpaceLayout.electronic_only(), rho_e), model,
+            ThermalSpec(beta=1.0))
+        prop = SpectralPropagator(model)
+        g, s = prop.factor(rho0)
+        v = prop.eigenvectors
+        dim = model.layout.total_dim
+        assert g.shape == (dim, rank * dim // 2)
+        assert np.iscomplexobj(g) == np.iscomplexobj(rho0.electronic.matrix)
+        assert set(np.unique(s)) <= {-1.0, 1.0}
+        assert (s < 0).any() == (np.linalg.eigvalsh(rho_e) < 0).any()
+        np.testing.assert_allclose((g * s) @ g.conj().T,
+                                   v.T @ rho0.matrix @ v, rtol=0, atol=1e-14)
+
+
 class TestWorkingSet:
     @pytest.mark.parametrize("rho_e, halves", [
         (np.diag([1.0, 0.0]), 1),  # site1

@@ -29,7 +29,12 @@ from dimerbath.models import (
     build_shared_anticorrelated,
     build_transformed,
 )
-from dimerbath.spaces import DensityMatrix, SpaceLayout, partial_trace_matrix
+from dimerbath.spaces import (
+    DensityMatrix,
+    ProductState,
+    SpaceLayout,
+    partial_trace_matrix,
+)
 from dimerbath.thermal import ThermalSpec, initial_state
 
 from conftest import evolve, random_density
@@ -240,6 +245,83 @@ class TestFactorizationCheck:
         rho0 = initial_state(site1, model, GROUND)
         with pytest.raises(ValueError):
             factorization_check(model, rho0, GRID)
+
+    @pytest.mark.parametrize("rho_e", [
+        np.diag([1.0, 0.0]),  # site1
+        np.diag([0.0, 1.0]),  # site2
+        np.full((2, 2), 0.5),  # plus
+        # a complex pure state, as `explicit` gives
+        np.outer([0.6, 0.8j], [0.6, -0.8j]),
+        # mixed, of rank 2
+        np.array([[0.7, 0.1 - 0.2j], [0.1 + 0.2j, 0.3]]),
+    ], ids=["site1", "site2", "plus", "explicit", "mixed"])
+    @pytest.mark.parametrize("correlated_bath", [False, True])
+    def test_product_state_matches_dense_reference(self, params, mode, rho_e,
+                                                   correlated_bath):
+        model = build_transformed(params, [mode], 4)
+        rho0 = initial_state(_density(rho_e), model,
+                             ThermalSpec(beta=1.0, tail_tol=1e-4))
+        if correlated_bath:
+            # bath weights that are no product of relative and center-of-mass
+            # factors: the state is not factorized, so the defect is large
+            w = np.random.default_rng(3).random(rho0.weights.size)
+            rho0 = ProductState(model.layout, rho0.electronic, w / w.sum())
+        defect = factorization_check(model, rho0, GRID)
+        prop = SpectralPropagator(model)
+        for k in (0, 1, 40, 80):
+            reference = _direct_defect(prop, rho0, GRID.points[k])
+            assert abs(defect[k] - reference) < 1e-12
+        if correlated_bath:
+            assert defect.min() > 1e-3
+        else:
+            assert defect.max() < 1e-12
+
+    def test_state_that_is_not_positive_matches_dense_reference(
+            self, params, mode):
+        # a negative eigenvalue: the factor's signs enter, so rho(t) is no
+        # single syrk
+        model = build_transformed(params, [mode], 3)
+        dim = model.layout.total_dim
+        rng = np.random.default_rng(11)
+        q = np.linalg.qr(rng.normal(size=(dim, dim)))[0]
+        lam = rng.random(dim)
+        lam[:3] = -0.5
+        lam /= lam.sum()
+        rho0 = DensityMatrix(model.layout, (q * lam) @ q.T)
+        defect = factorization_check(model, rho0, GRID)
+        prop = SpectralPropagator(model)
+        for k in (0, 1, 40, 80):
+            assert abs(defect[k] - _direct_defect(prop, rho0, GRID.points[k])) \
+                < 1e-12
+
+    def test_dense_initial_state_never_formed(self, params, mode, monkeypatch):
+        def dense(state):
+            pytest.fail("the dense rho0 was formed")
+
+        model = build_transformed(params, [mode], 4)
+        rho0 = initial_state(_density(np.full((2, 2), 0.5)), model,
+                             ThermalSpec(beta=1.0))
+        monkeypatch.setattr(ProductState, "matrix", property(dense))
+        assert factorization_check(model, rho0, GRID).max() < 1e-12
+
+    def test_layout_mismatch_rejected(self, params, mode, site1):
+        # (2, 16) and (2, 4, 4) have the same total dimension
+        shared = build_shared_anticorrelated(params, [mode], 16)
+        rho0 = initial_state(site1, shared, GROUND)
+        model = build_transformed(params, [mode], 4)
+        assert rho0.layout.total_dim == model.layout.total_dim
+        with pytest.raises(ValueError, match="rho0 layout does not match"):
+            factorization_check(model, rho0, GRID)
+
+
+def _direct_defect(prop, rho0, t: float) -> float:
+    """T(rho(t), rho_rest(t) x rho_B(t)) of a one-mode transformed model from
+    the dense rho0, propagated by two dense products."""
+    dims = prop.model.layout.dims
+    rho_t = evolve(prop, rho0, t).matrix
+    product = np.kron(partial_trace_matrix(rho_t, dims, [0, 1]),
+                      partial_trace_matrix(rho_t, dims, [2]))
+    return 0.5 * np.abs(np.linalg.eigvalsh(rho_t - product)).sum()
 
 
 class TestCoherenceVsAlpha:
