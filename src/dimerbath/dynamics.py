@@ -20,10 +20,10 @@ weight matrices W_ab = Q_ab o rt0 of the elements (0,0), (1,1) and (0,1)
 come from a generator, one at a time, so beside the Hamiltonian, V and
 rt0 one W is alive; W_11 = diag(rt0) - W_00 is written over W_00, since
 Q_00 + Q_11 = V^T V = I. The same Gibbs blocks give ``factor``, the
-factor V^T rho(0) V = G S G^H (S a diagonal of +-1) from which
-``equivalence.factorization_check`` rebuilds the full rho(t) without the
-dense rho(0). Two kernels evaluate the phase sum, chosen by dim and
-grid length:
+factor V^T rho(0) V = G G^H from which ``equivalence.factorization_check``
+rebuilds the full rho(t) without the dense rho(0); ``ProductState`` has
+checked that rho_e, and so rho(0), is positive semidefinite. Two kernels
+evaluate the phase sum, chosen by dim and grid length:
 
 * grids shorter than FFT_MIN_POINTS, and every grid below dim FFT_MIN_DIM,
   batch over fixed-size chunks of the time grid as two real matrix
@@ -82,7 +82,7 @@ import numpy as np
 
 # DEFAULT_DIM_CAP is re-exported: models.build checks the cap before assembly
 from .models import DEFAULT_DIM_CAP, DimensionCapError, TotalModel  # noqa: F401
-from .spaces import DensityMatrix, ProductState
+from .spaces import POSITIVITY_TOL, ProductState, lowest_eigenvalues
 
 # (cos, sin) element pairs per (dim x chunk) phase block in reduced_trajectory
 PHASE_CHUNK_ELEMENTS = 1 << 20
@@ -166,7 +166,7 @@ class ReducedTrajectory:
         tr = np.einsum("kii->k", s).real
         s[:, 0, 0] -= (tr - 1.0) / 2.0
         s[:, 1, 1] -= (tr - 1.0) / 2.0
-        check(_lowest_eigenvalues(s) < -1e-10,
+        check(lowest_eigenvalues(s) < -POSITIVITY_TOL,
               "reduced state not positive semidefinite")
         # the checks above bound any excursion outside [0, 1] by about 1e-10
         for i in (0, 1):
@@ -189,15 +189,6 @@ class ReducedTrajectory:
     @property
     def rho12(self) -> np.ndarray:
         return self.states[:, 0, 1]
-
-
-def _lowest_eigenvalues(s: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of each Hermitian 2x2 [[p1, c], [c*, p2]] in s.
-
-    Closed form (p1 + p2) / 2 - hypot((p1 - p2) / 2, |c|), no LAPACK call.
-    """
-    p1, p2 = s[:, 0, 0].real, s[:, 1, 1].real
-    return 0.5 * (p1 + p2) - np.hypot(0.5 * (p1 - p2), np.abs(s[:, 0, 1]))
 
 
 class SpectralPropagator:
@@ -365,35 +356,26 @@ class SpectralPropagator:
         return (np.sqrt(rho0.weights)[:, None]
                 * self.eigenvectors[c * half:(c + 1) * half])
 
-    def factor(self, rho0: ProductState | DensityMatrix
-               ) -> tuple[np.ndarray, np.ndarray]:
-        """(G, s) with V^T rho0 V = G diag(s) G^H and every s = +-1.
+    def factor(self, rho0: ProductState) -> np.ndarray:
+        """G with V^T rho0 V = G G^H, from the closed-form eigenpairs
+        (lambda_j, u_j) of the 2x2 rho_e of rho0 = rho_e x diag(p).
 
-        G = V^T K for a factor rho0 = K diag(s) K^H with one column per
-        nonzero eigenvalue lambda of rho0, the eigenvector times
-        sqrt|lambda|; the signs keep a state that is not positive exact.
-        Eigenvalues within rank precision (n eps max|lambda|, n the matrix
-        size) of zero are dropped. A ``ProductState`` rho_e x diag(p) takes
-        the closed-form eigenpairs (lambda_j, u_j) of its 2x2 rho_e: with
-        the Gibbs blocks G_c, the block of G of u_j is
-        sqrt|lambda_j| (u_j[0] G_0 + u_j[1] G_1)^T, dim/2 columns per
-        nonzero lambda_j and no LAPACK call. A dense ``DensityMatrix``
-        takes one eigh of its matrix and one product with V^T. G is real
-        when rho0 is.
+        With the Gibbs blocks G_c, the block of G of u_j is
+        sqrt(lambda_j) (u_j[0] G_0 + u_j[1] G_1)^T: dim/2 columns per kept
+        lambda_j and no LAPACK call. Only eigenvalues above rank precision,
+        lambda > 2 eps max lambda, are kept. That also drops a negative one
+        of float noise, which ``ProductState`` admits down to
+        -POSITIVITY_TOL, so G G^H differs from V^T rho0 V by at most
+        POSITIVITY_TOL in trace norm. G is real when rho_e is.
         """
         if rho0.layout != self.model.layout:
             raise ValueError("rho0 layout does not match model")
-        product = isinstance(rho0, ProductState)
-        lam, u = (_eigh2(rho0.electronic.matrix) if product
-                  else np.linalg.eigh(rho0.matrix))
-        keep = np.abs(lam) > lam.size * np.finfo(float).eps * np.abs(lam).max()
-        s, u = np.sign(lam[keep]), u[:, keep] * np.sqrt(np.abs(lam[keep]))
-        if not product:
-            return self.eigenvectors.T @ u, s
-        g = np.concatenate([sum(x * self._gibbs_block(rho0, c)
-                                for c, x in enumerate(col) if x != 0).T
-                            for col in u.T], axis=1)
-        return g, np.repeat(s, rho0.weights.size)
+        lam, u = _eigh2(rho0.electronic.matrix)
+        keep = lam > lam.size * np.finfo(float).eps * lam.max()
+        u = u[:, keep] * np.sqrt(lam[keep])
+        return np.concatenate([sum(x * self._gibbs_block(rho0, c)
+                                   for c, x in enumerate(col) if x != 0).T
+                               for col in u.T], axis=1)
 
 
 def _eigh2(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -11,13 +11,13 @@ between the two finest rungs. ``compare_reduced`` is the two-rung ladder
 ladder over an explicit n_max list.
 
 ``factorization_check`` certifies the center-of-mass decoupling on the full
-state. It never forms the dense rho(0): it rebuilds rho(t) = F S F^H at
-every grid time from the propagator's factor V^T rho(0) V = G S G^H, with
-F = V (exp(-i L t) o G), in 2 dim^3 multiply-adds per grid time for a pure
-rho_e (one real product for F, one syrk for Re rho(t), one product for
-Im rho(t)), against 4 dim^3 for V X V^T. Per grid time it then takes two
-partial traces, one factor permutation and one eigvalsh of the explicit
-defect.
+state of a product initial state. It never forms the dense rho(0): it
+rebuilds rho(t) = F F^H at every grid time from the propagator's factor
+V^T rho(0) V = G G^H, with F = V (exp(-i L t) o G), in 2 dim^3
+multiply-adds per grid time for a pure rho_e (one real product for F, one
+syrk for Re rho(t), one product for Im rho(t)), against 4 dim^3 for
+V X V^T. Per grid time it then takes two partial traces, one factor
+permutation and one eigvalsh of the explicit defect.
 """
 
 from __future__ import annotations
@@ -165,8 +165,7 @@ def spectrum_equivalence(model_a: TotalModel, model_b: TotalModel,
     return float(np.abs(e_a[:k] - e_b[:k]).max() / (1.0 + radius))
 
 
-def factorization_check(model: TotalModel,
-                        rho0: DensityMatrix | ProductState,
+def factorization_check(model: TotalModel, rho0: ProductState,
                         grid: TimeGrid) -> np.ndarray:
     """Per-time distance of the full state from (rest x center-of-mass) form.
 
@@ -175,18 +174,17 @@ def factorization_check(model: TotalModel,
     factorized; the returned values measure the defect
     T(rho(t), rho_rest(t) x rho_B(t)) at every grid point.
 
-    rho0 may be any state on the model's layout; its dense ``matrix`` is
-    never read. rho(t) is rebuilt at every grid time from the factor
-    V^T rho0 V = G S G^H of ``SpectralPropagator.factor`` (r columns, S a
-    diagonal of +-1): F = V (Phi(t) o G), Phi(t) = exp(-i L t) scaling the
-    rows, is one real product of V with [Re | Im] (dim^2 2r multiply-adds),
-    and rho(t) = F S F^H is Re F S Re F^T + Im F S Im F^T, one symmetric
-    rank-2r update (syrk, dim^2 r), plus i (A - A^T) with A = Im F S Re F^T
-    (dim^2 r). For a pure rho_e of a ``ProductState`` (r = dim/2) that is
-    2 dim^3 per grid time. Per grid time the check then takes two partial
-    traces, one factor permutation, and one eigvalsh of the explicit
-    defect, from which rho_rest x rho_B is subtracted in place by
-    broadcasting.
+    The dense ``matrix`` of rho0 is never read. rho(t) is rebuilt at every
+    grid time from the factor V^T rho0 V = G G^H of
+    ``SpectralPropagator.factor`` (r columns): F = V (Phi(t) o G),
+    Phi(t) = exp(-i L t) scaling the rows, is one real product of V with
+    [Re | Im] (dim^2 2r multiply-adds), and rho(t) = F F^H is
+    Re F Re F^T + Im F Im F^T, one symmetric rank-2r update (syrk,
+    dim^2 r), plus i (A - A^T) with A = Im F Re F^T (dim^2 r). For a pure
+    rho_e (r = dim/2) that is 2 dim^3 per grid time. Per grid time the
+    check then takes two partial traces, one factor permutation, and one
+    eigvalsh of the explicit defect, from which rho_rest x rho_B is
+    subtracted in place by broadcasting.
     """
     fock_index = [i + 1 for i, lbl in enumerate(model.bath_partition)
                   if lbl == CENTER_OF_MASS_B]
@@ -201,7 +199,7 @@ def factorization_check(model: TotalModel,
 
     prop = SpectralPropagator(model)
     v = prop.eigenvectors
-    g, s = prop.factor(rho0)
+    g = prop.factor(rho0)
     dim, r = g.shape
     g_re, g_im = (g.real, g.imag) if np.iscomplexobj(g) else (g, None)
     # [Re | Im] of Phi o G in x, then of F = V (Phi o G) in f. x is dead
@@ -210,8 +208,6 @@ def factorization_check(model: TotalModel,
     shared = np.empty(dim * max(2 * r, dim))
     x = shared[:f.size].reshape(f.shape)
     part = shared[:dim * dim].reshape(dim, dim)
-    # f S is f itself when S = 1, so that f S f^T is one syrk
-    signs = None if (s > 0).all() else np.concatenate([s, s])
     rho_t = np.empty((dim, dim), dtype=np.complex128)
     values = np.empty(grid.n_steps + 1)
     for k, t in enumerate(grid.points):
@@ -224,9 +220,8 @@ def factorization_check(model: TotalModel,
             x[:, :r] += sin * g_im
             x[:, r:] += cos * g_im
         np.matmul(v, x, out=f)
-        f_s = f if signs is None else f * signs
-        rho_t.real[...] = np.matmul(f_s, f.T, out=part)
-        np.matmul(f_s[:, r:], f[:, :r].T, out=part)
+        rho_t.real[...] = np.matmul(f, f.T, out=part)
+        np.matmul(f[:, r:], f[:, :r].T, out=part)
         np.subtract(part, part.T, out=rho_t.imag)
         rho_rest = partial_trace_matrix(rho_t, dims, rest_index)
         rho_b = partial_trace_matrix(rho_t, dims, fock_index)

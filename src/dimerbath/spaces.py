@@ -6,10 +6,10 @@ by truncated Fock factors. The bath of an exciton space is one
 occupation-number basis, listed by :func:`occupation_basis`. Operators and
 states are stored dense, in float64 when their imaginary part is exactly
 zero and in complex128 otherwise; one converter makes that choice. The
-exception is :class:`ProductState`, an electronic state times a bath state
-diagonal in the occupation basis, stored as the 2x2 factor and one weight
-per basis row. An
-:class:`Operator` is a Hamiltonian and must be real, as every model
+exception is :class:`ProductState`, the initial state of every evolution:
+a positive semidefinite 2x2 electronic state times a bath state diagonal in
+the occupation basis, stored as the 2x2 factor and one weight per basis
+row. An :class:`Operator` is a Hamiltonian and must be real, as every model
 Hamiltonian is. All values are immutable after construction and all
 operations are pure functions.
 """
@@ -22,6 +22,10 @@ from typing import Sequence
 import numpy as np
 
 HERMITICITY_RTOL = 1e-12
+
+# the most negative eigenvalue a 2x2 electronic state may have: float noise
+# of a positive semidefinite state, not a physical negativity
+POSITIVITY_TOL = 1e-10
 
 
 class LayoutError(ValueError):
@@ -127,9 +131,10 @@ class ProductState:
     """rho_e x diag(weights): a 2x2 electronic state times a bath state that
     is diagonal in the occupation basis, one weight per basis row.
 
-    Construction checks the weights in O(dim): a 1-D array of length dim/2,
-    finite, non-negative and summing to 1. The dense matrix is formed only
-    when ``matrix`` is read.
+    Construction checks that rho_e is positive semidefinite, its smallest
+    eigenvalue no lower than -POSITIVITY_TOL, and the weights in O(dim): a
+    1-D array of length dim/2, finite, non-negative and summing to 1. The
+    dense matrix is formed only when ``matrix`` is read.
     """
 
     layout: SpaceLayout
@@ -141,6 +146,10 @@ class ProductState:
                 or self.layout.dims[0] != 2):
             raise LayoutError("a product state needs a 2x2 electronic factor "
                               "first in its layout")
+        lowest = lowest_eigenvalues(self.electronic.matrix[None])[0]
+        if lowest < -POSITIVITY_TOL:
+            raise ValueError("electronic state is not positive semidefinite: "
+                             f"smallest eigenvalue {lowest:g}")
         w = np.array(self.weights, dtype=np.float64)
         if w.shape != (self.layout.total_dim // 2,):
             raise LayoutError(f"bath weights of shape {w.shape} do not match "
@@ -161,6 +170,15 @@ class ProductState:
         m = np.kron(self.electronic.matrix, np.diag(self.weights))
         m.flags.writeable = False
         return m
+
+
+def lowest_eigenvalues(s: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of each Hermitian 2x2 [[p1, c], [c*, p2]] in s.
+
+    Closed form (p1 + p2) / 2 - hypot((p1 - p2) / 2, |c|), no LAPACK call.
+    """
+    p1, p2 = s[:, 0, 0].real, s[:, 1, 1].real
+    return 0.5 * (p1 + p2) - np.hypot(0.5 * (p1 - p2), np.abs(s[:, 0, 1]))
 
 
 def annihilation_matrix(n_max: int) -> Operator:

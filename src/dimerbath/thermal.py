@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import DimensionCapError, TotalModel
-from .spaces import DensityMatrix, ProductState, SpaceLayout
+from .spaces import DensityMatrix, ProductState
 
 #: extra Fock levels kept above the thermal support; the (b^dag + b) coupling
 #: displaces population beyond thermal occupancy, so the tail bound alone
@@ -33,8 +33,9 @@ class ThermalSpec:
             raise ValueError(f"tail_tol must be in (0, 1), got {self.tail_tol}")
 
 
-def gibbs_state(omega: float, beta: float, n_max: int) -> DensityMatrix:
-    """Thermal state of one truncated mode, diagonal p_n ~ exp(-beta omega n)."""
+def gibbs_state(omega: float, beta: float, n_max: int) -> np.ndarray:
+    """Thermal state of one truncated mode as its diagonal in the Fock
+    basis: the n_max weights p_n ~ exp(-beta omega n), summing to 1."""
     if not (omega > 0):
         raise ValueError(f"omega must be positive, got {omega}")
     if not (beta > 0):
@@ -47,7 +48,7 @@ def gibbs_state(omega: float, beta: float, n_max: int) -> DensityMatrix:
     else:
         p = np.exp(-beta * omega * np.arange(n_max))
         p /= p.sum()
-    return DensityMatrix(SpaceLayout((n_max,)), np.diag(p))
+    return p
 
 
 def choose_truncation(omega: float, spec: ThermalSpec) -> int:
@@ -79,11 +80,10 @@ def choose_truncation(omega: float, spec: ThermalSpec) -> int:
 def initial_state(rho_e0: DensityMatrix, model: TotalModel,
                   spec: ThermalSpec) -> ProductState:
     """Product state: electronic rho_e0 times the bath Gibbs state, one
-    diagonal over the occupation basis, the 1-D kron of the diagonals of
-    one Gibbs factor per Fock factor. ``ProductState`` checks that rho_e0
-    is 2x2."""
+    diagonal over the occupation basis, the 1-D kron of the Gibbs weights
+    of each Fock factor. ``ProductState`` checks that rho_e0 is 2x2 and
+    positive semidefinite."""
     weights = np.ones(1)
     for omega in model.factor_frequencies:
-        gibbs = gibbs_state(omega, spec.beta, model.n_max)
-        weights = np.kron(weights, np.diagonal(gibbs.matrix))
+        weights = np.kron(weights, gibbs_state(omega, spec.beta, model.n_max))
     return ProductState(model.layout, rho_e0, weights)

@@ -708,6 +708,14 @@ def fuzz_entries(draw):
                       unique=True)
     n_max_list = st.lists(st.integers(2, 3), min_size=size, max_size=3,
                           unique=True)
+    state = draw(st.sampled_from(["site1", "site2", "plus", "explicit"]))
+    rho11 = rho12 = None
+    if state == "explicit":
+        # |rho12| up to the positivity bound sqrt(rho11 rho22), rarely beyond
+        rho11 = draw(st.floats(0.0, 1.0))
+        rho12 = (math.sqrt(rho11 * (1.0 - rho11))
+                 * draw(st.floats(0.0, 1.2 if rare() else 1.0))
+                 * np.exp(1j * draw(st.floats(0.0, 2.0 * math.pi))))
     return {
         "bath__kind": kind,
         "bath__alpha": None if alpha is None else repr(alpha),
@@ -719,8 +727,10 @@ def fuzz_entries(draw):
         "evolution__t_max": repr(draw(st.floats(0.5, 20.0))),
         "evolution__n_steps": str(draw(st.integers(1, 20))),
         "evolution__dim_cap": draw(st.none() | st.sampled_from(["8", "40"])),
-        "initial__electronic_state": draw(st.sampled_from(
-            ["site1", "site2", "plus"])),
+        "initial__electronic_state": state,
+        "initial__rho11": None if rho11 is None else repr(rho11),
+        "initial__rho12_re": None if rho12 is None else repr(rho12.real),
+        "initial__rho12_im": None if rho12 is None else repr(rho12.imag),
         "task__kind": task,
         "task__compare_with": partner,
         "task__alphas": (_list_text(sorted(draw(alphas)))
@@ -759,6 +769,18 @@ def fuzz_entries(draw):
                   "initial__electronic_state": "site1",
                   "task__kind": "alpha_sweep", "task__compare_with": None,
                   "task__alphas": "-1e308, 0.0", "task__n_max_list": None})
+# |rho12|^2 at the CLI's slack of 1e-12 over rho11 rho22: the smallest
+# eigenvalue of rho_e is -9.6e-13, which ProductState must accept
+@example(entries={"bath__kind": "transformed", "bath__alpha": None,
+                  "bath__coupling_scale": None, "bath__modes__0__omega": "1.0",
+                  "bath__modes__0__g": "0.2", "thermal__beta": "1.0",
+                  "thermal__n_max_override": "3", "evolution__t_max": "10.0",
+                  "evolution__n_steps": "20", "evolution__dim_cap": None,
+                  "initial__electronic_state": "explicit",
+                  "initial__rho11": "0.5", "initial__rho12_re": "0.3",
+                  "initial__rho12_im": "0.4000000000012",
+                  "task__kind": "trajectory", "task__compare_with": None,
+                  "task__alphas": None, "task__n_max_list": None})
 def test_fuzzed_configs_exit_with_a_documented_code(entries):
     with tempfile.TemporaryDirectory() as out:
         path = Path(out) / "fuzz.cfg"

@@ -28,6 +28,7 @@ from dimerbath.spaces import (
     Operator,
     ProductState,
     SpaceLayout,
+    lowest_eigenvalues,
     partial_trace_matrix,
 )
 from dimerbath.thermal import ThermalSpec, initial_state
@@ -230,6 +231,26 @@ class TestReducedTrajectory:
         traj = SpectralPropagator(model).reduced_trajectory(rho0, grid)
         assert traj.rho11 == pytest.approx(np.ones(51), abs=1e-10)
 
+    @pytest.mark.parametrize("omega, g", [(1.0, 0.2), (0.8, 0.3)])
+    def test_pure_dephasing_matches_closed_form(self, omega, g):
+        # j = 0, ground-state bath: the sites displace the shared mode by
+        # -+g/omega, and the independent-boson closed form is
+        # rho12(t) = 1/2 e^{-i (eps1 - eps2) t} e^{-d^2 (1 - cos omega t)}
+        # with d = 2 g / omega
+        p = ElectronicParams(0.25, -0.25, 0.0)
+        model = build_shared_anticorrelated(p, [ModeSpec(omega, g)], 16)
+        plus = DensityMatrix(SpaceLayout.electronic_only(),
+                             np.full((2, 2), 0.5))
+        rho0 = initial_state(plus, model, ThermalSpec(beta=np.inf))
+        grid = TimeGrid(t_max=50.0, n_steps=200)
+        t = grid.points
+        exact = 0.5 * np.exp(-1j * (p.eps1 - p.eps2) * t
+                             - (2 * g / omega) ** 2 * (1 - np.cos(omega * t)))
+        rho12 = SpectralPropagator(model).reduced_trajectory(rho0, grid).rho12
+        assert np.abs(rho12 - exact).max() < 1e-12
+        # rho12 = <1|rho|2>: the conjugate phase is far off
+        assert np.abs(rho12 - exact.conj()).max() > 0.5
+
     def test_trace_exactly_one(self, small_model, rho0):
         grid = TimeGrid(t_max=10.0, n_steps=30)
         traj = SpectralPropagator(small_model).reduced_trajectory(rho0, grid)
@@ -269,7 +290,7 @@ class TestReducedTrajectory:
         s[:, 0, 0], s[:, 1, 1] = p1, 1.0 - p1
         s[:, 0, 1], s[:, 1, 0] = c, c.conj()
         exact = np.linalg.eigvalsh(s).min(axis=1)
-        assert np.abs(dynamics._lowest_eigenvalues(s) - exact).max() < 1e-15
+        assert np.abs(lowest_eigenvalues(s) - exact).max() < 1e-15
 
     def test_positivity_threshold(self):
         # [[1/2, c], [c, 1/2]] has the eigenvalues 1/2 + c and 1/2 - c; the
@@ -306,7 +327,6 @@ class TestFactor:
         (np.eye(2) / 2, 2),  # degenerate: no eigenvector is preferred
         (np.outer([0.6, 0.8j], [0.6, -0.8j]), 1),
         (np.array([[0.3, 0.1 + 0.2j], [0.1 - 0.2j, 0.7]]), 2),
-        (np.diag([1.2, -0.2]), 2),  # not positive: one sign is -1
     ])
     def test_product_state_factor_gives_rotated_state(self, params, mode,
                                                       rho_e, rank):
@@ -315,15 +335,13 @@ class TestFactor:
             DensityMatrix(SpaceLayout.electronic_only(), rho_e), model,
             ThermalSpec(beta=1.0))
         prop = SpectralPropagator(model)
-        g, s = prop.factor(rho0)
+        g = prop.factor(rho0)
         v = prop.eigenvectors
         dim = model.layout.total_dim
         assert g.shape == (dim, rank * dim // 2)
         assert np.iscomplexobj(g) == np.iscomplexobj(rho0.electronic.matrix)
-        assert set(np.unique(s)) <= {-1.0, 1.0}
-        assert (s < 0).any() == (np.linalg.eigvalsh(rho_e) < 0).any()
-        np.testing.assert_allclose((g * s) @ g.conj().T,
-                                   v.T @ rho0.matrix @ v, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(g @ g.conj().T, v.T @ rho0.matrix @ v,
+                                   rtol=0, atol=1e-14)
 
 
 class TestWorkingSet:

@@ -222,24 +222,6 @@ class TestFactorizationCheck:
         defect = factorization_check(model, rho0, GRID)
         assert defect.max() < 1e-10
 
-    def test_complex_entangled_state_matches_direct_evolution(self, params,
-                                                               mode):
-        # a random complex state of the whole space: both halves of rt0
-        # enter, and the defect is far from zero
-        model = build_transformed(params, [mode], 4)
-        dims = model.layout.dims
-        rho0 = DensityMatrix(model.layout, random_density(
-            model.layout.total_dim, np.random.default_rng(5)))
-        prop = SpectralPropagator(model)
-        defect = factorization_check(model, rho0, GRID)
-        assert defect.min() > 1e-3
-        for k in (0, 1, 40, 80):
-            rho_t = evolve(prop, rho0, GRID.points[k]).matrix
-            product = np.kron(partial_trace_matrix(rho_t, dims, [0, 1]),
-                              partial_trace_matrix(rho_t, dims, [2]))
-            direct = 0.5 * np.abs(np.linalg.eigvalsh(rho_t - product)).sum()
-            assert abs(defect[k] - direct) < 1e-12
-
     def test_shared_model_has_no_com_partition(self, params, mode, site1):
         model = build_shared_anticorrelated(params, [mode], 5)
         rho0 = initial_state(site1, model, GROUND)
@@ -275,24 +257,6 @@ class TestFactorizationCheck:
             assert defect.min() > 1e-3
         else:
             assert defect.max() < 1e-12
-
-    def test_state_that_is_not_positive_matches_dense_reference(
-            self, params, mode):
-        # a negative eigenvalue: the factor's signs enter, so rho(t) is no
-        # single syrk
-        model = build_transformed(params, [mode], 3)
-        dim = model.layout.total_dim
-        rng = np.random.default_rng(11)
-        q = np.linalg.qr(rng.normal(size=(dim, dim)))[0]
-        lam = rng.random(dim)
-        lam[:3] = -0.5
-        lam /= lam.sum()
-        rho0 = DensityMatrix(model.layout, (q * lam) @ q.T)
-        defect = factorization_check(model, rho0, GRID)
-        prop = SpectralPropagator(model)
-        for k in (0, 1, 40, 80):
-            assert abs(defect[k] - _direct_defect(prop, rho0, GRID.points[k])) \
-                < 1e-12
 
     def test_dense_initial_state_never_formed(self, params, mode, monkeypatch):
         def dense(state):

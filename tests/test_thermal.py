@@ -28,25 +28,24 @@ from conftest import thermal_occupation
 
 class TestGibbsState:
     def test_ground_state_at_infinite_beta(self):
-        rho = gibbs_state(1.0, np.inf, 5).matrix
-        expected = np.zeros((5, 5))
-        expected[0, 0] = 1.0
-        assert np.abs(rho - expected).max() == 0.0
+        p = gibbs_state(1.0, np.inf, 5)
+        assert np.array_equal(p, [1.0, 0.0, 0.0, 0.0, 0.0])
 
     def test_diagonal_geometric_weights(self):
         # independent oracle: explicit normalized Boltzmann weights
         beta, omega, n = 0.7, 1.3, 8
         w = np.exp(-beta * omega * np.arange(n))
-        expected = np.diag(w / w.sum())
-        assert np.abs(gibbs_state(omega, beta, n).matrix - expected).max() < 1e-15
+        p = gibbs_state(omega, beta, n)
+        assert p.shape == (n,)
+        assert np.abs(p - w / w.sum()).max() < 1e-15
 
     def test_trace_one(self):
-        rho = gibbs_state(2.0, 0.1, 12).matrix
-        assert np.trace(rho).real == pytest.approx(1.0, abs=1e-14)
+        p = gibbs_state(2.0, 0.1, 12)
+        assert p.sum() == pytest.approx(1.0, abs=1e-14)
 
     def test_high_temperature_approaches_uniform(self):
-        rho = gibbs_state(1.0, 1e-9, 4).matrix
-        assert np.diag(rho).real == pytest.approx([0.25] * 4, abs=1e-8)
+        p = gibbs_state(1.0, 1e-9, 4)
+        assert p == pytest.approx([0.25] * 4, abs=1e-8)
 
     def test_rejects_negative_beta(self):
         with pytest.raises(ValueError):
@@ -66,8 +65,7 @@ class TestThermalOccupation:
     @settings(max_examples=25, deadline=None)
     def test_matches_gibbs_expectation(self, omega, beta):
         n_max = choose_truncation(omega, ThermalSpec(beta, tail_tol=1e-14))
-        rho = gibbs_state(omega, beta, n_max).matrix
-        mean_n = float(np.diag(rho).real @ np.arange(n_max))
+        mean_n = float(gibbs_state(omega, beta, n_max) @ np.arange(n_max))
         assert mean_n == pytest.approx(thermal_occupation(omega, beta),
                                        rel=1e-5, abs=1e-10)
 
@@ -105,7 +103,8 @@ class TestInitialState:
     def test_shared_model_product_structure(self, params, mode, site1):
         model = build_shared_anticorrelated(params, [mode], 5)
         rho0 = initial_state(site1, model, ThermalSpec(beta=1.0))
-        expected = np.kron(site1.matrix, gibbs_state(mode.omega, 1.0, 5).matrix)
+        expected = np.kron(site1.matrix,
+                           np.diag(gibbs_state(mode.omega, 1.0, 5)))
         assert np.abs(rho0.matrix - expected).max() < 1e-15
 
     def test_independent_model_uses_all_factor_frequencies(self, params, site1):
@@ -114,7 +113,7 @@ class TestInitialState:
         rho0 = initial_state(site1, model, ThermalSpec(beta=0.5))
         expected = site1.matrix
         for omega in model.factor_frequencies:
-            expected = np.kron(expected, gibbs_state(omega, 0.5, 3).matrix)
+            expected = np.kron(expected, np.diag(gibbs_state(omega, 0.5, 3)))
         assert np.abs(rho0.matrix - expected).max() < 1e-15
 
     def test_result_is_valid_density_matrix(self, params, mode, site1):
@@ -170,6 +169,25 @@ class TestProductState:
     def test_rejects_bad_weights(self, site1, weights, match):
         with pytest.raises(ValueError, match=match):
             ProductState(self.LAYOUT, site1, weights)
+
+    @pytest.mark.parametrize("lowest", [-0.2, -2e-10])
+    def test_rejects_electronic_state_that_is_not_positive(self, lowest):
+        # diag(1 - lowest, lowest): unit trace, Hermitian, one eigenvalue
+        # below -POSITIVITY_TOL
+        rho_e = DensityMatrix(SpaceLayout.electronic_only(),
+                              np.diag([1.0 - lowest, lowest]))
+        with pytest.raises(ValueError, match=(
+                "electronic state is not positive semidefinite: smallest "
+                f"eigenvalue {lowest:g}")):
+            ProductState(self.LAYOUT, rho_e, np.full(9, 1 / 9))
+
+    def test_electronic_positivity_tolerance(self):
+        # float noise of a positive state: c = sqrt(p (1 - p)) + 5e-11 gives
+        # the smallest eigenvalue -5e-11
+        c = 0.5 + 5e-11
+        rho_e = DensityMatrix(SpaceLayout.electronic_only(),
+                              [[0.5, c], [c, 0.5]])
+        ProductState(self.LAYOUT, rho_e, np.full(9, 1 / 9))
 
     def test_weight_sum_tolerance(self, site1):
         w = np.full(9, (1.0 + 5e-10) / 9)
