@@ -15,12 +15,14 @@ electronic row block c of V, rt0 = V^T rho(0) V = sum_cd rho_e[c,d]
 G_c^T G_d; only the Gram products with a nonzero coefficient are formed,
 G_c^T G_c as a symmetric rank-k update: dim^3 / 4 multiply-adds for a
 single site, at most dim^3 for any rho_e, against 2 dim^3 for V^T rho(0) V.
-rt0 is real, with a second real half Im rt0 only for a complex rho_e. The
-weight matrices W_ab = Q_ab o rt0 of the elements (0,0), (1,1) and (0,1)
-come from a generator, one at a time, so beside the Hamiltonian, V and
-rt0 one W is alive; W_11 = diag(rt0) - W_00 is written over W_00, since
-Q_00 + Q_11 = V^T V = I. The same Gibbs blocks give ``factor``, the
-factor V^T rho(0) V = G G^H from which ``equivalence.factorization_check``
+Bath rows of weight zero are left out of G_c: for a ground-state bath
+G_c is one row. rt0 is real, with a second real half Im rt0 only for a
+complex rho_e. The weight matrices W_ab = Q_ab o rt0 of the elements
+(0,0) and (0,1) come from a generator, one at a time, so beside the
+Hamiltonian, V and rt0 one W is alive. rho_e[1,1] takes no W: since
+Q_00 + Q_11 = V^T V = I and the phases of the diagonal are 1, it is
+tr(rt0) - rho_e[0,0] at every t. The same Gibbs blocks give ``factor``,
+the factor V^T rho(0) V = G G^H from which ``equivalence.factorization_check``
 rebuilds the full rho(t) without the dense rho(0); ``ProductState`` has
 checked that rho_e, and so rho(0), is positive semidefinite. Two kernels
 evaluate the phase sum, chosen by dim and grid length:
@@ -31,9 +33,10 @@ evaluate the phase sum, chosen by dim and grid length:
   O(dim^2 n_points). A grid of one chunk, as in every bundled config but
   the dim-2592 model of many_mode_equivalence.cfg (501 points, two
   chunks), forms its phases once for all W. On a grid of several
-  chunks each W forms each chunk's phases again, which costs O(dim
-  n_points) against the contraction's O(dim^2 n_points); at small dim,
-  where sin and cos outweigh the contraction, that is most of the time;
+  chunks each W forms each chunk's phases again, twice in all (four
+  times for a complex rho_e), which costs O(dim n_points) against the
+  contraction's O(dim^2 n_points); at small dim, where sin and cos
+  outweigh the contraction, that is most of the time;
 * longer grids from dim FFT_MIN_DIM up use that the grid is uniform,
   t_k = k h: the sum is a non-uniform DFT of the dim (dim - 1) / 2
   frequencies L_m - L_n (m < n), evaluated by binning each phase
@@ -55,16 +58,17 @@ at beta = 1, best of three, "-" not measured); above 1 the FFT kernel is
 faster:
 
     dim | n_points  201   501  1001  2001  5001  10^5  10^6
-       4           0.12  0.12  0.16  0.19  0.26  0.19  0.21
-      12           0.15  0.19  0.24  0.27  0.35  0.46  0.35
-      24           0.19  0.26  0.34  0.43  0.63  0.85  0.69
-      50           0.30  0.58  0.65  0.87  1.57  1.89  1.24
+       4           0.12  0.12  0.16  0.19  0.26  0.28  0.22
+      12           0.15  0.19  0.24  0.27  0.35  0.50  0.39
+      24           0.19  0.26  0.34  0.43  0.63  0.91  0.68
+      50           0.30  0.58  0.65  0.87  1.57  1.86  1.05
      392           0.51  1.04  1.59  2.51  8.44  19.5     -
     1250           0.43  0.64  1.25  1.87  4.31     -     -
 
-At 10^6 points the FFT kernel takes 5.2 to 5.6 s from dim 4 to dim 50,
+At 10^6 points the FFT kernel takes 4.2 to 4.9 s from dim 4 to dim 50,
 because its terms M log M part does not shrink with dim; the GEMM kernel
-takes 1.1 s at dim 4 and 6.9 s at dim 50.
+takes 0.9-1.0 s at dim 4 and 4.4-6.4 s at dim 50, so at dim 50 the FFT
+kernel wins by 1.05 to 1.5.
 
 The two kernels agree to 3.5e-14 on a 20001-point grid at dim 392 with
 t_max = 1000; against a full-state propagation whose phases are reduced in
@@ -238,47 +242,56 @@ class SpectralPropagator:
         (``_rotated``). The weights W_ab[m,n] = rt0[m,n] Q_ab[n,m] split into
         the real matrices of Re rt0 and Im rt0 (the second only for a
         complex rho_e); the sum is linear in them, so both run through one
-        real kernel. Only (0,0), (1,1) and (0,1) are contracted; rho_e[1,0]
-        is the conjugate of rho_e[0,1]. The weight matrices are formed one
+        real kernel. Only (0,0) and (0,1) are contracted, two weight
+        matrices per half: Q_00 + Q_11 = I makes rho_e[1,1] =
+        tr(Re rt0) - rho_e[0,0], set once after either kernel, and
+        rho_e[1,0] is the conjugate of rho_e[0,1]. The trace is that of
+        rt0, not 1, so that a V off orthonormal still fails the unit-trace
+        check of ``ReducedTrajectory``. The weight matrices are formed one
         at a time (``_weighted``), so one is alive at a time in either
         kernel. Grids of FFT_MIN_POINTS or more at dim FFT_MIN_DIM or more
         take the FFT kernel (module docstring); the rest the chunked GEMM
         kernel. It forms the phases of a one-chunk grid once for all
         weight matrices; on a longer grid it forms each chunk's phases once
-        per weight matrix.
+        per weight matrix, twice per half of rt0.
         """
         if rho0.layout != self.model.layout:
             raise ValueError("rho0 layout does not match model")
         dim = self.eigenvectors.shape[0]
         n_points = grid.n_steps + 1
         states = np.zeros((n_points, 2, 2), dtype=np.complex128)
+        halves = self._rotated(rho0)
+        trace = np.trace(halves[0][1])  # Im rt0 has a zero diagonal
+        # only the generator holds rt0, which it frees after the last W
+        weighted = self._weighted(halves)
+        del halves
         if n_points < FFT_MIN_POINTS or dim < FFT_MIN_DIM:
             points = grid.points
             step = max(1, PHASE_CHUNK_ELEMENTS // dim)
             chunks = [slice(s, s + step) for s in range(0, n_points, step)]
             whole = self.phases(points) if len(chunks) == 1 else None
-            for a, b, unit, w in self._weighted(rho0):
+            for b, unit, w in weighted:
                 for chunk in chunks:
                     cos, sin = whole or self.phases(points[chunk])
-                    states[chunk, a, b] += unit * _phase_sum(w, cos, sin)
+                    states[chunk, 0, b] += unit * _phase_sum(w, cos, sin)
                 del w  # before the generator forms the next one
         else:
             self._check_phase_bound(grid.t_max)
             # pair m < n: w[m,n] e^{-i x} + w[n,m] e^{+i x}, x = (L_m - L_n) t,
-            # is (w + w^T)[m,n] cos x - i (w - w^T)[m,n] sin x. For a = b,
-            # Q_aa is symmetric and the real (imaginary) half of rt0 is
-            # symmetric (antisymmetric), so each half feeds only the real
-            # part of unit * sum, and rho_e[a,a] needs one row per half.
+            # is (w + w^T)[m,n] cos x - i (w - w^T)[m,n] sin x. Q_00 is
+            # symmetric and the real (imaginary) half of rt0 is symmetric
+            # (antisymmetric), so each half feeds only the real part of
+            # unit * sum, and rho_e[0,0] needs one row per half.
             upper = np.triu(np.ones((dim, dim), dtype=bool), 1)
             rows, targets = [], []
-            for a, b, unit, w in self._weighted(rho0):
-                if a != b or unit == 1.0:
-                    states[:, a, b] += unit * np.trace(w)
+            for b, unit, w in weighted:
+                if b or unit == 1.0:
+                    states[:, 0, b] += unit * np.trace(w)
                     rows.append((w + w.T)[upper])
-                    targets.append((a, b, unit, np.real))
-                if a != b or unit == 1j:
+                    targets.append((b, unit, np.real))
+                if b or unit == 1j:
                     rows.append((w - w.T)[upper])
-                    targets.append((a, b, 1j * unit, np.imag))
+                    targets.append((b, 1j * unit, np.imag))
                 del w  # before the generator forms the next one
             h = grid.t_max / grid.n_steps
             # halved, so the difference is finite whenever max|L| t_max is;
@@ -286,33 +299,26 @@ class SpectralPropagator:
             half = 0.5 * h * self.eigenvalues
             sums = _uniform_phase_sums(rows, 2.0 * np.fmod(
                 np.subtract.outer(half, half)[upper], np.pi), n_points)
-            for (a, b, unit, part), f in zip(targets, sums):
-                states[:, a, b] += unit * part(f)
+            for (b, unit, part), f in zip(targets, sums):
+                states[:, 0, b] += unit * part(f)
+        states[:, 1, 1] = trace - states[:, 0, 0]
         states[:, 1, 0] = states[:, 0, 1].conj()
         return ReducedTrajectory(grid, states)
 
-    def _weighted(self, rho0: ProductState):
-        """Yield (a, b, unit, W_ab) for (a, b) = (0,0), (1,1), (0,1): the
-        real weights of Re rt0 with unit 1, then those of Im rt0 with unit
-        1j when rho_e is complex. One W is alive at a time: W_11 is written
-        over W_00, so a caller must be done with each W before it asks for
-        the next. Q_00 + Q_11 = V^T V = I, so W_11 = diag(rt0) - W_00 and
-        only Q_00 and Q_01 take a product."""
+    def _weighted(self, halves: list[tuple[complex, np.ndarray]]):
+        """Yield (b, unit, W_0b) for b = 0, 1 and each half (unit, rt0) of
+        ``_rotated``: the real weights of rho_e[0,b]; rho_e[1,1] and
+        rho_e[1,0] need none (``reduced_trajectory``). One W is alive at a
+        time, so a caller must be done with each W before it asks for the
+        next."""
         v = self.eigenvectors
         half = v.shape[0] // 2
-        diagonal = np.diag_indices(v.shape[0])
-        for unit, rt0 in self._rotated(rho0):
-            w = v[:half].T @ v[:half]
-            w *= rt0
-            yield 0, 0, unit, w
-            np.negative(w, out=w)
-            w[diagonal] += np.diagonal(rt0)
-            yield 1, 1, unit, w
-            del w
-            w = v[:half].T @ v[half:]
-            w *= rt0
-            yield 0, 1, unit, w
-            del w
+        for unit, rt0 in halves:
+            for b in (0, 1):
+                w = v[:half].T @ v[b * half:(b + 1) * half]
+                w *= rt0
+                yield b, unit, w
+                del w
 
     def _rotated(self, rho0: ProductState) -> list[tuple[complex, np.ndarray]]:
         """rt0 = V^T rho0 V as [(1, Re rt0)], plus (1j, Im rt0) when
@@ -351,22 +357,27 @@ class SpectralPropagator:
 
     def _gibbs_block(self, rho0: ProductState, c: int) -> np.ndarray:
         """G_c = sqrt(p) o V_c: the electronic row block c of V, each row
-        scaled by the square root of its bath weight; (dim/2) x dim."""
+        scaled by the square root of its bath weight, without the rows of
+        weight zero; k x dim for the k nonzero weights (k = 1 for a
+        ground-state bath)."""
         half = self.eigenvectors.shape[0] // 2
-        return (np.sqrt(rho0.weights)[:, None]
-                * self.eigenvectors[c * half:(c + 1) * half])
+        rows = np.flatnonzero(rho0.weights)
+        g = self.eigenvectors[c * half + rows]
+        g *= np.sqrt(rho0.weights[rows])[:, None]
+        return g
 
     def factor(self, rho0: ProductState) -> np.ndarray:
         """G with V^T rho0 V = G G^H, from the closed-form eigenpairs
         (lambda_j, u_j) of the 2x2 rho_e of rho0 = rho_e x diag(p).
 
         With the Gibbs blocks G_c, the block of G of u_j is
-        sqrt(lambda_j) (u_j[0] G_0 + u_j[1] G_1)^T: dim/2 columns per kept
-        lambda_j and no LAPACK call. Only eigenvalues above rank precision,
-        lambda > 2 eps max lambda, are kept. That also drops a negative one
-        of float noise, which ``ProductState`` admits down to
-        -POSITIVITY_TOL, so G G^H differs from V^T rho0 V by at most
-        POSITIVITY_TOL in trace norm. G is real when rho_e is.
+        sqrt(lambda_j) (u_j[0] G_0 + u_j[1] G_1)^T: one column per kept
+        lambda_j and nonzero bath weight (dim/2 for a thermal bath, 1 for
+        a ground-state bath) and no LAPACK call. Only eigenvalues above
+        rank precision, lambda > 2 eps max lambda, are kept. That also
+        drops a negative one of float noise, which ``ProductState`` admits
+        down to -POSITIVITY_TOL, so G G^H differs from V^T rho0 V by at
+        most POSITIVITY_TOL in trace norm. G is real when rho_e is.
         """
         if rho0.layout != self.model.layout:
             raise ValueError("rho0 layout does not match model")

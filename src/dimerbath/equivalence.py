@@ -14,10 +14,10 @@ ladder over an explicit n_max list.
 state of a product initial state. It never forms the dense rho(0): it
 rebuilds rho(t) = F F^H at every grid time from the propagator's factor
 V^T rho(0) V = G G^H, with F = V (exp(-i L t) o G), in 2 dim^3
-multiply-adds per grid time for a pure rho_e (one real product for F, one
-syrk for Re rho(t), one product for Im rho(t)), against 4 dim^3 for
-V X V^T. Per grid time it then takes two partial traces, one factor
-permutation and one eigvalsh of the explicit defect.
+multiply-adds per grid time for a pure rho_e and a thermal bath (one
+real product for F, one syrk for Re rho(t), one product for Im rho(t)),
+against 4 dim^3 for V X V^T. Per grid time it then takes two partial
+traces, one factor permutation and one eigvalsh of the explicit defect.
 """
 
 from __future__ import annotations
@@ -181,10 +181,10 @@ def factorization_check(model: TotalModel, rho0: ProductState,
     [Re | Im] (dim^2 2r multiply-adds), and rho(t) = F F^H is
     Re F Re F^T + Im F Im F^T, one symmetric rank-2r update (syrk,
     dim^2 r), plus i (A - A^T) with A = Im F Re F^T (dim^2 r). For a pure
-    rho_e (r = dim/2) that is 2 dim^3 per grid time. Per grid time the
-    check then takes two partial traces, one factor permutation, and one
-    eigvalsh of the explicit defect, from which rho_rest x rho_B is
-    subtracted in place by broadcasting.
+    rho_e and a thermal bath (r = dim/2) that is 2 dim^3 per grid time.
+    Per grid time the check then takes two partial traces, one factor
+    permutation, and one eigvalsh of the explicit defect, from which
+    rho_rest x rho_B is subtracted in place by broadcasting.
     """
     fock_index = [i + 1 for i, lbl in enumerate(model.bath_partition)
                   if lbl == CENTER_OF_MASS_B]

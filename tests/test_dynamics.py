@@ -200,6 +200,29 @@ class TestReducedTrajectory:
             direct = partial_trace_matrix(full, model.layout.dims, [0])
             assert np.abs(traj.states[k] - direct).max() < 1e-12
 
+    @pytest.mark.parametrize("fft", [False, True])
+    def test_ground_state_bath_matches_direct_evolution(
+            self, params, mode, monkeypatch, fft):
+        # at beta = inf one bath weight of 16 is nonzero, and only its rows
+        # of V enter rt0 and the factor; a complex rho_e0 of rank 2 runs
+        # both halves of rt0
+        if fft:
+            force_fft(monkeypatch)
+        rho_e0 = random_density(2, np.random.default_rng(7))
+        model = build_independent_local(params, [mode], 4)
+        rho0 = initial_state(
+            DensityMatrix(SpaceLayout.electronic_only(), rho_e0), model,
+            ThermalSpec(beta=np.inf))
+        assert np.count_nonzero(rho0.weights) == 1
+        prop = SpectralPropagator(model)
+        assert prop.factor(rho0).shape == (model.layout.total_dim, 2)
+        grid = TimeGrid(t_max=12.0, n_steps=40)
+        traj = prop.reduced_trajectory(rho0, grid)
+        for k in (0, 7, 20, 40):
+            full = evolve(prop, rho0, grid.points[k]).matrix
+            direct = partial_trace_matrix(full, model.layout.dims, [0])
+            assert np.abs(traj.states[k] - direct).max() < 1e-12
+
     def test_lower_coherence_is_exact_conjugate(self, small_model, rho0):
         traj = SpectralPropagator(small_model).reduced_trajectory(
             rho0, TimeGrid(t_max=9.0, n_steps=30))
@@ -308,8 +331,10 @@ class TestReducedTrajectory:
             ReducedTrajectory(grid, states(-2e-10))
 
     def test_trace_defect_of_propagator_rejected(self, small_model):
-        # eigenvectors off unit norm by 1e-6 scale rho_e by (1 + 1e-6)^4; a
-        # mixed state keeps the populations positive after any clean-up
+        # eigenvectors off unit norm by 1e-6 scale rt0, and so its trace
+        # and rho_e[0,0] + rho_e[1,1], by (1 + 1e-6)^2; a mixed state keeps
+        # the populations positive after any clean-up. Taking rho_e[1,1]
+        # as 1 - rho_e[0,0] would hide the defect
         mixed = DensityMatrix(SpaceLayout.electronic_only(),
                               np.diag([0.6, 0.4]).astype(complex))
         rho0 = initial_state(mixed, small_model, ThermalSpec(beta=1.0))
@@ -318,30 +343,69 @@ class TestReducedTrajectory:
         with pytest.raises(TrajectoryError, match="off unit trace at t=0$"):
             prop.reduced_trajectory(rho0, TimeGrid(t_max=1.0, n_steps=4))
 
+    def test_trace_defect_of_propagator_rejected_by_fft_kernel(
+            self, small_model, monkeypatch):
+        force_fft(monkeypatch)
+        self.test_trace_defect_of_propagator_rejected(small_model)
+
+    @pytest.mark.parametrize("complex_state", [False, True])
+    @pytest.mark.parametrize("chunk_points, chunks", [(None, 1), (7, 6)])
+    def test_two_weight_matrices_per_half(self, small_model, monkeypatch,
+                                          complex_state, chunk_points, chunks):
+        # rho_e[1,1] comes from the trace: W_00 and W_01 per half of rt0,
+        # each contracted once per chunk of the 41-point grid
+        calls = []
+        kernel = dynamics._phase_sum
+        monkeypatch.setattr(dynamics, "_phase_sum",
+                            lambda *args: calls.append(1) or kernel(*args))
+        if chunk_points:
+            monkeypatch.setattr(dynamics, "PHASE_CHUNK_ELEMENTS",
+                                chunk_points * small_model.layout.total_dim)
+        rho_e0 = (random_density(2, np.random.default_rng(7)) if complex_state
+                  else np.diag([1.0, 0.0]))
+        rho0 = initial_state(DensityMatrix(SpaceLayout.electronic_only(),
+                                           rho_e0), small_model,
+                             ThermalSpec(1.0))
+        SpectralPropagator(small_model).reduced_trajectory(
+            rho0, TimeGrid(t_max=12.0, n_steps=40))
+        assert len(calls) == (4 if complex_state else 2) * chunks
+
+
+FACTOR_STATES = [
+    (np.diag([1.0, 0.0]), 1),
+    (np.diag([0.0, 1.0]), 1),
+    (np.full((2, 2), 0.5), 1),
+    (np.eye(2) / 2, 2),  # degenerate: no eigenvector is preferred
+    (np.outer([0.6, 0.8j], [0.6, -0.8j]), 1),
+    (np.array([[0.3, 0.1 + 0.2j], [0.1 - 0.2j, 0.7]]), 2),
+]
+
 
 class TestFactor:
-    @pytest.mark.parametrize("rho_e, rank", [
-        (np.diag([1.0, 0.0]), 1),
-        (np.diag([0.0, 1.0]), 1),
-        (np.full((2, 2), 0.5), 1),
-        (np.eye(2) / 2, 2),  # degenerate: no eigenvector is preferred
-        (np.outer([0.6, 0.8j], [0.6, -0.8j]), 1),
-        (np.array([[0.3, 0.1 + 0.2j], [0.1 - 0.2j, 0.7]]), 2),
-    ])
+    @pytest.mark.parametrize("rho_e, rank", FACTOR_STATES)
     def test_product_state_factor_gives_rotated_state(self, params, mode,
-                                                      rho_e, rank):
+                                                      rho_e, rank,
+                                                      beta=1.0):
         model = build("independent", params, [mode], 4)
         rho0 = initial_state(
             DensityMatrix(SpaceLayout.electronic_only(), rho_e), model,
-            ThermalSpec(beta=1.0))
+            ThermalSpec(beta=beta))
         prop = SpectralPropagator(model)
         g = prop.factor(rho0)
         v = prop.eigenvectors
         dim = model.layout.total_dim
-        assert g.shape == (dim, rank * dim // 2)
+        # one column per kept eigenvalue of rho_e and nonzero bath weight
+        assert g.shape == (dim, rank * np.count_nonzero(rho0.weights))
         assert np.iscomplexobj(g) == np.iscomplexobj(rho0.electronic.matrix)
         np.testing.assert_allclose(g @ g.conj().T, v.T @ rho0.matrix @ v,
                                    rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("rho_e, rank", FACTOR_STATES)
+    def test_ground_state_bath_factor(self, params, mode, rho_e, rank):
+        # a ground-state bath has one nonzero weight: one column per kept
+        # eigenvalue of rho_e
+        self.test_product_state_factor_gives_rotated_state(
+            params, mode, rho_e, rank, beta=np.inf)
 
 
 class TestWorkingSet:
@@ -471,6 +535,26 @@ class TestFFTKernel:
         assert grid.n_steps + 1 >= dynamics.FFT_MIN_POINTS
         SpectralPropagator(model).reduced_trajectory(rho0, grid)
         assert calls == ([1] if fft else [])
+
+    @pytest.mark.parametrize("complex_state, n_rows", [(False, 3), (True, 6)])
+    def test_rows_per_weight_matrix(self, small_model, monkeypatch,
+                                    complex_state, n_rows):
+        # one row for rho_e[0,0] and two for rho_e[0,1] per half of rt0; no
+        # row for rho_e[1,1], which comes from the trace
+        force_fft(monkeypatch)
+        counts = []
+        kernel = dynamics._uniform_phase_sums
+        monkeypatch.setattr(dynamics, "_uniform_phase_sums",
+                            lambda rows, *args: counts.append(len(rows))
+                            or kernel(rows, *args))
+        rho_e0 = (random_density(2, np.random.default_rng(7)) if complex_state
+                  else np.diag([1.0, 0.0]))
+        rho0 = initial_state(DensityMatrix(SpaceLayout.electronic_only(),
+                                           rho_e0), small_model,
+                             ThermalSpec(1.0))
+        SpectralPropagator(small_model).reduced_trajectory(
+            rho0, TimeGrid(t_max=12.0, n_steps=40))
+        assert counts == [n_rows]
 
     def test_matches_direct_evolution(self, small_model, rho0, monkeypatch):
         force_fft(monkeypatch)
