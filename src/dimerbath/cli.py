@@ -295,6 +295,8 @@ def parse_config(text: str) -> RunConfig:
         e.fail("task.n_max_list",
                "must be a strictly ascending list of integers >= 2")
     threshold = e.get("task.threshold", _finite, 1e-6)
+    if threshold <= 0:
+        e.fail("task.threshold", "must be positive")
 
     out_dir = e.get("output.directory", str, ".")
     basename = e.get("output.basename", str, required=True)

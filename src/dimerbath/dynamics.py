@@ -40,40 +40,19 @@ evaluate the phase sum, chosen by dim and grid length:
 * longer grids from dim FFT_MIN_DIM up use that the grid is uniform,
   t_k = k h: the sum is a non-uniform DFT of the dim (dim - 1) / 2
   frequencies L_m - L_n (m < n), evaluated by binning each phase
-  (L_m - L_n) h onto the nearest point of an FFT grid of size
-  M >= n_points and correcting the offset
+  (L_m - L_n) h onto the nearest point of an FFT grid of M points, the
+  smallest power of two >= n_points, and correcting the offset
   |delta| <= pi / M with a Taylor series, one real FFT per term and weight
   row (Anderson & Dahleh, SIAM J. Sci. Comput. 17, 913 (1996); Dutt &
   Rokhlin, SIAM J. Sci. Comput. 14, 1368 (1993)):
   O(dim^2 terms + terms M log M). With b = (n_points - 1) pi / M <= pi and
   R + 1 terms, the truncation error of a row of weights w is at most
   sum|w| b^(R+1) / (R+1)! e^b; R + 1 is the smallest count that makes
-  b^(R+1) / (R+1)! e^b <= 1e-17, about 31 at b = pi. An FFT grid of
-  4 n_points (b = pi / 4, 18 terms) costs 1.4 times as much at dim 392
-  and 20001 points.
+  b^(R+1) / (R+1)! e^b <= 1e-17, about 31 at b = pi.
 
-Time of ``reduced_trajectory``, GEMM kernel / FFT kernel, one BLAS thread
-(2-core host, numpy 2.4 / OpenBLAS 0.3.31, shared model of one bath mode
-at beta = 1, best of three, "-" not measured); above 1 the FFT kernel is
-faster:
-
-    dim | n_points  201   501  1001  2001  5001  10^5  10^6
-       4           0.12  0.12  0.16  0.19  0.26  0.28  0.22
-      12           0.15  0.19  0.24  0.27  0.35  0.50  0.39
-      24           0.19  0.26  0.34  0.43  0.63  0.91  0.68
-      50           0.30  0.58  0.65  0.87  1.57  1.86  1.05
-     392           0.51  1.04  1.59  2.51  8.44  19.5     -
-    1250           0.43  0.64  1.25  1.87  4.31     -     -
-
-At 10^6 points the FFT kernel takes 4.2 to 4.9 s from dim 4 to dim 50,
-because its terms M log M part does not shrink with dim; the GEMM kernel
-takes 0.9-1.0 s at dim 4 and 4.4-6.4 s at dim 50, so at dim 50 the FFT
-kernel wins by 1.05 to 1.5.
-
-The two kernels agree to 3.5e-14 on a 20001-point grid at dim 392 with
-t_max = 1000; against a full-state propagation whose phases are reduced in
-long double, the GEMM kernel is within 6.0e-15 and the FFT kernel within
-1.4e-14 at t = 1000.
+README.md ("Propagation kernels") has the timings of both kernels by dim
+and grid length, from which FFT_MIN_POINTS and FFT_MIN_DIM are set, and
+their agreement with each other and with a long-double reference.
 """
 
 from __future__ import annotations
@@ -92,9 +71,9 @@ from .spaces import POSITIVITY_TOL, ProductState, lowest_eigenvalues
 PHASE_CHUNK_ELEMENTS = 1 << 20
 
 # grids of at least FFT_MIN_POINTS points at dim FFT_MIN_DIM or more take
-# the FFT phase sum. In the module docstring's table it wins at every
-# length from 5001 points at dim 50 and up (and from 1001 points at dims
-# 392 and 1250), and below dim 50 loses at every length. Every bundled
+# the FFT phase sum. In README's kernel table it wins at every length
+# from 5001 points at dim 50 and up (and from 1001 points at dims 392 and
+# 1250), and below dim 50 loses at every length. Every bundled
 # config and every benchmark workload but long_trajectory (dim 392) stays
 # on the GEMM kernel.
 FFT_MIN_POINTS = 2048
@@ -427,14 +406,15 @@ def _uniform_phase_sums(rows: list[np.ndarray], x: np.ndarray,
     """f[r, k] = sum_p rows[r, p] exp(-i x_p k) for k < n_points.
 
     Each phase x_p is binned to the nearest point 2 pi j_p / M of an FFT grid
-    of M >= n_points points, leaving |delta_p| = |x_p - 2 pi j_p / M| <= pi / M;
-    then f[r, k] = sum_s (-i k)^s / s! F_s[k], where F_s is the DFT of the
-    binned weights rows[r] delta^s. The weights are real, so F_s[k] for
-    k > M / 2 is the conjugate of F_s[M - k]. Terms are streamed: one grid of
-    M points per term and row, never all terms at once. The arrays in
-    ``rows`` are overwritten.
+    of M points, the smallest power of two >= n_points, leaving
+    |delta_p| = |x_p - 2 pi j_p / M| <= pi / M; then
+    f[r, k] = sum_s (-i k)^s / s! F_s[k], where F_s is the DFT of the binned
+    weights rows[r] delta^s. The weights are real, so F_s[k] for k > M / 2
+    is the conjugate of F_s[M - k], added to f straight from the half
+    spectrum. Terms are streamed: one grid of M points per term and row,
+    never all terms at once. The arrays in ``rows`` are overwritten.
     """
-    m = _fft_size(n_points)
+    m = 1 << (n_points - 1).bit_length()
     u = x * (m / (2.0 * np.pi))
     bins = np.rint(u)
     u -= bins  # delta M / (2 pi), in [-1/2, 1/2]
@@ -459,27 +439,10 @@ def _uniform_phase_sums(rows: list[np.ndarray], x: np.ndarray,
         for row, w in zip(out, rows):
             spec = np.fft.rfft(np.bincount(bins, w, minlength=m))
             if n_points > half:
-                spec = np.concatenate(
-                    (spec, spec[m - n_points + 1:m - half + 1][::-1].conj()))
-            row += coef * spec[:n_points]
+                row[half:] += coef[half:] * (
+                    spec[m - n_points + 1:m - half + 1][::-1].conj())
+            row[:half] += coef[:half] * spec[:n_points]
     return out
-
-
-def _fft_size(n: int) -> int:
-    """Smallest 2^a 3^b 5^c >= n: numpy's FFT is fastest at 5-smooth sizes
-    (an rfft of 20250 points takes 0.50 ms, of 20001 points 0.90 ms)."""
-    best = 1 << (n - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            p = p35
-            while p < n:
-                p *= 2
-            best = min(best, p)
-            p35 *= 3
-        p5 *= 5
-    return best
 
 
 def evolve_reduced(model: TotalModel, rho0: ProductState,

@@ -172,13 +172,19 @@ class ProductState:
         return m
 
 
-def lowest_eigenvalues(s: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of each Hermitian 2x2 [[p1, c], [c*, p2]] in s.
-
-    Closed form (p1 + p2) / 2 - hypot((p1 - p2) / 2, |c|), no LAPACK call.
-    """
+def eigenvalues_2x2(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(smaller, larger) eigenvalue of each Hermitian 2x2 [[p1, c], [c*, p2]]
+    in s: m -+ r with m = (p1 + p2) / 2 and r = hypot((p1 - p2) / 2, |c|),
+    in closed form with no LAPACK call."""
     p1, p2 = s[:, 0, 0].real, s[:, 1, 1].real
-    return 0.5 * (p1 + p2) - np.hypot(0.5 * (p1 - p2), np.abs(s[:, 0, 1]))
+    m = 0.5 * (p1 + p2)
+    r = np.hypot(0.5 * (p1 - p2), np.abs(s[:, 0, 1]))
+    return m - r, m + r
+
+
+def lowest_eigenvalues(s: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of each Hermitian 2x2 in s (``eigenvalues_2x2``)."""
+    return eigenvalues_2x2(s)[0]
 
 
 def annihilation_matrix(n_max: int) -> Operator:

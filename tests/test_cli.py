@@ -604,6 +604,22 @@ class TestMain:
         assert (tmp_path / "out.csv").exists()
         assert os.environ["OMP_NUM_THREADS"] == "1"
 
+    @pytest.mark.parametrize("threshold", ["0", "-1"])
+    def test_non_positive_threshold_is_config_error(self, tmp_path, capsys,
+                                                    threshold):
+        out = tmp_path / "out"
+        path = tmp_path / "run.cfg"
+        path.write_text(config_text(task__kind="compare",
+                                    task__compare_with="independent",
+                                    task__threshold=threshold,
+                                    output__directory=str(out)))
+        line = path.read_text().splitlines().index(
+            f"task.threshold = {threshold}") + 1
+        assert main([str(path), "--threads", "1"]) == 2
+        assert capsys.readouterr().err == (
+            f"config-error: task.threshold (line {line}): must be positive\n")
+        assert not out.exists()
+
     def test_negative_threads_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text(config_text())

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import evolve, random_density, unitary
 from dimerbath import dynamics
@@ -20,6 +22,7 @@ from dimerbath.models import (
     ElectronicParams,
     ModeSpec,
     build,
+    build_correlated_alpha,
     build_independent_local,
     build_shared_anticorrelated,
 )
@@ -256,20 +259,11 @@ class TestReducedTrajectory:
 
     @pytest.mark.parametrize("omega, g", [(1.0, 0.2), (0.8, 0.3)])
     def test_pure_dephasing_matches_closed_form(self, omega, g):
-        # j = 0, ground-state bath: the sites displace the shared mode by
-        # -+g/omega, and the independent-boson closed form is
-        # rho12(t) = 1/2 e^{-i (eps1 - eps2) t} e^{-d^2 (1 - cos omega t)}
-        # with d = 2 g / omega
-        p = ElectronicParams(0.25, -0.25, 0.0)
-        model = build_shared_anticorrelated(p, [ModeSpec(omega, g)], 16)
-        plus = DensityMatrix(SpaceLayout.electronic_only(),
-                             np.full((2, 2), 0.5))
-        rho0 = initial_state(plus, model, ThermalSpec(beta=np.inf))
-        grid = TimeGrid(t_max=50.0, n_steps=200)
-        t = grid.points
-        exact = 0.5 * np.exp(-1j * (p.eps1 - p.eps2) * t
-                             - (2 * g / omega) ** 2 * (1 - np.cos(omega * t)))
-        rho12 = SpectralPropagator(model).reduced_trajectory(rho0, grid).rho12
+        # ground-state bath: the sites displace the shared mode by -+g/omega
+        model = build_shared_anticorrelated(DEPHASING, [ModeSpec(omega, g)],
+                                            16)
+        exact = independent_boson_rho12(np.inf, [(omega, g, 1.0, -1.0)])
+        rho12 = dephasing_rho12(model, np.inf)
         assert np.abs(rho12 - exact).max() < 1e-12
         # rho12 = <1|rho|2>: the conjugate phase is far off
         assert np.abs(rho12 - exact.conj()).max() > 0.5
@@ -461,6 +455,91 @@ class TestWorkingSet:
         assert len(report.max_distances) == 2
 
 
+DEPHASING = ElectronicParams(0.25, -0.25, 0.0)  # j = 0: pure dephasing
+DEPHASING_GRID = TimeGrid(t_max=50.0, n_steps=200)
+
+
+def independent_boson_rho12(beta: float, factors) -> np.ndarray:
+    """rho12(t) on DEPHASING_GRID of the plus state under DEPHASING.
+
+    Each Fock factor (omega, g, c1, c2) couples as g (c1 |1><1| + c2 |2><2|)
+    (a + a^dag) to a mode of frequency omega in a Gibbs state at beta. The
+    independent-boson closed form, with d = (c1 - c2) g / omega, is
+    rho12(t) = rho12(0) e^{-i (eps1 - eps2) t}
+               prod_k exp(-d^2 coth(beta omega / 2) (1 - cos omega t))
+                 exp(i (c1^2 - c2^2) (g / omega)^2 (omega t - sin omega t)).
+    """
+    t = DEPHASING_GRID.points
+    log = -1j * (DEPHASING.eps1 - DEPHASING.eps2) * t
+    for omega, g, c1, c2 in factors:
+        d = (c1 - c2) * g / omega
+        coth = 1.0 / np.tanh(0.5 * beta * omega)  # 1 at beta = inf
+        log = (log - d**2 * coth * (1.0 - np.cos(omega * t))
+               + 1j * (c1**2 - c2**2) * (g / omega)**2
+               * (omega * t - np.sin(omega * t)))
+    return 0.5 * np.exp(log)
+
+
+def dephasing_rho12(model, beta: float) -> np.ndarray:
+    """rho12(t) of the model from the plus state on DEPHASING_GRID."""
+    plus = DensityMatrix(SpaceLayout.electronic_only(), np.full((2, 2), 0.5))
+    rho0 = initial_state(plus, model, ThermalSpec(beta))
+    return SpectralPropagator(model).reduced_trajectory(
+        rho0, DEPHASING_GRID).rho12
+
+
+class TestThermalDephasing:
+    """Thermal baths at j = 0 against ``independent_boson_rho12``: the error
+    must shrink from the coarse to the fine truncation and meet a tolerance
+    at the fine one, and the conjugate closed form stays far off."""
+
+    @staticmethod
+    def check(coarse, fine, beta, factors, tol):
+        exact = independent_boson_rho12(beta, factors)
+        rho12 = [dephasing_rho12(m, beta) for m in (coarse, fine)]
+        errors = [np.abs(r - exact).max() for r in rho12]
+        assert errors[1] < errors[0]
+        assert errors[1] < tol
+        assert np.abs(rho12[1] - exact.conj()).max() > 0.5
+
+    # measured at n_max 24 -> 32: 2.0e-9 -> 1.1e-12, 8.8e-7 -> 4.7e-9 and
+    # 2.7e-7 -> 2.0e-9
+    @pytest.mark.parametrize("omega, g, beta, tol", [
+        (1.0, 0.2, 1.0, 1e-11), (0.8, 0.3, 1.0, 1e-8), (1.3, 0.1, 0.5, 1e-8)])
+    def test_shared_mode(self, omega, g, beta, tol):
+        mode = [ModeSpec(omega, g)]
+        self.check(*(build_shared_anticorrelated(DEPHASING, mode, n)
+                     for n in (24, 32)),
+                   beta, [(omega, g, 1.0, -1.0)], tol)
+
+    # measured at n_max 16 -> 20: 2.4e-6 to 2.6e-6 -> 5.2e-8 to 5.6e-8
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, -0.3])
+    def test_correlated_mode(self, mode, alpha):
+        self.check(*(build_correlated_alpha(DEPHASING, [mode], n, alpha)
+                     for n in (16, 20)),
+                   1.0, [(mode.omega, mode.g, 1.0, alpha),
+                         (mode.omega, mode.g, alpha, 1.0)], 1e-7)
+
+    # measured at n_max 16 -> 20: 8.8e-6 -> 2.5e-7
+    def test_independent_mode(self, mode):
+        s = np.sqrt(2.0)
+        self.check(*(build_independent_local(DEPHASING, [mode], n, s)
+                     for n in (16, 20)),
+                   1.0, [(mode.omega, mode.g, s, 0.0),
+                         (mode.omega, mode.g, 0.0, s)], 5e-7)
+
+    # n_max 40: the Gibbs tail exp(-beta omega n_max) is at most 2.7e-14;
+    # the largest error, at the corner (0.8, 0.3, 1), is 1.3e-11
+    @settings(max_examples=30, deadline=None)
+    @given(omega=st.floats(0.8, 1.5), g=st.floats(0.0, 0.3),
+           beta=st.floats(1.0, 5.0))
+    def test_shared_mode_property(self, omega, g, beta):
+        model = build_shared_anticorrelated(DEPHASING, [ModeSpec(omega, g)],
+                                            40)
+        exact = independent_boson_rho12(beta, [(omega, g, 1.0, -1.0)])
+        assert np.abs(dephasing_rho12(model, beta) - exact).max() < 5e-11
+
+
 def force_fft(monkeypatch):
     """Send every grid at every dim to the FFT kernel."""
     monkeypatch.setattr(dynamics, "FFT_MIN_POINTS", 1)
@@ -492,6 +571,27 @@ class TestFFTKernel:
         gemm, fft = both_kernels(SpectralPropagator(model), rho0,
                                  TimeGrid(t_max=40.0, n_steps=300),
                                  monkeypatch)
+        assert np.abs(fft.states - gemm.states).max() < 1e-12
+
+    @pytest.mark.parametrize("n_points, m", [
+        (2048, 2048),  # M = n_points: the upper half is mirrored
+        (2049, 4096),  # n_points = M / 2 + 1: no mirrored half
+        (3000, 4096)])  # mirrored half again
+    def test_power_of_two_grid(self, params, mode, monkeypatch, n_points, m):
+        sizes = set()
+        rfft = np.fft.rfft
+        monkeypatch.setattr(np.fft, "rfft",
+                            lambda a: sizes.add(a.size) or rfft(a))
+        model = build("independent", params, [mode], 6)
+        rho0 = initial_state(
+            DensityMatrix(SpaceLayout.electronic_only(),
+                          random_density(2, np.random.default_rng(5))),
+            model, ThermalSpec(beta=1.0))
+        gemm, fft = both_kernels(SpectralPropagator(model), rho0,
+                                 TimeGrid(t_max=0.1 * n_points,
+                                          n_steps=n_points - 1),
+                                 monkeypatch)
+        assert sizes == {m}
         assert np.abs(fft.states - gemm.states).max() < 1e-12
 
     def test_phase_angles_near_1e4(self, params, mode, monkeypatch):

@@ -10,6 +10,7 @@ from dimerbath.spaces import (
     Operator,
     SpaceLayout,
     annihilation_matrix,
+    eigenvalues_2x2,
     exciton_dim,
     occupation_basis,
     partial_trace_matrix,
@@ -197,3 +198,25 @@ def test_is_hermitian_implies_spectral_norm_bound(seed, dim, log_eps):
     if Operator(SpaceLayout((dim,)), a).is_hermitian():
         assert (np.linalg.norm(a - a.T, 2)
                 <= HERMITICITY_RTOL * np.linalg.norm(a, 2))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-15])
+def test_eigenvalues_2x2_match_eigvalsh(scale):
+    # random Hermitian 2x2, not traceless, plus the zero matrix and a
+    # traceless and a diagonal one
+    rng, n = np.random.default_rng(17), 10000
+    a = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+    s = np.concatenate([a + a.conj().transpose(0, 2, 1), np.zeros((1, 2, 2)),
+                        [[[1.0, 2 - 1j], [2 + 1j, -1.0]]],
+                        [np.diag([3.0, -2.0])]]) * scale
+    low, high = eigenvalues_2x2(s)
+    exact = np.linalg.eigvalsh(s)
+    assert (low <= high).all()
+    # both sides round: measured within 1.3e-15 of the largest entry
+    tol = 4e-15 * np.abs(s).max(axis=(1, 2))
+    assert (np.abs(low - exact[:, 0]) <= tol).all()
+    assert (np.abs(high - exact[:, 1]) <= tol).all()
+    # the trace norm, as equivalence.pointwise_distances takes it
+    norm = np.abs(low) + np.abs(high)
+    assert (np.abs(norm - np.abs(exact).sum(axis=1)) <= 2 * tol).all()
+    assert norm[n] == 0.0
