@@ -256,7 +256,9 @@ def parse_config(text: str) -> RunConfig:
         im12 = e.get("initial.rho12_im", _finite, required=True)
         if not 0 <= rho11 <= 1:
             e.fail("initial.rho11", "population must lie in [0, 1]")
-        if re12**2 + im12**2 > rho11 * (1 - rho11) + 1e-12:
+        # the slack is on the modulus, well inside the 1e-9 with which
+        # ReducedTrajectory bounds |rho12| by sqrt(rho11 rho22)
+        if math.hypot(re12, im12) > math.sqrt(rho11 * (1 - rho11)) + 1e-12:
             e.fail("initial.rho12_re", "coherence violates positivity")
         explicit_rho = (rho11, re12, im12)
 
@@ -393,6 +395,8 @@ def _exit_status(call, *args) -> int:
         label, code, failure = "verification-failure", 1, exc
     except dimerbath.models.DimensionCapError as exc:
         label, code, failure = "resource-cap", 3, exc
+    except MemoryError as exc:  # a backstop behind the caps
+        label, code, failure = "resource-cap", 3, str(exc) or "out of memory"
     print(f"{label}: {failure}", file=sys.stderr)
     return code
 

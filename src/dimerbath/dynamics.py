@@ -10,22 +10,18 @@ rho_e(t) is a sum of dim^2 phase factors exp(-i (L_m - L_n) t) with fixed
 real weights.
 
 The weights come from the product initial state rho(0) = rho_e x diag(p)
-(``spaces.ProductState``). With G_c = sqrt(p) o V_c, the Gibbs-weighted
-electronic row block c of V, rt0 = V^T rho(0) V = sum_cd rho_e[c,d]
-G_c^T G_d; only the Gram products with a nonzero coefficient are formed,
-G_c^T G_c as a symmetric rank-k update: dim^3 / 4 multiply-adds for a
-single site, at most dim^3 for any rho_e, against 2 dim^3 for V^T rho(0) V.
-Bath rows of weight zero are left out of G_c: for a ground-state bath
-G_c is one row. rt0 is real, with a second real half Im rt0 only for a
-complex rho_e. The weight matrices W_ab = Q_ab o rt0 of the elements
+(``spaces.ProductState``), which one map takes into the eigenbasis:
+``SpectralPropagator.factor`` gives G with V^T rho(0) V = G G^H. From it
+``reduced_trajectory`` forms rt0, real, with a second real half Im rt0
+only for a complex rho_e, and ``equivalence.factorization_check``
+rebuilds the full rho(t); neither forms the dense rho(0), and
+``ProductState`` has checked that rho_e, and so rho(0), is positive
+semidefinite. The weight matrices W_ab = Q_ab o rt0 of the elements
 (0,0) and (0,1) come from a generator, one at a time, so beside the
 Hamiltonian, V and rt0 one W is alive. rho_e[1,1] takes no W: since
 Q_00 + Q_11 = V^T V = I and the phases of the diagonal are 1, it is
-tr(rt0) - rho_e[0,0] at every t. The same Gibbs blocks give ``factor``,
-the factor V^T rho(0) V = G G^H from which ``equivalence.factorization_check``
-rebuilds the full rho(t) without the dense rho(0); ``ProductState`` has
-checked that rho_e, and so rho(0), is positive semidefinite. Two kernels
-evaluate the phase sum, chosen by dim and grid length:
+tr(rt0) - rho_e[0,0] at every t. Two kernels evaluate the phase sum,
+chosen by dim and grid length:
 
 * grids shorter than FFT_MIN_POINTS, and every grid below dim FFT_MIN_DIM,
   batch over fixed-size chunks of the time grid as two real matrix
@@ -217,29 +213,40 @@ class SpectralPropagator:
         With rt0 = V^T rho0 V and Q_ab = V_b^T V_a built from the electronic
         row blocks of V,
         rho_e(t)[a,b] = sum_mn rt0[m,n] Q_ab[n,m] exp(-i (L_m - L_n) t).
-        rt0 comes from the product form of rho0 without the dense rho0
-        (``_rotated``). The weights W_ab[m,n] = rt0[m,n] Q_ab[n,m] split into
-        the real matrices of Re rt0 and Im rt0 (the second only for a
-        complex rho_e); the sum is linear in them, so both run through one
-        real kernel. Only (0,0) and (0,1) are contracted, two weight
-        matrices per half: Q_00 + Q_11 = I makes rho_e[1,1] =
-        tr(Re rt0) - rho_e[0,0], set once after either kernel, and
-        rho_e[1,0] is the conjugate of rho_e[0,1]. The trace is that of
-        rt0, not 1, so that a V off orthonormal still fails the unit-trace
-        check of ``ReducedTrajectory``. The weight matrices are formed one
-        at a time (``_weighted``), so one is alive at a time in either
-        kernel. Grids of FFT_MIN_POINTS or more at dim FFT_MIN_DIM or more
-        take the FFT kernel (module docstring); the rest the chunked GEMM
-        kernel. It forms the phases of a one-chunk grid once for all
-        weight matrices; on a longer grid it forms each chunk's phases once
-        per weight matrix, twice per half of rt0.
+        rt0 = G G^H comes from ``factor`` in real arithmetic, with
+        G = Gr + i Gi: Re rt0 = Gr Gr^T + Gi Gi^T is one syrk over [Gr | Gi]
+        (over G alone for a real G), exactly symmetric, and for a complex G
+        Im rt0 = A - A^T with A = Gi Gr^T, exactly antisymmetric, as the FFT
+        kernel needs; [Gr | Gi] is freed before Im rt0 is formed. The
+        weights W_ab[m,n] = rt0[m,n] Q_ab[n,m] split into the real matrices
+        of Re rt0 and Im rt0; the sum is linear in them, so both run through
+        one real kernel. Only (0,0) and (0,1) are contracted, two weight
+        matrices per half: Q_00 + Q_11 = I makes rho_e[1,1] = tr(Re rt0) -
+        rho_e[0,0], set once after either kernel, and rho_e[1,0] is the
+        conjugate of rho_e[0,1]. The trace is that of rt0, not 1, so that a
+        V off orthonormal still fails the unit-trace check of
+        ``ReducedTrajectory``. The weight matrices are formed one at a time
+        (``_weighted``), so one is alive at a time in either kernel. Grids
+        of FFT_MIN_POINTS or more at dim FFT_MIN_DIM or more take the FFT
+        kernel (module docstring); the rest the chunked GEMM kernel. It
+        forms the phases of a one-chunk grid once for all weight matrices;
+        on a longer grid it forms each chunk's phases once per weight
+        matrix, twice per half of rt0.
         """
-        if rho0.layout != self.model.layout:
-            raise ValueError("rho0 layout does not match model")
         dim = self.eigenvectors.shape[0]
         n_points = grid.n_steps + 1
         states = np.zeros((n_points, 2, 2), dtype=np.complex128)
-        halves = self._rotated(rho0)
+        g = self.factor(rho0)  # checks the layout of rho0
+        a = None
+        if np.iscomplexobj(g):
+            r = g.shape[1]
+            g = np.concatenate([g.real, g.imag], axis=1)  # [Gr | Gi]
+            a = g[:, r:] @ g[:, :r].T  # Gi Gr^T
+        halves = [(1.0, g @ g.T)]
+        del g  # before Im rt0 is formed
+        if a is not None:
+            halves.append((1j, a - a.T))
+        del a
         trace = np.trace(halves[0][1])  # Im rt0 has a zero diagonal
         # only the generator holds rt0, which it frees after the last W
         weighted = self._weighted(halves)
@@ -285,8 +292,8 @@ class SpectralPropagator:
         return ReducedTrajectory(grid, states)
 
     def _weighted(self, halves: list[tuple[complex, np.ndarray]]):
-        """Yield (b, unit, W_0b) for b = 0, 1 and each half (unit, rt0) of
-        ``_rotated``: the real weights of rho_e[0,b]; rho_e[1,1] and
+        """Yield (b, unit, W_0b) for b = 0, 1 and each half (unit, Re rt0
+        or Im rt0): the real weights of rho_e[0,b]; rho_e[1,1] and
         rho_e[1,0] need none (``reduced_trajectory``). One W is alive at a
         time, so a caller must be done with each W before it asks for the
         next."""
@@ -299,73 +306,43 @@ class SpectralPropagator:
                 yield b, unit, w
                 del w
 
-    def _rotated(self, rho0: ProductState) -> list[tuple[complex, np.ndarray]]:
-        """rt0 = V^T rho0 V as [(1, Re rt0)], plus (1j, Im rt0) when
-        Im rho_e != 0, from the product form rho0 = rho_e x diag(p).
-
-        With G_c = sqrt(p) o V_c, the Gibbs-weighted electronic row block c
-        of V, rt0 = sum_cd rho_e[c,d] G_c^T G_d. Only the Gram products
-        with a nonzero coefficient are formed; G_c^T G_c is a symmetric
-        rank-k update (numpy calls syrk for g.T @ g), and G_1^T G_0 is the
-        transpose of G_0^T G_1. For rho_e = |1><1| that is one product of
-        dim^3 / 4 multiply-adds, against 2 dim^3 for V^T rho0 V; at most
-        dim^3 for any rho_e.
-        """
-        r = rho0.electronic.matrix
-        re = None
-        for c in (0, 1):
-            if r[c, c] != 0:  # unit trace: at least one is nonzero
-                g = self._gibbs_block(rho0, c)
-                gram = g.T @ g
-                gram *= r[c, c].real
-                re = gram if re is None else np.add(re, gram, out=re)
-                del g, gram
-        halves = [(1.0, re)]
-        if r[0, 1] != 0:
-            m = self._gibbs_block(rho0, 0).T @ self._gibbs_block(rho0, 1)
-            if r[0, 1].real != 0:
-                s = m + m.T
-                s *= r[0, 1].real
-                re += s
-                del s
-            if r[0, 1].imag != 0:
-                im = m - m.T
-                im *= r[0, 1].imag
-                halves.append((1j, im))
-        return halves
-
-    def _gibbs_block(self, rho0: ProductState, c: int) -> np.ndarray:
-        """G_c = sqrt(p) o V_c: the electronic row block c of V, each row
-        scaled by the square root of its bath weight, without the rows of
-        weight zero; k x dim for the k nonzero weights (k = 1 for a
-        ground-state bath)."""
-        half = self.eigenvectors.shape[0] // 2
-        rows = np.flatnonzero(rho0.weights)
-        g = self.eigenvectors[c * half + rows]
-        g *= np.sqrt(rho0.weights[rows])[:, None]
-        return g
-
     def factor(self, rho0: ProductState) -> np.ndarray:
         """G with V^T rho0 V = G G^H, from the closed-form eigenpairs
-        (lambda_j, u_j) of the 2x2 rho_e of rho0 = rho_e x diag(p).
+        (lambda_j, u_j) of the 2x2 rho_e of rho0 = rho_e x diag(p): the one
+        map of a product state into the eigenbasis.
 
-        With the Gibbs blocks G_c, the block of G of u_j is
-        sqrt(lambda_j) (u_j[0] G_0 + u_j[1] G_1)^T: one column per kept
-        lambda_j and nonzero bath weight (dim/2 for a thermal bath, 1 for
-        a ground-state bath) and no LAPACK call. Only eigenvalues above
-        rank precision, lambda > 2 eps max lambda, are kept. That also
-        drops a negative one of float noise, which ``ProductState`` admits
-        down to -POSITIVITY_TOL, so G G^H differs from V^T rho0 V by at
-        most POSITIVITY_TOL in trace norm. G is real when rho_e is.
+        With G_c = sqrt(p) o V_c, the Gibbs-weighted electronic row block c
+        of V without the rows of weight zero (k x dim for the k nonzero
+        weights, k = 1 for a ground-state bath), the block of G of u_j is
+        sqrt(lambda_j) (u_j[0] G_0 + u_j[1] G_1)^T: k columns per kept
+        lambda_j and no LAPACK call. A G_c is formed once, and only when
+        some u_j[c] is nonzero. G G^H then takes dim^2 r / 2 multiply-adds
+        for a real G of r columns, one symmetric rank-r update (syrk):
+        dim^3 / 4 for a pure real rho_e and a thermal bath. A complex G
+        takes 2 dim^2 r, up to 2 dim^3 at rank 2, as much as V^T rho0 V.
+        Only eigenvalues above rank precision, lambda > 2 eps max lambda,
+        are kept. That also drops a negative one of float noise, which
+        ``ProductState`` admits down to -POSITIVITY_TOL, so G G^H differs
+        from V^T rho0 V by at most POSITIVITY_TOL in trace norm. G is real
+        when rho_e is.
         """
         if rho0.layout != self.model.layout:
             raise ValueError("rho0 layout does not match model")
         lam, u = _eigh2(rho0.electronic.matrix)
         keep = lam > lam.size * np.finfo(float).eps * lam.max()
         u = u[:, keep] * np.sqrt(lam[keep])
-        return np.concatenate([sum(x * self._gibbs_block(rho0, c)
-                                   for c, x in enumerate(col) if x != 0).T
-                               for col in u.T], axis=1)
+        v = self.eigenvectors
+        half = v.shape[0] // 2
+        rows = np.flatnonzero(rho0.weights)
+        root = np.sqrt(rho0.weights[rows])[:, None]
+        # G^T, one k x dim block per kept eigenvector
+        gt = np.zeros((u.shape[1], rows.size, v.shape[0]), dtype=u.dtype)
+        for c in np.flatnonzero(u.any(axis=1)):
+            block = v[c * half + rows]
+            block *= root
+            for out, x in zip(gt, u[c]):
+                out += x * block
+        return gt.reshape(-1, v.shape[0]).T
 
 
 def _eigh2(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -620,6 +620,41 @@ class TestMain:
             f"config-error: task.threshold (line {line}): must be positive\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("rho11", ["0.0", "1.0"])
+    def test_coherence_of_a_pure_site_state_is_config_error(
+            self, tmp_path, capsys, rho11):
+        # |rho12| = 1e-6 has |rho12|^2 = 1e-12 over rho11 rho22 = 0, but
+        # breaks sqrt(rho11 rho22) by far more than the trajectory's 1e-9
+        out = tmp_path / "out"
+        path = tmp_path / "run.cfg"
+        path.write_text(config_text(initial__electronic_state="explicit",
+                                    initial__rho11=rho11,
+                                    initial__rho12_re="1e-6",
+                                    initial__rho12_im="0",
+                                    output__directory=str(out)))
+        assert main([str(path), "--threads", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config-error: initial.rho12_re (line ")
+        assert err.endswith("coherence violates positivity\n")
+        assert not out.exists()
+
+    def test_allocation_failure_is_resource_cap(self, tmp_path, capsys,
+                                                monkeypatch):
+        # numpy's refusal of an 11.9 GiB Hamiltonian, without allocating it
+        def refuse(*args):
+            raise MemoryError("Unable to allocate 11.9 GiB for an array")
+
+        monkeypatch.setattr(dimerbath.models, "_assemble", refuse)
+        out = tmp_path / "out"
+        path = tmp_path / "run.cfg"
+        path.write_text(config_text(evolution__dim_cap="100000000",
+                                    thermal__n_max_override="20000",
+                                    output__directory=str(out)))
+        assert main([str(path), "--threads", "1"]) == 3
+        assert capsys.readouterr().err == (
+            "resource-cap: Unable to allocate 11.9 GiB for an array\n")
+        assert not out.exists()
+
     def test_negative_threads_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text(config_text())
@@ -785,8 +820,8 @@ def fuzz_entries(draw):
                   "initial__electronic_state": "site1",
                   "task__kind": "alpha_sweep", "task__compare_with": None,
                   "task__alphas": "-1e308, 0.0", "task__n_max_list": None})
-# |rho12|^2 at the CLI's slack of 1e-12 over rho11 rho22: the smallest
-# eigenvalue of rho_e is -9.6e-13, which ProductState must accept
+# |rho12| 9.6e-13 over sqrt(rho11 rho22), inside the CLI's slack of 1e-12:
+# the smallest eigenvalue of rho_e is -9.6e-13, which ProductState must accept
 @example(entries={"bath__kind": "transformed", "bath__alpha": None,
                   "bath__coupling_scale": None, "bath__modes__0__omega": "1.0",
                   "bath__modes__0__g": "0.2", "thermal__beta": "1.0",
@@ -795,6 +830,18 @@ def fuzz_entries(draw):
                   "initial__electronic_state": "explicit",
                   "initial__rho11": "0.5", "initial__rho12_re": "0.3",
                   "initial__rho12_im": "0.4000000000012",
+                  "task__kind": "trajectory", "task__compare_with": None,
+                  "task__alphas": None, "task__n_max_list": None})
+# |rho12| = 1e-6 at rho11 = 0 passed the squared bound at the same slack:
+# a config error, not a failure at t = 0
+@example(entries={"bath__kind": "shared", "bath__alpha": None,
+                  "bath__coupling_scale": None, "bath__modes__0__omega": "1.0",
+                  "bath__modes__0__g": "0.2", "thermal__beta": "1.0",
+                  "thermal__n_max_override": "3", "evolution__t_max": "10.0",
+                  "evolution__n_steps": "20", "evolution__dim_cap": None,
+                  "initial__electronic_state": "explicit",
+                  "initial__rho11": "0.0", "initial__rho12_re": "1e-6",
+                  "initial__rho12_im": "0",
                   "task__kind": "trajectory", "task__compare_with": None,
                   "task__alphas": None, "task__n_max_list": None})
 def test_fuzzed_configs_exit_with_a_documented_code(entries):

@@ -401,6 +401,53 @@ class TestFactor:
         self.test_product_state_factor_gives_rotated_state(
             params, mode, rho_e, rank, beta=np.inf)
 
+    @pytest.mark.parametrize("fft", [False, True])
+    @pytest.mark.parametrize("beta", [1.0, np.inf])
+    @pytest.mark.parametrize("rho_e, rank", FACTOR_STATES)
+    def test_trajectory_from_factor_matches_direct_evolution(
+            self, params, mode, monkeypatch, rho_e, rank, beta, fft):
+        # rt0 = G G^H from the factor, for every kind of rho_e, on both
+        # kernels
+        if fft:
+            force_fft(monkeypatch)
+        model = build("independent", params, [mode], 4)
+        rho0 = initial_state(
+            DensityMatrix(SpaceLayout.electronic_only(), rho_e), model,
+            ThermalSpec(beta=beta))
+        prop = SpectralPropagator(model)
+        grid = TimeGrid(t_max=12.0, n_steps=40)
+        traj = prop.reduced_trajectory(rho0, grid)
+        for k, t in enumerate(grid.points):
+            direct = partial_trace_matrix(evolve(prop, rho0, t).matrix,
+                                          model.layout.dims, [0])
+            assert np.abs(traj.states[k] - direct).max() < 1e-12
+
+    @pytest.mark.parametrize("rho_e, rank", FACTOR_STATES)
+    def test_reduced_trajectory_takes_rt0_from_one_factor(
+            self, small_model, monkeypatch, rho_e, rank):
+        # one factor per trajectory, and halves of rt0 that are exactly
+        # symmetric and antisymmetric, as the FFT kernel needs
+        calls, halves = [], []
+        factor = SpectralPropagator.factor
+        weighted = SpectralPropagator._weighted
+        monkeypatch.setattr(SpectralPropagator, "factor",
+                            lambda self, rho0: calls.append(1)
+                            or factor(self, rho0))
+        monkeypatch.setattr(SpectralPropagator, "_weighted",
+                            lambda self, h: halves.extend(h)
+                            or weighted(self, h))
+        rho0 = initial_state(
+            DensityMatrix(SpaceLayout.electronic_only(), rho_e), small_model,
+            ThermalSpec(beta=1.0))
+        SpectralPropagator(small_model).reduced_trajectory(
+            rho0, TimeGrid(t_max=12.0, n_steps=40))
+        assert len(calls) == 1
+        assert [unit for unit, _ in halves] == (
+            [1.0, 1j] if np.iscomplexobj(rho_e) else [1.0])
+        assert np.array_equal(halves[0][1], halves[0][1].T)
+        for _, im in halves[1:]:
+            assert np.array_equal(im, -im.T)
+
 
 class TestWorkingSet:
     @pytest.mark.parametrize("rho_e, halves", [
@@ -426,12 +473,15 @@ class TestWorkingSet:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # one real dim^2 matrix per half of rt0, one weight matrix W and
-        # two more dim^2 for the Gram products of the set-up and the
-        # kernel's dim x n_points product, plus the phase block (cos and
-        # sin, dim x n_points each): 5.54 dim^2 for a real rho_e, where
-        # this change measures 4.3-4.6 dim^2 and its parent, which formed
-        # all three W at once, 6.1
+        # the kernel holds one real dim^2 matrix per half of rt0, one
+        # weight matrix W and the dim x n_points product (under dim^2
+        # here), plus the phase block (cos and sin, dim x n_points each):
+        # 4.34 dim^2 measured for a real rho_e, 5.34 for a complex one. The
+        # set-up before it peaks at 1.5 dim^2 for site1 and plus (G and
+        # rt0) and at 4.0 for the complex rank-2 state: G (2 dim^2) and
+        # its copy [Re G | Im G], then that copy, Re rt0 and
+        # A = Im G Re G^T, the copy freed before Im rt0 = A - A^T. The
+        # spare dim^2 of the bound covers both
         bound = (3 + halves) * dim ** 2 * 8 + 2 * dim * n_points * 8
         assert peak < bound
 
