@@ -29,7 +29,9 @@ from dataclasses import dataclass, replace
 import dimerbath
 
 TASK_KINDS = ("trajectory", "compare", "alpha_sweep", "convergence")
-INITIAL_STATES = ("site1", "site2", "plus", "explicit")
+# (rho11, Re rho12, Im rho12) of each named initial electronic state
+NAMED_STATES = {"site1": (1.0, 0.0, 0.0), "site2": (0.0, 0.0, 0.0),
+                "plus": (0.5, 0.5, 0.0)}
 
 CSV_HEADER = "time,pop_site1,pop_site2,coh_re,coh_im,coh_abs"
 _CSV_ROW = ",".join(["%.12g"] * 6) + "\n"
@@ -63,8 +65,7 @@ class RunConfig:
     t_max: float
     n_steps: int
     dim_cap: int
-    electronic_state: str
-    explicit_rho: tuple[float, float, float] | None  # rho11, re rho12, im rho12
+    rho_e: tuple[float, float, float]  # rho11, re rho12, im rho12
     task: str
     compare_with: str | None
     alphas: tuple[float, ...]
@@ -247,10 +248,9 @@ def parse_config(text: str) -> RunConfig:
     if dim_cap < 1:
         e.fail("evolution.dim_cap", "must be >= 1")
 
-    electronic_state = e.get("initial.electronic_state",
-                             _one_of(INITIAL_STATES), "site1")
-    explicit_rho = None
-    if electronic_state == "explicit":
+    state = e.get("initial.electronic_state",
+                  _one_of((*NAMED_STATES, "explicit")), "site1")
+    if state == "explicit":
         rho11 = e.get("initial.rho11", _finite, required=True)
         re12 = e.get("initial.rho12_re", _finite, required=True)
         im12 = e.get("initial.rho12_im", _finite, required=True)
@@ -260,7 +260,9 @@ def parse_config(text: str) -> RunConfig:
         # ReducedTrajectory bounds |rho12| by sqrt(rho11 rho22)
         if math.hypot(re12, im12) > math.sqrt(rho11 * (1 - rho11)) + 1e-12:
             e.fail("initial.rho12_re", "coherence violates positivity")
-        explicit_rho = (rho11, re12, im12)
+        rho_e = (rho11, re12, im12)
+    else:
+        rho_e = NAMED_STATES[state]
 
     task = e.get("task.kind", _one_of(TASK_KINDS), required=True)
     if task == "alpha_sweep" and bath_kind != "reduced_effective":
@@ -308,10 +310,9 @@ def parse_config(text: str) -> RunConfig:
         eps1=eps1, eps2=eps2, j=j, bath_kind=bath_kind, alpha=alpha,
         coupling_scale=coupling_scale, modes=modes, ohmic=ohmic, beta=beta,
         tail_tol=tail_tol, n_max_override=n_max_override, t_max=t_max,
-        n_steps=n_steps, dim_cap=dim_cap, electronic_state=electronic_state,
-        explicit_rho=explicit_rho, task=task, compare_with=compare_with,
-        alphas=alphas, n_max_list=n_max_list, threshold=threshold,
-        out_dir=out_dir, basename=basename)
+        n_steps=n_steps, dim_cap=dim_cap, rho_e=rho_e, task=task,
+        compare_with=compare_with, alphas=alphas, n_max_list=n_max_list,
+        threshold=threshold, out_dir=out_dir, basename=basename)
 
 
 def _build_model(config: RunConfig, kind: str, modes, n_max: int):
@@ -323,21 +324,12 @@ def _build_model(config: RunConfig, kind: str, modes, n_max: int):
 
 
 def _initial_electronic(config: RunConfig):
-    import numpy as np
-
     from .spaces import DensityMatrix, SpaceLayout
 
-    if config.electronic_state == "site1":
-        m = np.diag([1.0, 0.0])
-    elif config.electronic_state == "site2":
-        m = np.diag([0.0, 1.0])
-    elif config.electronic_state == "plus":
-        m = np.full((2, 2), 0.5)
-    else:
-        rho11, re12, im12 = config.explicit_rho
-        m = np.array([[rho11, re12 + 1j * im12],
-                      [re12 - 1j * im12, 1.0 - rho11]])
-    return DensityMatrix(SpaceLayout.electronic_only(), m)
+    rho11, re12, im12 = config.rho_e
+    return DensityMatrix(SpaceLayout.electronic_only(),
+                         [[rho11, complex(re12, im12)],
+                          [complex(re12, -im12), 1.0 - rho11]])
 
 
 def _format(value) -> str:

@@ -15,7 +15,7 @@ The weights come from the product initial state rho(0) = rho_e x diag(p)
 ``reduced_trajectory`` forms rt0, real, with a second real half Im rt0
 only for a complex rho_e, and ``equivalence.factorization_check``
 rebuilds the full rho(t); neither forms the dense rho(0), and
-``ProductState`` has checked that rho_e, and so rho(0), is positive
+``DensityMatrix`` has checked that rho_e, and so rho(0), is positive
 semidefinite. The weight matrices W_ab = Q_ab o rt0 of the elements
 (0,0) and (0,1) come from a generator, one at a time, so beside the
 Hamiltonian, V and rt0 one W is alive. rho_e[1,1] takes no W: since
@@ -61,7 +61,7 @@ import numpy as np
 
 # DEFAULT_DIM_CAP is re-exported: models.build checks the cap before assembly
 from .models import DEFAULT_DIM_CAP, DimensionCapError, TotalModel  # noqa: F401
-from .spaces import POSITIVITY_TOL, ProductState, lowest_eigenvalues
+from .spaces import POSITIVITY_TOL, ProductState, eigenvalues_2x2
 
 # (cos, sin) element pairs per (dim x chunk) phase block in reduced_trajectory
 PHASE_CHUNK_ELEMENTS = 1 << 20
@@ -77,6 +77,13 @@ FFT_MIN_DIM = 50
 
 # truncation error of the Taylor series in the FFT phase sum, per unit weight
 FFT_TAYLOR_TOL = 1e-17
+
+# the largest eps max|L| t_max a trajectory may reach. eigh gives each
+# eigenvalue to about eps max|L|, and each angle L t is rounded to eps |L t|,
+# so every phase, and with it every reduced state, is off by up to about
+# eps max|L| t_max. 1e-8 keeps that an order below the 1e-7 certificates of
+# the comparisons; the bundled configs reach at most 5.5e-13.
+PHASE_ROUNDING_TOL = 1e-8
 
 # TimeGrid's point cap: a trajectory run peaks at about 210 bytes per grid
 # point (rabi.cfg through the CLI: 255 MB at 10^6 steps, 849 MB at 4 10^6),
@@ -145,7 +152,7 @@ class ReducedTrajectory:
         tr = np.einsum("kii->k", s).real
         s[:, 0, 0] -= (tr - 1.0) / 2.0
         s[:, 1, 1] -= (tr - 1.0) / 2.0
-        check(lowest_eigenvalues(s) < -POSITIVITY_TOL,
+        check(eigenvalues_2x2(s)[0] < -POSITIVITY_TOL,
               "reduced state not positive semidefinite")
         # the checks above bound any excursion outside [0, 1] by about 1e-10
         for i in (0, 1):
@@ -191,7 +198,8 @@ class SpectralPropagator:
         """cos(L t) and sin(L t): one row per eigenvalue, one column per time.
 
         Raises TrajectoryError, before any phase is formed, when
-        max|L| * max|t| is not finite.
+        max|L| * max|t| is not finite or eps times it exceeds
+        PHASE_ROUNDING_TOL.
         """
         times = np.atleast_1d(times)
         self._check_phase_bound(float(np.abs(times).max()))
@@ -205,6 +213,11 @@ class SpectralPropagator:
             raise TrajectoryError(
                 f"non-finite value of max|eigenvalue| * t = {bound:g}: "
                 "the phases overflow")
+        rounding = np.finfo(float).eps * bound
+        if rounding > PHASE_ROUNDING_TOL:
+            raise TrajectoryError(
+                f"phase rounding eps * max|eigenvalue| * t = {rounding:.3g} "
+                f"exceeds {PHASE_ROUNDING_TOL:g}: the phases lack precision")
 
     def reduced_trajectory(self, rho0: ProductState,
                            grid: TimeGrid) -> ReducedTrajectory:
@@ -233,6 +246,7 @@ class SpectralPropagator:
         on a longer grid it forms each chunk's phases once per weight
         matrix, twice per half of rt0.
         """
+        self._check_phase_bound(grid.t_max)  # before any dim^3 work
         dim = self.eigenvectors.shape[0]
         n_points = grid.n_steps + 1
         states = np.zeros((n_points, 2, 2), dtype=np.complex128)
@@ -262,7 +276,6 @@ class SpectralPropagator:
                     states[chunk, 0, b] += unit * _phase_sum(w, cos, sin)
                 del w  # before the generator forms the next one
         else:
-            self._check_phase_bound(grid.t_max)
             # pair m < n: w[m,n] e^{-i x} + w[n,m] e^{+i x}, x = (L_m - L_n) t,
             # is (w + w^T)[m,n] cos x - i (w - w^T)[m,n] sin x. Q_00 is
             # symmetric and the real (imaginary) half of rt0 is symmetric
@@ -322,7 +335,7 @@ class SpectralPropagator:
         takes 2 dim^2 r, up to 2 dim^3 at rank 2, as much as V^T rho0 V.
         Only eigenvalues above rank precision, lambda > 2 eps max lambda,
         are kept. That also drops a negative one of float noise, which
-        ``ProductState`` admits down to -POSITIVITY_TOL, so G G^H differs
+        ``DensityMatrix`` admits down to -POSITIVITY_TOL, so G G^H differs
         from V^T rho0 V by at most POSITIVITY_TOL in trace norm. G is real
         when rho_e is.
         """

@@ -7,11 +7,11 @@ occupation-number basis, listed by :func:`occupation_basis`. Operators and
 states are stored dense, in float64 when their imaginary part is exactly
 zero and in complex128 otherwise; one converter makes that choice. The
 exception is :class:`ProductState`, the initial state of every evolution:
-a positive semidefinite 2x2 electronic state times a bath state diagonal in
-the occupation basis, stored as the 2x2 factor and one weight per basis
-row. An :class:`Operator` is a Hamiltonian and must be real, as every model
-Hamiltonian is. All values are immutable after construction and all
-operations are pure functions.
+a :class:`DensityMatrix`, the one checked 2x2 electronic state, times a bath
+state diagonal in the occupation basis, stored as the 2x2 factor and one
+weight per basis row. An :class:`Operator` is a Hamiltonian and must be
+real, as every model Hamiltonian is. All values are immutable after
+construction and all operations are pure functions.
 """
 
 from __future__ import annotations
@@ -104,25 +104,27 @@ class Operator:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, unit-trace state tagged with its layout.
-
-    Construction checks trace and Hermiticity (cheap), not positivity.
-    """
+    """The 2x2 electronic state, on ``SpaceLayout.electronic_only()`` only:
+    Hermitian, unit trace and positive semidefinite, its smallest eigenvalue
+    (``eigenvalues_2x2``) no lower than -POSITIVITY_TOL."""
 
     layout: SpaceLayout
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = _as_square(self.matrix, self.layout.total_dim)
+        if self.layout != SpaceLayout.electronic_only():
+            raise LayoutError("an electronic state has the layout (2,), got "
+                              f"{self.layout.dims}")
+        m = _as_square(self.matrix, 2)
         tr = np.trace(m)
         if abs(tr - 1.0) > 1e-9:
             raise ValueError(f"density matrix trace {tr} is not 1")
-        tol = 1e-10 * max(1.0, np.abs(m).max())
-        d = np.conj(m)  # a new array; m.conj() is m itself when m is real
-        d -= m.T  # conj(A - A^dag), in one dim^2 temporary
-        np.abs(d, out=d)
-        if d.real.max() > tol:
+        if np.abs(m - m.conj().T).max() > 1e-10 * max(1.0, np.abs(m).max()):
             raise ValueError("density matrix is not Hermitian")
+        lowest = eigenvalues_2x2(m[None])[0][0]
+        if lowest < -POSITIVITY_TOL:
+            raise ValueError("electronic state is not positive semidefinite: "
+                             f"smallest eigenvalue {lowest:g}")
         object.__setattr__(self, "matrix", m)
 
 
@@ -131,10 +133,10 @@ class ProductState:
     """rho_e x diag(weights): a 2x2 electronic state times a bath state that
     is diagonal in the occupation basis, one weight per basis row.
 
-    Construction checks that rho_e is positive semidefinite, its smallest
-    eigenvalue no lower than -POSITIVITY_TOL, and the weights in O(dim): a
-    1-D array of length dim/2, finite, non-negative and summing to 1. The
-    dense matrix is formed only when ``matrix`` is read.
+    rho_e, a ``DensityMatrix``, has checked itself. Construction checks
+    that the layout's first factor is 2 and the weights, in O(dim): a 1-D
+    array of length dim/2, finite, non-negative and summing to 1. The dense
+    matrix is formed only when ``matrix`` is read.
     """
 
     layout: SpaceLayout
@@ -142,14 +144,9 @@ class ProductState:
     weights: np.ndarray
 
     def __post_init__(self):
-        if (self.electronic.layout != SpaceLayout.electronic_only()
-                or self.layout.dims[0] != 2):
+        if self.layout.dims[0] != 2:
             raise LayoutError("a product state needs a 2x2 electronic factor "
                               "first in its layout")
-        lowest = lowest_eigenvalues(self.electronic.matrix[None])[0]
-        if lowest < -POSITIVITY_TOL:
-            raise ValueError("electronic state is not positive semidefinite: "
-                             f"smallest eigenvalue {lowest:g}")
         w = np.array(self.weights, dtype=np.float64)
         if w.shape != (self.layout.total_dim // 2,):
             raise LayoutError(f"bath weights of shape {w.shape} do not match "
@@ -180,11 +177,6 @@ def eigenvalues_2x2(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m = 0.5 * (p1 + p2)
     r = np.hypot(0.5 * (p1 - p2), np.abs(s[:, 0, 1]))
     return m - r, m + r
-
-
-def lowest_eigenvalues(s: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of each Hermitian 2x2 in s (``eigenvalues_2x2``)."""
-    return eigenvalues_2x2(s)[0]
 
 
 def annihilation_matrix(n_max: int) -> Operator:

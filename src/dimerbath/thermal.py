@@ -81,8 +81,8 @@ def initial_state(rho_e0: DensityMatrix, model: TotalModel,
                   spec: ThermalSpec) -> ProductState:
     """Product state: electronic rho_e0 times the bath Gibbs state, one
     diagonal over the occupation basis, the 1-D kron of the Gibbs weights
-    of each Fock factor. ``ProductState`` checks that rho_e0 is 2x2 and
-    positive semidefinite."""
+    of each Fock factor. rho_e0, a ``DensityMatrix``, is the checked 2x2
+    state; ``ProductState`` checks the weights."""
     weights = np.ones(1)
     for omega in model.factor_frequencies:
         weights = np.kron(weights, gibbs_state(omega, spec.beta, model.n_max))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dimerbath.models import ElectronicParams, ModeSpec
-from dimerbath.spaces import DensityMatrix, SpaceLayout
+from dimerbath.spaces import DensityMatrix, ProductState, SpaceLayout
 
 
 @pytest.fixture
@@ -30,13 +30,13 @@ def unitary(prop, t: float) -> np.ndarray:
     return (v * np.exp(-1j * prop.eigenvalues * t)) @ v.T
 
 
-def evolve(prop, rho0: DensityMatrix, t: float) -> DensityMatrix:
+def evolve(prop, rho0: ProductState, t: float) -> np.ndarray:
     """Full rho(t) under a SpectralPropagator's model: two dense products
     at the total dimension, a reference for the reduced contraction."""
     if rho0.layout != prop.model.layout:
         raise ValueError("rho0 layout does not match model")
     u = unitary(prop, t)
-    return DensityMatrix(prop.model.layout, u @ rho0.matrix @ u.conj().T)
+    return u @ rho0.matrix @ u.conj().T
 
 
 def thermal_occupation(omega: float, beta: float) -> float:

@@ -202,7 +202,7 @@ def test_criterion_7_invariant_suite():
         h = model.hamiltonian.matrix
         e0 = np.einsum("ij,ji->", h, rho0.matrix).real
         e1 = np.einsum("ij,ji->", h,
-                       evolve(prop, rho0, config.t_max).matrix).real
+                       evolve(prop, rho0, config.t_max)).real
         if abs(e1 - e0) > 1e-9 * max(1.0, abs(e0)):
             failures.append(f"{name}: energy conservation")
 

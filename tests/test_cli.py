@@ -66,7 +66,7 @@ class TestParseConfig:
         assert cfg.modes == ((1.0, 0.2),)
         assert math.isinf(cfg.beta)
         assert cfg.n_steps == 20
-        assert cfg.electronic_state == "site1"
+        assert cfg.rho_e == (1.0, 0.0, 0.0)
         assert cfg.task == "trajectory"
 
     def test_comments_and_blank_lines_ignored(self):
@@ -139,6 +139,13 @@ class TestParseConfig:
             parse_config(config_text(thermal__beta="-1.0"))
         with pytest.raises(ConfigError, match="thermal.beta"):
             parse_config(config_text(thermal__beta="nan"))
+
+    @pytest.mark.parametrize("state, rho_e", [
+        ("site1", (1.0, 0.0, 0.0)), ("site2", (0.0, 0.0, 0.0)),
+        ("plus", (0.5, 0.5, 0.0))])
+    def test_named_states_are_numbers(self, state, rho_e):
+        cfg = parse_config(config_text(initial__electronic_state=state))
+        assert cfg.rho_e == rho_e
 
     def test_explicit_initial_state_positivity(self):
         with pytest.raises(ConfigError, match="positivity"):
@@ -289,6 +296,26 @@ class TestRunTrajectory:
         assert ("config-error: cannot build the independent model: "
                 "a Hamiltonian entry overflows float64") in err
         assert "Traceback" not in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("overrides, rounding", [
+        # rabi.cfg at t_max 1e300: finite phases with no correct digit
+        ({"electronic__eps1": "0.0", "electronic__eps2": "0.0",
+          "bath__modes__0__g": "0.0", "evolution__t_max": "1e300",
+          "evolution__n_steps": "200"}, "7.77e+284"),
+        # a shared mode at g = 1e200: max|L| near 1e201, populations frozen
+        ({"bath__modes__0__g": "1e200", "thermal__n_max_override": "8"},
+         "9.2e+185"),
+    ])
+    def test_phases_without_precision_are_verification_failure(
+            self, tmp_path, capsys, overrides, rounding):
+        text = config_text(output__directory=str(tmp_path), **overrides)
+        assert run(parse_config(text)) == 1
+        err = capsys.readouterr().err
+        assert err == ("verification-failure: phase rounding eps * "
+                       f"max|eigenvalue| * t = {rounding} exceeds 1e-08: "
+                       "the phases lack precision\n")
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_output_is_verification_failure(self, tmp_path, capsys):
@@ -821,7 +848,7 @@ def fuzz_entries(draw):
                   "task__kind": "alpha_sweep", "task__compare_with": None,
                   "task__alphas": "-1e308, 0.0", "task__n_max_list": None})
 # |rho12| 9.6e-13 over sqrt(rho11 rho22), inside the CLI's slack of 1e-12:
-# the smallest eigenvalue of rho_e is -9.6e-13, which ProductState must accept
+# the smallest eigenvalue of rho_e is -9.6e-13, which DensityMatrix must accept
 @example(entries={"bath__kind": "transformed", "bath__alpha": None,
                   "bath__coupling_scale": None, "bath__modes__0__omega": "1.0",
                   "bath__modes__0__g": "0.2", "thermal__beta": "1.0",

@@ -282,7 +282,7 @@ def _direct_defect(prop, rho0, t: float) -> float:
     """T(rho(t), rho_rest(t) x rho_B(t)) of a one-mode transformed model from
     the dense rho0, propagated by two dense products."""
     dims = prop.model.layout.dims
-    rho_t = evolve(prop, rho0, t).matrix
+    rho_t = evolve(prop, rho0, t)
     product = np.kron(partial_trace_matrix(rho_t, dims, [0, 1]),
                       partial_trace_matrix(rho_t, dims, [2]))
     return 0.5 * np.abs(np.linalg.eigvalsh(rho_t - product)).sum()

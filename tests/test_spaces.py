@@ -7,6 +7,7 @@ from conftest import embed_matrix, random_density
 from dimerbath.spaces import (
     HERMITICITY_RTOL,
     DensityMatrix,
+    LayoutError,
     Operator,
     SpaceLayout,
     annihilation_matrix,
@@ -171,6 +172,33 @@ def test_density_matrix_rejects_non_finite_entries(bad):
     # would let it through
     with pytest.raises(ValueError, match="non-finite"):
         DensityMatrix(SpaceLayout.electronic_only(), [[bad, 0.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("dims", [(3,), (2, 3)])
+def test_density_matrix_is_electronic_only(dims):
+    # a valid state of the layout's dimension: only the layout is wrong
+    layout = SpaceLayout(dims)
+    with pytest.raises(LayoutError,
+                       match=r"electronic state has the layout \(2,\)"):
+        DensityMatrix(layout, np.eye(layout.total_dim) / layout.total_dim)
+
+
+@pytest.mark.parametrize("lowest", [-0.2, -2e-10])
+def test_density_matrix_rejects_state_that_is_not_positive(lowest):
+    # diag(1 - lowest, lowest): unit trace, Hermitian, one eigenvalue
+    # below -POSITIVITY_TOL
+    with pytest.raises(ValueError, match=(
+            "electronic state is not positive semidefinite: smallest "
+            f"eigenvalue {lowest:g}")):
+        DensityMatrix(SpaceLayout.electronic_only(),
+                      np.diag([1.0 - lowest, lowest]))
+
+
+def test_density_matrix_positivity_tolerance():
+    # float noise of a positive state: c = sqrt(p (1 - p)) + 5e-11 gives
+    # the smallest eigenvalue -5e-11
+    c = 0.5 + 5e-11
+    DensityMatrix(SpaceLayout.electronic_only(), [[0.5, c], [c, 0.5]])
 
 
 def test_is_hermitian_accepts_hermitian_and_zero_rejects_perturbed():

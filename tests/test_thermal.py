@@ -170,32 +170,14 @@ class TestProductState:
         with pytest.raises(ValueError, match=match):
             ProductState(self.LAYOUT, site1, weights)
 
-    @pytest.mark.parametrize("lowest", [-0.2, -2e-10])
-    def test_rejects_electronic_state_that_is_not_positive(self, lowest):
-        # diag(1 - lowest, lowest): unit trace, Hermitian, one eigenvalue
-        # below -POSITIVITY_TOL
-        rho_e = DensityMatrix(SpaceLayout.electronic_only(),
-                              np.diag([1.0 - lowest, lowest]))
-        with pytest.raises(ValueError, match=(
-                "electronic state is not positive semidefinite: smallest "
-                f"eigenvalue {lowest:g}")):
-            ProductState(self.LAYOUT, rho_e, np.full(9, 1 / 9))
-
-    def test_electronic_positivity_tolerance(self):
-        # float noise of a positive state: c = sqrt(p (1 - p)) + 5e-11 gives
-        # the smallest eigenvalue -5e-11
-        c = 0.5 + 5e-11
-        rho_e = DensityMatrix(SpaceLayout.electronic_only(),
-                              [[0.5, c], [c, 0.5]])
-        ProductState(self.LAYOUT, rho_e, np.full(9, 1 / 9))
-
     def test_weight_sum_tolerance(self, site1):
         w = np.full(9, (1.0 + 5e-10) / 9)
         assert ProductState(self.LAYOUT, site1, w).weights.sum() != 1.0
 
     @pytest.mark.parametrize("layout, rho_e", [
-        # a qutrit electronic factor
-        (SpaceLayout((3, 3)), DensityMatrix(SpaceLayout((3,)), np.eye(3) / 3)),
+        # a 2x2 state on a layout whose electronic factor is not first
+        (SpaceLayout((3, 2)), DensityMatrix(SpaceLayout((2,)),
+                                             np.diag([1.0, 0.0]))),
         # a 2x2 state on a layout whose first factor is not electronic
         (SpaceLayout((3, 6)), DensityMatrix(SpaceLayout((2,)), np.eye(2) / 2)),
     ])
