@@ -29,6 +29,16 @@ from dataclasses import dataclass, replace
 import dimerbath
 
 TASK_KINDS = ("trajectory", "compare", "alpha_sweep", "convergence")
+# keys that only some task kinds read, with those kinds; a config that sets
+# one for any other task kind is a config error, not a run that ignores it
+TASK_KEYS = {
+    "bath.alpha": ("trajectory", "compare", "convergence"),
+    "thermal.n_max_override": ("trajectory", "compare", "alpha_sweep"),
+    "task.compare_with": ("compare", "convergence"),
+    "task.alphas": ("alpha_sweep",),
+    "task.n_max_list": ("convergence",),
+    "task.threshold": ("compare",),
+}
 # (rho11, Re rho12, Im rho12) of each named initial electronic state
 NAMED_STATES = {"site1": (1.0, 0.0, 0.0), "site2": (0.0, 0.0, 0.0),
                 "plus": (0.5, 0.5, 0.0)}
@@ -265,6 +275,12 @@ def parse_config(text: str) -> RunConfig:
         rho_e = NAMED_STATES[state]
 
     task = e.get("task.kind", _one_of(TASK_KINDS), required=True)
+    unread = [key for key, readers in TASK_KEYS.items()
+              if key in e.entries and task not in readers]
+    if unread:
+        key = min(unread, key=lambda k: e.entries[k][1])
+        e.fail(key, f"not read by task.kind={task} (read by "
+               f"{', '.join(TASK_KEYS[key])})")
     if task == "alpha_sweep" and bath_kind != "reduced_effective":
         e.fail("bath.kind", "task.kind=alpha_sweep builds reduced_effective "
                f"models, got {bath_kind!r}")

@@ -17,18 +17,19 @@ only for a complex rho_e, and ``equivalence.factorization_check``
 rebuilds the full rho(t); neither forms the dense rho(0), and
 ``DensityMatrix`` has checked that rho_e, and so rho(0), is positive
 semidefinite. The weight matrices W_ab = Q_ab o rt0 of the elements
-(0,0) and (0,1) come from a generator, one at a time, so beside the
-Hamiltonian, V and rt0 one W is alive. rho_e[1,1] takes no W: since
-Q_00 + Q_11 = V^T V = I and the phases of the diagonal are 1, it is
-tr(rt0) - rho_e[0,0] at every t. Two kernels evaluate the phase sum,
-chosen by dim and grid length:
+(0,0) and (0,1) come from a generator, one row block at a time, so
+beside the Hamiltonian, V and rt0 at most one W is alive. rho_e[1,1]
+takes no W: since Q_00 + Q_11 = V^T V = I and the phases of the diagonal
+are 1, it is tr(rt0) - rho_e[0,0] at every t. Two kernels evaluate the
+phase sum, chosen by dim and grid length:
 
 * grids shorter than FFT_MIN_POINTS, and every grid below dim FFT_MIN_DIM,
   batch over fixed-size chunks of the time grid as two real matrix
   products each, one against cos(L t) and one against sin(L t):
   O(dim^2 n_points). A grid of one chunk, as in every bundled config but
   the dim-2592 model of many_mode_equivalence.cfg (501 points, two
-  chunks), forms its phases once for all W. On a grid of several
+  chunks), forms its phases once for all W and takes each W in blocks of
+  ROW_BLOCK rows, so no whole W exists. On a grid of several
   chunks each W forms each chunk's phases again, twice in all (four
   times for a complex rho_e), which costs O(dim n_points) against the
   contraction's O(dim^2 n_points); at small dim, where sin and cos
@@ -66,6 +67,9 @@ from .spaces import POSITIVITY_TOL, ProductState, eigenvalues_2x2
 # (cos, sin) element pairs per (dim x chunk) phase block in reduced_trajectory
 PHASE_CHUNK_ELEMENTS = 1 << 20
 
+# rows per block of a weight matrix in the phase sum of a one-chunk grid
+ROW_BLOCK = 256
+
 # grids of at least FFT_MIN_POINTS points at dim FFT_MIN_DIM or more take
 # the FFT phase sum. In README's kernel table it wins at every length
 # from 5001 points at dim 50 and up (and from 1001 points at dims 392 and
@@ -85,8 +89,8 @@ FFT_TAYLOR_TOL = 1e-17
 # the comparisons; the bundled configs reach at most 5.5e-13.
 PHASE_ROUNDING_TOL = 1e-8
 
-# TimeGrid's point cap: a trajectory run peaks at about 210 bytes per grid
-# point (rabi.cfg through the CLI: 255 MB at 10^6 steps, 849 MB at 4 10^6),
+# TimeGrid's point cap: a trajectory run peaks at about 170 bytes per grid
+# point (rabi.cfg through the CLI: 205 MB at 10^6 steps, 681 MB at 4 10^6),
 # so the largest grid stays under 1 GB
 MAX_GRID_POINTS = 4_000_001
 
@@ -132,7 +136,10 @@ class ReducedTrajectory:
     states: np.ndarray  # (n_points, 2, 2) complex
 
     def __post_init__(self):
-        s = np.asarray(self.states, dtype=np.complex128)
+        # the one copy kept; it is cleaned in place, with no temporary of
+        # the (n_points, 2, 2) shape, so the checks add at most 32 bytes a
+        # point to its 64
+        s = np.array(self.states, dtype=np.complex128)
         if s.shape != (self.grid.n_steps + 1, 2, 2):
             raise TrajectoryError(f"states shape {s.shape} does not match grid")
 
@@ -141,17 +148,35 @@ class ReducedTrajectory:
                 t = self.grid.points[bad.argmax()]
                 raise TrajectoryError(f"{what} at t={t:g}")
 
+        off, low = s[:, 0, 1], s[:, 1, 0]
         # NaN passes every comparison below, so it is rejected first
         check(~np.isfinite(s).all(axis=(1, 2)), "non-finite value")
-        check(np.abs(np.einsum("kii->k", s) - 1.0) > 1e-10,
-              "reduced state off unit trace")
-        check(np.abs(s - s.conj().transpose(0, 2, 1)).max(axis=(1, 2)) > 1e-12,
-              "reduced state not Hermitian")
-        # project out float noise so trajectory invariants hold exactly
-        s = 0.5 * (s + s.conj().transpose(0, 2, 1))
-        tr = np.einsum("kii->k", s).real
-        s[:, 0, 0] -= (tr - 1.0) / 2.0
-        s[:, 1, 1] -= (tr - 1.0) / 2.0
+        x = s[:, 0, 0] + s[:, 1, 1]
+        x -= 1.0
+        check(np.abs(x) > 1e-10, "reduced state off unit trace")
+        # max|s - s^H| over the entries: |s01 - s10*| off the diagonal,
+        # 2 |Im s_ii| on it
+        np.conj(low, out=x)
+        np.subtract(off, x, out=x)
+        bad = np.abs(x)
+        for i in (0, 1):
+            np.maximum(bad, 2.0 * np.abs(s[:, i, i].imag), out=bad)
+        check(bad > 1e-12, "reduced state not Hermitian")
+        del bad
+        # project out float noise so trajectory invariants hold exactly:
+        # (s + s^H) / 2, then the trace fixed to 1 on the diagonal
+        np.conj(low, out=x)
+        off += x
+        off *= 0.5
+        np.conj(off, out=low)
+        del x
+        fix = s[:, 0, 0].real + s[:, 1, 1].real
+        fix -= 1.0
+        fix /= 2.0
+        for i in (0, 1):
+            s[:, i, i].imag = 0.0
+            s[:, i, i].real -= fix
+        del fix
         check(eigenvalues_2x2(s)[0] < -POSITIVITY_TOL,
               "reduced state not positive semidefinite")
         # the checks above bound any excursion outside [0, 1] by about 1e-10
@@ -238,13 +263,16 @@ class SpectralPropagator:
         rho_e[0,0], set once after either kernel, and rho_e[1,0] is the
         conjugate of rho_e[0,1]. The trace is that of rt0, not 1, so that a
         V off orthonormal still fails the unit-trace check of
-        ``ReducedTrajectory``. The weight matrices are formed one at a time
-        (``_weighted``), so one is alive at a time in either kernel. Grids
-        of FFT_MIN_POINTS or more at dim FFT_MIN_DIM or more take the FFT
-        kernel (module docstring); the rest the chunked GEMM kernel. It
-        forms the phases of a one-chunk grid once for all weight matrices;
-        on a longer grid it forms each chunk's phases once per weight
-        matrix, twice per half of rt0.
+        ``ReducedTrajectory``. Grids of FFT_MIN_POINTS or more at dim
+        FFT_MIN_DIM or more take the FFT kernel (module docstring); the rest
+        the chunked GEMM kernel. The weights come from ``_weighted`` one row
+        block at a time. On a one-chunk grid the GEMM kernel forms the
+        phases once and contracts blocks of ROW_BLOCK rows against them,
+        adding each block's sums into the states, so no whole W exists:
+        beside rt0 and the phases, one block and its (block x n_points)
+        product are alive. A longer grid, and the FFT kernel, take each W
+        whole as one block, so the GEMM kernel forms each chunk's phases
+        once per weight matrix, twice per half of rt0.
         """
         self._check_phase_bound(grid.t_max)  # before any dim^3 work
         dim = self.eigenvectors.shape[0]
@@ -262,19 +290,24 @@ class SpectralPropagator:
             halves.append((1j, a - a.T))
         del a
         trace = np.trace(halves[0][1])  # Im rt0 has a zero diagonal
-        # only the generator holds rt0, which it frees after the last W
-        weighted = self._weighted(halves)
-        del halves
-        if n_points < FFT_MIN_POINTS or dim < FFT_MIN_DIM:
+        gemm = n_points < FFT_MIN_POINTS or dim < FFT_MIN_DIM
+        whole = None
+        if gemm:
             points = grid.points
             step = max(1, PHASE_CHUNK_ELEMENTS // dim)
             chunks = [slice(s, s + step) for s in range(0, n_points, step)]
             whole = self.phases(points) if len(chunks) == 1 else None
-            for b, unit, w in weighted:
+        # W in row blocks against the phases of a one-chunk grid; a longer
+        # grid and the FFT kernel take all rows as one block, W itself.
+        # Only the generator holds rt0, which it frees after the last block
+        weighted = self._weighted(halves, ROW_BLOCK if whole else dim)
+        del halves
+        if gemm:
+            for b, unit, rows, w in weighted:
                 for chunk in chunks:
                     cos, sin = whole or self.phases(points[chunk])
-                    states[chunk, 0, b] += unit * _phase_sum(w, cos, sin)
-                del w  # before the generator forms the next one
+                    states[chunk, 0, b] += unit * _phase_sum(w, cos, sin, rows)
+                del w  # before the generator forms the next block
         else:
             # pair m < n: w[m,n] e^{-i x} + w[n,m] e^{+i x}, x = (L_m - L_n) t,
             # is (w + w^T)[m,n] cos x - i (w - w^T)[m,n] sin x. Q_00 is
@@ -283,7 +316,7 @@ class SpectralPropagator:
             # unit * sum, and rho_e[0,0] needs one row per half.
             upper = np.triu(np.ones((dim, dim), dtype=bool), 1)
             rows, targets = [], []
-            for b, unit, w in weighted:
+            for b, unit, _, w in weighted:
                 if b or unit == 1.0:
                     states[:, 0, b] += unit * np.trace(w)
                     rows.append((w + w.T)[upper])
@@ -304,20 +337,25 @@ class SpectralPropagator:
         states[:, 1, 0] = states[:, 0, 1].conj()
         return ReducedTrajectory(grid, states)
 
-    def _weighted(self, halves: list[tuple[complex, np.ndarray]]):
-        """Yield (b, unit, W_0b) for b = 0, 1 and each half (unit, Re rt0
-        or Im rt0): the real weights of rho_e[0,b]; rho_e[1,1] and
-        rho_e[1,0] need none (``reduced_trajectory``). One W is alive at a
-        time, so a caller must be done with each W before it asks for the
-        next."""
+    def _weighted(self, halves: list[tuple[complex, np.ndarray]],
+                  height: int):
+        """Yield (b, unit, rows, W_0b[rows]) for b = 0, 1 and each half
+        (unit, Re rt0 or Im rt0), the row blocks of the real weights of
+        rho_e[0,b], ``height`` rows each but the last: W_0b[R] =
+        (V_0^T[R] V_b) o rt0[R]. rho_e[1,1] and rho_e[1,0] need none
+        (``reduced_trajectory``). One block is alive at a time, so a caller
+        must be done with each block before it asks for the next."""
         v = self.eigenvectors
-        half = v.shape[0] // 2
+        dim = v.shape[0]
+        half = dim // 2
         for unit, rt0 in halves:
             for b in (0, 1):
-                w = v[:half].T @ v[b * half:(b + 1) * half]
-                w *= rt0
-                yield b, unit, w
-                del w
+                for start in range(0, dim, height):
+                    rows = slice(start, start + height)
+                    w = v[:half, rows].T @ v[b * half:(b + 1) * half]
+                    w *= rt0[rows]
+                    yield b, unit, rows, w
+                    del w
 
     def factor(self, rho0: ProductState) -> np.ndarray:
         """G with V^T rho0 V = G G^H, from the closed-form eigenpairs
@@ -376,18 +414,21 @@ def _eigh2(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             np.stack([u, [-np.conj(u[1]), np.conj(u[0])]], axis=1))
 
 
-def _phase_sum(w: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    """sum_mn w[m,n] exp(-i (L_m - L_n) t) for real w, one value per column.
+def _phase_sum(w: np.ndarray, cos: np.ndarray, sin: np.ndarray,
+               rows: slice) -> np.ndarray:
+    """sum_(m in rows) sum_n W[m,n] exp(-i (L_m - L_n) t) for a real weight
+    matrix W of which w = W[rows], one value per column of cos and sin.
 
-    With x + iy = w exp(i L t): (x + iy)(cos - i sin) summed over m. y is
-    written over x, so one (dim x chunk) product is alive at a time.
+    With x + iy = w exp(i L t): (x + iy)(cos - i sin)[rows] summed over m.
+    y is written over x, so one (block x chunk) product is alive at a time.
     """
+    c, s = cos[rows], sin[rows]
     x = w @ cos
-    re = np.einsum("mk,mk->k", x, cos)
-    x_sin = np.einsum("mk,mk->k", x, sin)
+    re = np.einsum("mk,mk->k", x, c)
+    x_sin = np.einsum("mk,mk->k", x, s)
     y = np.matmul(w, sin, out=x)
-    re += np.einsum("mk,mk->k", y, sin)
-    im = np.einsum("mk,mk->k", y, cos) - x_sin
+    re += np.einsum("mk,mk->k", y, s)
+    im = np.einsum("mk,mk->k", y, c) - x_sin
     return re + 1j * im
 
 

@@ -1,4 +1,4 @@
-"""Acceptance gate: eight criteria, one test (and one pass/fail line) each.
+"""Acceptance gate: nine criteria, one test (and one pass/fail line) each.
 
 Each test prints ``criterion N: PASS|FAIL -- <measurement>`` before asserting,
 so a plain ``pytest -v tests/test_acceptance.py`` gives one line per
@@ -23,8 +23,12 @@ from dimerbath.equivalence import (
     spectrum_equivalence,
 )
 from dimerbath.models import (
+    CENTER_OF_MASS_B,
+    RELATIVE_B,
+    TRANSFORMED,
     ElectronicParams,
     ModeSpec,
+    _model,
     build_correlated_alpha,
     build_independent_local,
     build_reduced_effective,
@@ -38,6 +42,7 @@ from dimerbath.spaces import (
     SpaceLayout,
     annihilation_matrix,
     partial_trace_matrix,
+    permute_factors_matrix,
 )
 from dimerbath.thermal import ThermalSpec, choose_truncation, initial_state
 
@@ -239,3 +244,63 @@ def test_criterion_8_effective_coupling_law():
     ok = decreasing and err < 1e-12
     assert _verdict(8, ok, f"values {values} vs closed form, max error "
                     f"{err:.1e} (tol 1e-12), strictly decreasing={decreasing}")
+
+
+def _structure_residual(model, modes, n_max):
+    """max|T - (S x I_com + I_S x H_com)| of a transformed-layout model T,
+    its factors (electronic, relative, center-of-mass per mode) permuted so
+    the center-of-mass factors come last, against the shared model S at the
+    same box and H_com = sum_k omega_k n_k + g_k (b_k + b_k^dag) built here
+    from the truncated ladder operator, one term per center-of-mass factor.
+    """
+    k = len(modes)
+    dims = model.layout.dims
+    order = [0] + [1 + 2 * i for i in range(k)] + [2 + 2 * i for i in range(k)]
+    t = permute_factors_matrix(model.hamiltonian.matrix, dims, order)
+    shared = build_shared_anticorrelated(PARAMS, modes, n_max)
+    s = shared.hamiltonian.matrix
+    d_s, d_com = s.shape[0], n_max ** k
+    a = annihilation_matrix(n_max).matrix
+    h_com = np.zeros((d_com, d_com))
+    for i, m in enumerate(modes):
+        left, right = np.eye(n_max ** i), np.eye(n_max ** (k - 1 - i))
+        one = m.omega * np.diag(np.arange(n_max)) + m.g * (a + a.T)
+        h_com += np.kron(np.kron(left, one), right)
+    # S x I_com lives on the blocks of equal center-of-mass indices, and
+    # I_S x H_com on those of equal shared indices: subtract both in place
+    r = t.reshape(d_s, d_com, d_s, d_com)
+    for c in range(d_com):
+        r[:, c, :, c] -= s
+    for j in range(d_s):
+        r[j, :, j, :] -= h_com
+    scale = np.abs(model.hamiltonian.matrix).max()
+    return float(np.abs(r).max()), float(scale)
+
+
+def test_criterion_9_transformed_is_shared_plus_center_of_mass():
+    # step (ii) of the paper's argument, exactly in every box: the
+    # transformed model of many_mode_equivalence.cfg's two modes is the
+    # shared model beside a free, displaced center-of-mass oscillator per
+    # mode. Negative control: center-of-mass couplings that differ between
+    # the sites (1 and 0.9) tie that factor to the exciton
+    modes = [ModeSpec(0.8, 0.15), ModeSpec(1.3, 0.1)]
+    residuals, scales, controls, dims = [], [], [], []
+    for n in (4, 6):
+        model = build_transformed(PARAMS, modes, n)
+        dims.append(model.layout.total_dim)
+        residual, scale = _structure_residual(model, modes, n)
+        residuals.append(residual)
+        scales.append(scale)
+        skewed = _model(TRANSFORMED, PARAMS, modes, n,
+                        [(RELATIVE_B, (1.0, -1.0)),
+                         (CENTER_OF_MASS_B, (1.0, 0.9))])
+        controls.append(_structure_residual(skewed, modes, n)[0])
+    # a few ulps of max|T|; one rounding of a diagonal sum is one ulp
+    tol = [4 * np.finfo(float).eps * x for x in scales]
+    ok = (all(r <= t for r, t in zip(residuals, tol))
+          and min(controls) > 1e-3)
+    assert _verdict(9, ok, f"residual {residuals[0]:.2e}, {residuals[1]:.2e} "
+                    f"(tol {tol[0]:.1e}, {tol[1]:.1e}) against max|T| "
+                    f"{scales[0]:.1f}, {scales[1]:.1f} at n_max=4, 6 (dims "
+                    f"{dims[0]}, {dims[1]}); control {min(controls):.2e} "
+                    "(min 1e-3)")

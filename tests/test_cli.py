@@ -18,6 +18,7 @@ import dimerbath
 from dimerbath.cli import (
     CSV_CHUNK_ROWS,
     CSV_HEADER,
+    TASK_KEYS,
     ConfigError,
     _write_csv,
     main,
@@ -162,7 +163,6 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="ascending"):
             parse_config(config_text(task__kind="alpha_sweep",
                                      bath__kind="reduced_effective",
-                                     bath__alpha="0.0",
                                      task__alphas="0.5,0.0"))
         with pytest.raises(ConfigError, match="strictly ascending"):
             parse_config(config_text(task__kind="alpha_sweep",
@@ -213,6 +213,36 @@ class TestParseConfig:
                                        task__kind="alpha_sweep",
                                        task__alphas="0.0,0.5"))
         assert cfg.alpha is None and cfg.alphas == (0.0, 0.5)
+
+    @pytest.mark.parametrize("task, key, value", [
+        ("trajectory", "task.compare_with", "independent"),
+        ("trajectory", "task.alphas", "0.1,0.2"),
+        ("trajectory", "task.n_max_list", "4,6"),
+        ("trajectory", "task.threshold", "1e-3"),
+        ("compare", "task.alphas", "0.1,0.2"),
+        ("compare", "task.n_max_list", "4,6"),
+        ("convergence", "task.threshold", "1e-6"),
+        ("convergence", "thermal.n_max_override", "3"),
+        ("alpha_sweep", "bath.alpha", "0.3"),
+        ("alpha_sweep", "task.compare_with", "independent"),
+    ])
+    def test_key_the_task_never_reads_is_config_error(self, task, key,
+                                                      value):
+        needs = {"compare": {"task__compare_with": "independent"},
+                 "convergence": {"task__compare_with": "independent",
+                                 "task__n_max_list": "4,6"},
+                 "alpha_sweep": {"bath__kind": "reduced_effective",
+                                 "task__alphas": "0.0,0.5"}}
+        entries = {"task__kind": task, **needs.get(task, {})}
+        parse_config(config_text(**entries))
+        text = config_text(**entries, **{key.replace(".", "__"): value})
+        line = text.splitlines().index(f"{key} = {value}") + 1
+        readers = ", ".join(TASK_KEYS[key])
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert str(err.value) == (f"{key} (line {line}): not read by "
+                                  f"task.kind={task} (read by {readers})")
+        assert task not in TASK_KEYS[key]
 
 
 class TestRunTrajectory:
@@ -478,7 +508,7 @@ class TestRunCompare:
 
 class TestRunAlphaSweep:
     def test_writes_one_csv_per_alpha(self, tmp_path):
-        text = config_text(bath__kind="reduced_effective", bath__alpha="0.0",
+        text = config_text(bath__kind="reduced_effective",
                            task__kind="alpha_sweep",
                            task__alphas="-0.5,0.0,0.5,1.0",
                            thermal__n_max_override="5",
@@ -664,6 +694,31 @@ class TestMain:
         assert err.startswith("config-error: initial.rho12_re (line ")
         assert err.endswith("coherence violates positivity\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("name, kind, extra, key", [
+        ("rabi", None, ["task.compare_with = independent",
+                        "task.n_max_list = 4,6", "task.alphas = 0.1,0.2",
+                        "task.threshold = 1e-3"], "task.compare_with"),
+        ("single_mode_equivalence", "convergence", ["task.n_max_list = 4,6"],
+         "task.threshold"),
+        ("convergence", None, ["thermal.n_max_override = 3"],
+         "thermal.n_max_override"),
+        ("alpha_sweep", None, ["bath.alpha = 0.3"], "bath.alpha"),
+    ])
+    def test_bundled_config_with_a_key_its_task_never_reads(
+            self, tmp_path, capsys, monkeypatch, name, kind, extra, key):
+        # each ran to exit 0 with the key ignored
+        text = (CONFIGS / f"{name}.cfg").read_text()
+        if kind:
+            text = text.replace("task.kind = compare", f"task.kind = {kind}")
+        path = tmp_path / "run.cfg"
+        path.write_text(text + "\n".join(extra) + "\n")
+        monkeypatch.chdir(tmp_path)
+        assert main([str(path), "--threads", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config-error: {key} (line ")
+        assert "not read by task.kind=" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
     def test_allocation_failure_is_resource_cap(self, tmp_path, capsys,
                                                 monkeypatch):

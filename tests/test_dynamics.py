@@ -291,6 +291,9 @@ class TestReducedTrajectory:
     @pytest.mark.parametrize("state, check", [
         ([[np.nan, 0.0], [0.0, 1.0]], "non-finite value"),
         ([[1.0, 1e-6], [1e-6, 0.0]], "coherence bound violated"),
+        # |s01 - s10*| = 2e-12 off the diagonal, 2 |Im s_ii| = 2e-12 on it
+        ([[0.5, 0.1 + 1e-12j], [0.1 + 1e-12j, 0.5]], "not Hermitian"),
+        ([[0.5 + 1e-12j, 0.0], [0.0, 0.5 - 1e-12j]], "not Hermitian"),
     ])
     def test_rejects_invalid_state_at_its_time(self, state, check):
         # the first point is valid, so the message must name t = 2
@@ -298,6 +301,29 @@ class TestReducedTrajectory:
         states = np.array([np.diag([1.0, 0.0]), state], dtype=complex)
         with pytest.raises(TrajectoryError, match=f"{check} at t=2$"):
             ReducedTrajectory(grid, states)
+
+    def test_clean_up_is_hermitian_part_at_unit_trace(self):
+        # states within the checks' tolerances come out as (s + s^H) / 2
+        # with the trace defect split over the diagonal, and the input
+        # array is left as it was
+        rng, n = np.random.default_rng(5), 1000
+        grid = TimeGrid(t_max=1.0, n_steps=n - 1)
+        p1 = rng.uniform(0.2, 0.8, n)
+        c = 0.3 * np.sqrt(p1 * (1.0 - p1)) * np.exp(2j * np.pi * rng.random(n))
+        s = np.empty((n, 2, 2), dtype=complex)
+        s[:, 0, 0], s[:, 1, 1] = p1, 1.0 - p1
+        s[:, 0, 1], s[:, 1, 0] = c, c.conj()
+        noise = rng.random((n, 2, 2)) + 1j * rng.random((n, 2, 2))
+        s += 4e-13 * (noise - 0.5 - 0.5j)
+        given = s.copy()
+        traj = ReducedTrajectory(grid, s)
+        assert np.array_equal(s, given)
+        expected = 0.5 * (s + s.conj().transpose(0, 2, 1))
+        fix = (np.einsum("kii->k", expected).real - 1.0) / 2.0
+        expected[:, 0, 0] -= fix
+        expected[:, 1, 1] -= fix
+        assert np.array_equal(traj.states, expected)
+        assert np.array_equal(traj.states[:, 1, 0], traj.states[:, 0, 1].conj())
 
     def test_lowest_eigenvalue_closed_form(self):
         # Hermitian, unit trace, not necessarily positive
@@ -364,6 +390,57 @@ class TestReducedTrajectory:
         SpectralPropagator(small_model).reduced_trajectory(
             rho0, TimeGrid(t_max=12.0, n_steps=40))
         assert len(calls) == (4 if complex_state else 2) * chunks
+
+    @pytest.mark.parametrize("complex_state", [False, True])
+    @pytest.mark.parametrize("chunk_points, formed, rows", [
+        # one chunk: phases formed once, each W in blocks of 5, 5 and 2 rows
+        (None, [41], [5, 5, 2]),
+        # 6 chunks: each W whole, forming each chunk's phases again
+        (7, [7, 7, 7, 7, 7, 6], [12] * 6)])
+    def test_phases_per_chunk_and_row_blocks(
+            self, small_model, monkeypatch, complex_state, chunk_points,
+            formed, rows):
+        prop = SpectralPropagator(small_model)
+        dim = small_model.layout.total_dim
+        assert dim == 12
+        monkeypatch.setattr(dynamics, "ROW_BLOCK", 5)
+        if chunk_points:
+            monkeypatch.setattr(dynamics, "PHASE_CHUNK_ELEMENTS",
+                                chunk_points * dim)
+        phases, sums = [], []
+        kernel, form = dynamics._phase_sum, prop.phases
+        monkeypatch.setattr(dynamics, "_phase_sum",
+                            lambda w, *args: sums.append(w.shape[0])
+                            or kernel(w, *args))
+        monkeypatch.setattr(prop, "phases",
+                            lambda t: phases.append(len(t)) or form(t))
+        rho_e0 = (random_density(2, np.random.default_rng(7)) if complex_state
+                  else np.diag([1.0, 0.0]))
+        rho0 = initial_state(DensityMatrix(SpaceLayout.electronic_only(),
+                                           rho_e0), small_model,
+                             ThermalSpec(1.0))
+        prop.reduced_trajectory(rho0, TimeGrid(t_max=12.0, n_steps=40))
+        n_w = 4 if complex_state else 2  # W_00 and W_01 per half of rt0
+        assert phases == (formed if len(formed) == 1 else formed * n_w)
+        assert sums == rows * n_w
+
+    @pytest.mark.parametrize("complex_state", [False, True])
+    def test_row_blocks_match_one_block(self, params, mode, monkeypatch,
+                                        complex_state):
+        # blocks of 7 rows at dim 32 add the sums in another order than
+        # one block of all rows, within a few ulps
+        model = build_independent_local(params, [mode], 4)
+        rho_e0 = (random_density(2, np.random.default_rng(7)) if complex_state
+                  else np.diag([1.0, 0.0]))
+        rho0 = initial_state(DensityMatrix(SpaceLayout.electronic_only(),
+                                           rho_e0), model, ThermalSpec(1.0))
+        prop = SpectralPropagator(model)
+        grid = TimeGrid(t_max=12.0, n_steps=60)
+        runs = []
+        for height in (7, model.layout.total_dim):
+            monkeypatch.setattr(dynamics, "ROW_BLOCK", height)
+            runs.append(prop.reduced_trajectory(rho0, grid).states)
+        assert np.abs(runs[0] - runs[1]).max() < 1e-14
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_phase_rounding_gate(self, small_model, rho0, monkeypatch):
@@ -450,8 +527,8 @@ class TestFactor:
                             lambda self, rho0: calls.append(1)
                             or factor(self, rho0))
         monkeypatch.setattr(SpectralPropagator, "_weighted",
-                            lambda self, h: halves.extend(h)
-                            or weighted(self, h))
+                            lambda self, h, height: halves.extend(h)
+                            or weighted(self, h, height))
         rho0 = initial_state(
             DensityMatrix(SpaceLayout.electronic_only(), rho_e), small_model,
             ThermalSpec(beta=1.0))
@@ -489,17 +566,61 @@ class TestWorkingSet:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the kernel holds one real dim^2 matrix per half of rt0, one
-        # weight matrix W and the dim x n_points product (under dim^2
-        # here), plus the phase block (cos and sin, dim x n_points each):
-        # 4.34 dim^2 measured for a real rho_e, 5.34 for a complex one. The
-        # set-up before it peaks at 1.5 dim^2 for site1 and plus (G and
-        # rt0) and at 4.0 for the complex rank-2 state: G (2 dim^2) and
-        # its copy [Re G | Im G], then that copy, Re rt0 and
-        # A = Im G Re G^T, the copy freed before Im rt0 = A - A^T. The
-        # spare dim^2 of the bound covers both
-        bound = (3 + halves) * dim ** 2 * 8 + 2 * dim * n_points * 8
+        # the kernel holds one real dim^2 matrix per half of rt0, the
+        # phase block (cos and sin, dim x n_points each) and, of the weight
+        # matrix W, one block of h = min(ROW_BLOCK, dim) rows and its
+        # h x n_points product: 3.73 dim^2 measured for a real rho_e, 4.73
+        # for a complex one; a whole W would take 4.34 and 5.34. The set-up
+        # before it peaks at 1.5 dim^2 for site1 and plus (G and rt0) and
+        # at 4.0 for the complex rank-2 state: G (2 dim^2) and its copy
+        # [Re G | Im G], then that copy, Re rt0 and A = Im G Re G^T, the
+        # copy freed before Im rt0 = A - A^T. A quarter dim^2 is spare
+        h = min(dynamics.ROW_BLOCK, dim)
+        bound = ((halves + 0.25) * dim ** 2 + h * (dim + n_points)
+                 + 2 * dim * n_points) * 8
         assert peak < bound
+
+    def test_fft_kernel_peak(self, params, mode):
+        # dim 392 on 20001 points takes the FFT kernel, with W whole: 6.21
+        # dim^2 measured. Beside rt0 and W it holds the three rows of the
+        # weights over pairs m < n (dim^2 / 2 each), the pairs' bins and
+        # offsets, the n_points x 3 sums and the states
+        model = build("independent", params, [mode], 14)
+        dim = model.layout.total_dim
+        grid = TimeGrid(t_max=200.0, n_steps=20000)
+        assert grid.n_steps + 1 >= dynamics.FFT_MIN_POINTS
+        assert dim >= dynamics.FFT_MIN_DIM
+        rho0 = initial_state(
+            DensityMatrix(SpaceLayout.electronic_only(), np.diag([1.0, 0.0])),
+            model, ThermalSpec(beta=1.0))
+        prop = SpectralPropagator(model)
+        grid.points  # cached before tracing
+        tracemalloc.start()
+        try:
+            prop.reduced_trajectory(rho0, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6.4 * dim ** 2 * 8
+
+    def test_clean_up_peak(self):
+        # ReducedTrajectory keeps one 64-byte copy per point and cleans it in
+        # place: 96 bytes a point measured at 10^5 points; a symmetrization
+        # through (n_points, 2, 2) temporaries peaks at 128
+        n = 100_001
+        grid = TimeGrid(t_max=10.0, n_steps=n - 1)
+        t = grid.points
+        states = np.zeros((n, 2, 2), dtype=complex)
+        states[:, 0, 0], states[:, 1, 1] = np.cos(t) ** 2, np.sin(t) ** 2
+        states[:, 0, 1] = 0.5j * np.sin(2.0 * t)
+        states[:, 1, 0] = states[:, 0, 1].conj()
+        tracemalloc.start()
+        try:
+            ReducedTrajectory(grid, states)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * n
 
     @pytest.mark.parametrize("fft", [False, True])
     def test_dense_initial_state_never_formed(self, params, mode, monkeypatch,
