@@ -34,6 +34,7 @@ TASK_KINDS = ("trajectory", "compare", "alpha_sweep", "convergence")
 TASK_KEYS = {
     "bath.alpha": ("trajectory", "compare", "convergence"),
     "thermal.n_max_override": ("trajectory", "compare", "alpha_sweep"),
+    "thermal.tail_tol": ("trajectory", "compare", "alpha_sweep"),
     "task.compare_with": ("compare", "convergence"),
     "task.alphas": ("alpha_sweep",),
     "task.n_max_list": ("convergence",),
@@ -247,6 +248,9 @@ def parse_config(text: str) -> RunConfig:
     n_max_override = e.get("thermal.n_max_override", _integer)
     if n_max_override is not None and n_max_override < 2:
         e.fail("thermal.n_max_override", "must be >= 2")
+    if n_max_override is not None and "thermal.tail_tol" in e.entries:
+        e.fail("thermal.tail_tol", "not read when thermal.n_max_override "
+               "is set")
 
     t_max = e.get("evolution.t_max", _finite, required=True)
     if t_max <= 0:
@@ -429,9 +433,9 @@ def _run(config: RunConfig) -> int:
         modes = [models.ModeSpec(omega, g) for omega, g in config.modes]
 
     spec = thermal.ThermalSpec(config.beta, config.tail_tol)
-    if config.n_max_override is not None:
-        n_max = config.n_max_override
-    else:
+    # convergence takes its truncations from task.n_max_list
+    n_max = config.n_max_override
+    if n_max is None and config.task != "convergence":
         n_max = max(thermal.choose_truncation(m.omega, spec) for m in modes)
 
     rho_e0 = _initial_electronic(config)

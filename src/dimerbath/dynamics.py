@@ -17,8 +17,9 @@ only for a complex rho_e, and ``equivalence.factorization_check``
 rebuilds the full rho(t); neither forms the dense rho(0), and
 ``DensityMatrix`` has checked that rho_e, and so rho(0), is positive
 semidefinite. The weight matrices W_ab = Q_ab o rt0 of the elements
-(0,0) and (0,1) come from a generator, one row block at a time, so
-beside the Hamiltonian, V and rt0 at most one W is alive. rho_e[1,1]
+(0,0) and (0,1) are formed one row block at a time, so beside the
+Hamiltonian, V and rt0 no whole W is alive, but on a GEMM grid of
+several chunks, which takes each W whole (kernels below). rho_e[1,1]
 takes no W: since Q_00 + Q_11 = V^T V = I and the phases of the diagonal
 are 1, it is tr(rt0) - rho_e[0,0] at every t. Two kernels evaluate the
 phase sum, chosen by dim and grid length:
@@ -45,7 +46,12 @@ phase sum, chosen by dim and grid length:
   O(dim^2 terms + terms M log M). With b = (n_points - 1) pi / M <= pi and
   R + 1 terms, the truncation error of a row of weights w is at most
   sum|w| b^(R+1) / (R+1)! e^b; R + 1 is the smallest count that makes
-  b^(R+1) / (R+1)! e^b <= 1e-17, about 31 at b = pi.
+  b^(R+1) / (R+1)! e^b <= 1e-17, about 31 at b = pi. The weight rows,
+  bins and offsets over the pairs are built from blocks of PAIR_BLOCK
+  rows straight into arrays of dim (dim - 1) / 2, rt0 is freed before the
+  terms, and each term adds straight into the states: at dim 392 on
+  20001 points it peaks at 4.5 dim^2 (6.0 for a complex rho_e), in the
+  terms.
 
 README.md ("Propagation kernels") has the timings of both kernels by dim
 and grid length, from which FFT_MIN_POINTS and FFT_MIN_DIM are set, and
@@ -69,6 +75,9 @@ PHASE_CHUNK_ELEMENTS = 1 << 20
 
 # rows per block of a weight matrix in the phase sum of a one-chunk grid
 ROW_BLOCK = 256
+
+# rows per block of the weight matrices and pair phases of the FFT phase sum
+PAIR_BLOCK = ROW_BLOCK // 4
 
 # grids of at least FFT_MIN_POINTS points at dim FFT_MIN_DIM or more take
 # the FFT phase sum. In README's kernel table it wins at every length
@@ -265,14 +274,21 @@ class SpectralPropagator:
         V off orthonormal still fails the unit-trace check of
         ``ReducedTrajectory``. Grids of FFT_MIN_POINTS or more at dim
         FFT_MIN_DIM or more take the FFT kernel (module docstring); the rest
-        the chunked GEMM kernel. The weights come from ``_weighted`` one row
-        block at a time. On a one-chunk grid the GEMM kernel forms the
-        phases once and contracts blocks of ROW_BLOCK rows against them,
+        the chunked GEMM kernel. The GEMM kernel takes the weights from
+        ``_weighted`` one row block at a time. On a one-chunk grid it forms
+        the phases once and contracts blocks of ROW_BLOCK rows against them,
         adding each block's sums into the states, so no whole W exists:
         beside rt0 and the phases, one block and its (block x n_points)
-        product are alive. A longer grid, and the FFT kernel, take each W
-        whole as one block, so the GEMM kernel forms each chunk's phases
-        once per weight matrix, twice per half of rt0.
+        product are alive. A longer grid takes each W whole as one block,
+        so it forms each chunk's phases once per weight matrix, twice per
+        half of rt0. The FFT kernel forms W and W^T in blocks of PAIR_BLOCK
+        rows R, over the columns from min R on, and copies their pairs
+        m < n straight into the rows (W + W^T)[m<n] and (W - W^T)[m<n],
+        three arrays of dim (dim - 1) / 2 per half of rt0; each half is
+        freed once its rows are built, and the pairs' bins and offsets are
+        formed the same way. Its Taylor terms add straight into the states,
+        and its rows, bins and offsets are freed before ``ReducedTrajectory``
+        copies the states.
         """
         self._check_phase_bound(grid.t_max)  # before any dim^3 work
         dim = self.eigenvectors.shape[0]
@@ -290,19 +306,16 @@ class SpectralPropagator:
             halves.append((1j, a - a.T))
         del a
         trace = np.trace(halves[0][1])  # Im rt0 has a zero diagonal
-        gemm = n_points < FFT_MIN_POINTS or dim < FFT_MIN_DIM
-        whole = None
-        if gemm:
+        if n_points < FFT_MIN_POINTS or dim < FFT_MIN_DIM:
             points = grid.points
             step = max(1, PHASE_CHUNK_ELEMENTS // dim)
             chunks = [slice(s, s + step) for s in range(0, n_points, step)]
             whole = self.phases(points) if len(chunks) == 1 else None
-        # W in row blocks against the phases of a one-chunk grid; a longer
-        # grid and the FFT kernel take all rows as one block, W itself.
-        # Only the generator holds rt0, which it frees after the last block
-        weighted = self._weighted(halves, ROW_BLOCK if whole else dim)
-        del halves
-        if gemm:
+            # W in row blocks against the phases of a one-chunk grid; a
+            # longer grid takes all rows as one block, W itself. Only the
+            # generator holds rt0, which it frees after the last block
+            weighted = self._weighted(halves, ROW_BLOCK if whole else dim)
+            del halves
             for b, unit, rows, w in weighted:
                 for chunk in chunks:
                     cos, sin = whole or self.phases(points[chunk])
@@ -313,26 +326,48 @@ class SpectralPropagator:
             # is (w + w^T)[m,n] cos x - i (w - w^T)[m,n] sin x. Q_00 is
             # symmetric and the real (imaginary) half of rt0 is symmetric
             # (antisymmetric), so each half feeds only the real part of
-            # unit * sum, and rho_e[0,0] needs one row per half.
-            upper = np.triu(np.ones((dim, dim), dtype=bool), 1)
-            rows, targets = [], []
-            for b, unit, _, w in weighted:
-                if b or unit == 1.0:
-                    states[:, 0, b] += unit * np.trace(w)
-                    rows.append((w + w.T)[upper])
-                    targets.append((b, unit, np.real))
-                if b or unit == 1j:
-                    rows.append((w - w.T)[upper])
-                    targets.append((b, 1j * unit, np.imag))
-                del w  # before the generator forms the next one
-            h = grid.t_max / grid.n_steps
-            # halved, so the difference is finite whenever max|L| t_max is;
-            # fmod is exact and keeps the small phases that matter exact
-            half = 0.5 * h * self.eigenvalues
-            sums = _uniform_phase_sums(rows, 2.0 * np.fmod(
-                np.subtract.outer(half, half)[upper], np.pi), n_points)
-            for (b, unit, part), f in zip(targets, sums):
-                states[:, 0, b] += unit * part(f)
+            # unit * sum, and rho_e[0,0] needs one row per half. The sum f
+            # of a row adds z part(f) to rho_e[0,b], z = unit for w + w^T
+            # and unit i for w - w^T: part(f) adds to Re (z = 1) or Im
+            # (z = i) of rho_e[0,b], or is subtracted from Re (z = -1)
+            outs = [(states[:, 0, b].imag if z == 1j else states[:, 0, b].real,
+                     part, np.subtract if z == -1 else np.add)
+                    for unit, _ in halves for b in (0, 1)
+                    for z, part in ((unit, np.real), (1j * unit, np.imag))
+                    if b or z != 1j]
+            rows, v, half = [], self.eigenvectors, dim // 2
+            while halves:  # each half of rt0 freed once its rows are built
+                unit, rt0 = halves.pop(0)
+                new = np.empty((3, dim * (dim - 1) // 2))
+                for b in (0, 1):
+                    diag = 0.0
+                    for blk, pairs, upper in _pair_blocks(dim):
+                        cols = slice(blk.start, None)
+                        w = v[:half, blk].T @ v[b * half:(b + 1) * half, cols]
+                        w *= rt0[blk, cols]
+                        diag += np.trace(w)
+                        if b:
+                            # W^T[blk, cols] = (V_1^T V_0 o rt0^T)[blk, cols],
+                            # rt0^T = +-rt0 for the real (imaginary) half
+                            t = v[half:, blk].T @ v[:half, cols]
+                            t *= rt0[blk, cols]
+                            if unit != 1.0:
+                                np.negative(t, out=t)
+                            np.compress(upper, w + t, out=new[1, pairs])
+                            w -= t
+                            del t
+                        else:  # W_00^T = +-W_00: its one row is 2 W_00
+                            w += w
+                        np.compress(upper, w, out=new[2 * b, pairs])
+                        del w
+                    states[:, 0, b] += unit * diag
+                rows.extend(new)
+                del rt0, new
+            # halved, so the difference is finite whenever max|L| t_max is
+            _uniform_phase_sums(
+                rows, 0.5 * (grid.t_max / grid.n_steps) * self.eigenvalues,
+                outs)
+            del rows, outs
         states[:, 1, 1] = trace - states[:, 0, 0]
         states[:, 1, 0] = states[:, 0, 1].conj()
         return ReducedTrajectory(grid, states)
@@ -432,25 +467,53 @@ def _phase_sum(w: np.ndarray, cos: np.ndarray, sin: np.ndarray,
     return re + 1j * im
 
 
-def _uniform_phase_sums(rows: list[np.ndarray], x: np.ndarray,
-                        n_points: int) -> np.ndarray:
-    """f[r, k] = sum_p rows[r, p] exp(-i x_p k) for k < n_points.
+def _pair_blocks(dim: int):
+    """Yield (rows, pairs, upper) for each block of PAIR_BLOCK rows R: the
+    pairs (m, n), m in R and n > m, fill the slice ``pairs`` of the pairs
+    m < n in row-major order (that of np.triu), and the mask ``upper`` picks
+    them from the block's columns n >= min R. Row m's pairs start at
+    m (2 dim - m - 1) / 2."""
+    for r in range(0, dim, PAIR_BLOCK):
+        h = min(PAIR_BLOCK, dim - r)
+        yield (slice(r, r + h),
+               slice(r * (2 * dim - r - 1) // 2,
+                     (r + h) * (2 * dim - r - h - 1) // 2),
+               np.less.outer(np.arange(h), np.arange(dim - r)).ravel())
+
+
+def _uniform_phase_sums(rows: list[np.ndarray], theta: np.ndarray,
+                        outs: list):
+    """add(out, part(f[r]), out=out) for each row r and its (out, part, add)
+    in ``outs``, where out is a real view of n_points values and
+    f[r, k] = sum_p rows[r, p] exp(-i x_p k) for k < n_points, over the pairs
+    p = (m, n), m < n, in the order of ``_pair_blocks``, with
+    x_p = 2 fmod(theta_m - theta_n, pi).
 
     Each phase x_p is binned to the nearest point 2 pi j_p / M of an FFT grid
     of M points, the smallest power of two >= n_points, leaving
-    |delta_p| = |x_p - 2 pi j_p / M| <= pi / M; then
+    |delta_p| = |x_p - 2 pi j_p / M| <= pi / M; the phases, bins and offsets
+    are formed one block of PAIR_BLOCK rows m at a time. Then
     f[r, k] = sum_s (-i k)^s / s! F_s[k], where F_s is the DFT of the binned
     weights rows[r] delta^s. The weights are real, so F_s[k] for k > M / 2
-    is the conjugate of F_s[M - k], added to f straight from the half
-    spectrum. Terms are streamed: one grid of M points per term and row,
-    never all terms at once. The arrays in ``rows`` are overwritten.
+    is the conjugate of F_s[M - k], taken straight from the half spectrum.
+    Terms are streamed: one grid of M points per term and row, added
+    straight into out, so no f is ever whole. The arrays in ``rows`` are
+    overwritten.
     """
+    n_points = len(outs[0][0])
     m = 1 << (n_points - 1).bit_length()
-    u = x * (m / (2.0 * np.pi))
-    bins = np.rint(u)
-    u -= bins  # delta M / (2 pi), in [-1/2, 1/2]
-    bins = bins.astype(np.intp)
-    bins %= m
+    u = np.empty(len(rows[0]))
+    bins = np.empty(len(rows[0]), dtype=np.intp)
+    for blk, pairs, upper in _pair_blocks(len(theta)):
+        # fmod is exact and keeps the small phases that matter exact
+        x = u[pairs]
+        np.compress(upper, np.subtract.outer(theta[blk], theta[blk.start:]),
+                    out=x)
+        np.fmod(x, np.pi, out=x)
+        x *= m / np.pi  # x_p in units of 2 pi / M
+        bins[pairs] = np.rint(x)
+        x -= bins[pairs]  # delta M / (2 pi), in [-1/2, 1/2]
+        bins[pairs] %= m
     # |delta k| <= b: after n terms the Taylor remainder of exp(-i delta k)
     # is at most b^n / n! e^b
     b = (n_points - 1) * np.pi / m
@@ -458,22 +521,23 @@ def _uniform_phase_sums(rows: list[np.ndarray], x: np.ndarray,
     while bound > FFT_TAYLOR_TOL:
         n_terms += 1
         bound *= b / n_terms
-    z = (-2j * np.pi / m) * np.arange(n_points)
-    coef = np.ones(n_points, dtype=np.complex128)
-    out = np.zeros((len(rows), n_points), dtype=np.complex128)
+    coef = np.ones(n_points, dtype=np.complex128)  # (-2 pi i k / M)^s / s!
     half = m // 2 + 1
     for s in range(n_terms):
         if s:
             for w in rows:
                 w *= u
-            coef *= z / s
-        for row, w in zip(out, rows):
+            coef *= np.arange(n_points)
+            coef *= -2j * np.pi / (m * s)
+        for w, (out, part, add) in zip(rows, outs):
             spec = np.fft.rfft(np.bincount(bins, w, minlength=m))
             if n_points > half:
-                row[half:] += coef[half:] * (
-                    spec[m - n_points + 1:m - half + 1][::-1].conj())
-            row[:half] += coef[:half] * spec[:n_points]
-    return out
+                top = spec[m - n_points + 1:m - half + 1][::-1].conj()
+                top *= coef[half:]
+                add(out[half:], part(top), out=out[half:])
+            spec = spec[:n_points]
+            spec *= coef[:half]
+            add(out[:half], part(spec), out=out[:half])
 
 
 def evolve_reduced(model: TotalModel, rho0: ProductState,

@@ -223,6 +223,7 @@ class TestParseConfig:
         ("compare", "task.n_max_list", "4,6"),
         ("convergence", "task.threshold", "1e-6"),
         ("convergence", "thermal.n_max_override", "3"),
+        ("convergence", "thermal.tail_tol", "1e-4"),
         ("alpha_sweep", "bath.alpha", "0.3"),
         ("alpha_sweep", "task.compare_with", "independent"),
     ])
@@ -243,6 +244,20 @@ class TestParseConfig:
         assert str(err.value) == (f"{key} (line {line}): not read by "
                                   f"task.kind={task} (read by {readers})")
         assert task not in TASK_KEYS[key]
+
+    @pytest.mark.parametrize("task", ["trajectory", "compare"])
+    def test_tail_tol_with_n_max_override_is_config_error(self, task):
+        # the override replaces the truncation tail_tol would choose
+        entries = {"task__kind": task, "thermal__n_max_override": "2"}
+        if task == "compare":
+            entries["task__compare_with"] = "independent"
+        parse_config(config_text(**entries))
+        text = config_text(**entries, thermal__tail_tol="0.5")
+        line = text.splitlines().index("thermal.tail_tol = 0.5") + 1
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert str(err.value) == (f"thermal.tail_tol (line {line}): not read "
+                                  "when thermal.n_max_override is set")
 
 
 class TestRunTrajectory:
@@ -629,6 +644,22 @@ class TestRunConvergence:
         report = (tmp_path / "out.report").read_text()
         assert "convergence_delta = nan\nconverged = false\n" in report
 
+    def test_no_thermal_truncation_chosen(self, tmp_path, monkeypatch):
+        # task.n_max_list gives every truncation: at beta omega = 1e-310
+        # choose_truncation has no finite answer, and used to end the run
+        # as a resource cap
+        monkeypatch.setattr(dimerbath.thermal, "choose_truncation",
+                            lambda *args: pytest.fail("truncation chosen"))
+        text = config_text(task__kind="convergence",
+                           task__compare_with="independent",
+                           task__n_max_list="2,3", thermal__beta="1e-300",
+                           bath__modes__0__omega="1e-10",
+                           output__directory=str(tmp_path))
+        assert run(parse_config(text)) == 0
+        report = (tmp_path / "out.report").read_text()
+        assert "max_trace_distance_n2 = " in report
+        assert "max_trace_distance_n3 = " in report
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_trajectory_is_verification_failure(self, tmp_path,
                                                             capsys):
@@ -718,6 +749,20 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith(f"config-error: {key} (line ")
         assert "not read by task.kind=" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+    def test_tail_tol_with_n_max_override_through_cli(self, tmp_path, capsys,
+                                                      monkeypatch):
+        # a compare config that ran with thermal.tail_tol ignored
+        text = (CONFIGS / "single_mode_equivalence.cfg").read_text()
+        path = tmp_path / "run.cfg"
+        path.write_text(text + "thermal.n_max_override = 2\n"
+                        "thermal.tail_tol = 0.5\n")
+        monkeypatch.chdir(tmp_path)
+        assert main([str(path), "--threads", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config-error: thermal.tail_tol (line ")
+        assert "not read when thermal.n_max_override is set" in err
         assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
     def test_allocation_failure_is_resource_cap(self, tmp_path, capsys,

@@ -580,28 +580,38 @@ class TestWorkingSet:
                  + 2 * dim * n_points) * 8
         assert peak < bound
 
-    def test_fft_kernel_peak(self, params, mode):
-        # dim 392 on 20001 points takes the FFT kernel, with W whole: 6.21
-        # dim^2 measured. Beside rt0 and W it holds the three rows of the
-        # weights over pairs m < n (dim^2 / 2 each), the pairs' bins and
-        # offsets, the n_points x 3 sums and the states
+    @pytest.mark.parametrize("rho_e, bound", [
+        (np.diag([1.0, 0.0]), 4.7),
+        (np.full((2, 2), 0.5), 4.7),
+        (np.array([[0.6, 0.1 + 0.2j], [0.1 - 0.2j, 0.4]]), 6.2),
+    ], ids=["site1", "plus", "complex"])
+    def test_fft_kernel_peak(self, params, mode, rho_e, bound):
+        # dim 392 on 20001 points takes the FFT kernel. It builds the rows
+        # of the weights over pairs m < n (dim^2 / 2 each, three per half of
+        # rt0) from blocks of PAIR_BLOCK rows, frees rt0 and adds each
+        # Taylor term into the states. Its peak is in those terms: the rows,
+        # the pairs' bins and offsets (dim^2), the states (1.04 dim^2) and
+        # one FFT grid's work: 4.49, 4.49 and 5.99 dim^2 measured, 6.11,
+        # 6.11 and 8.38 with W whole
         model = build("independent", params, [mode], 14)
         dim = model.layout.total_dim
         grid = TimeGrid(t_max=200.0, n_steps=20000)
         assert grid.n_steps + 1 >= dynamics.FFT_MIN_POINTS
         assert dim >= dynamics.FFT_MIN_DIM
         rho0 = initial_state(
-            DensityMatrix(SpaceLayout.electronic_only(), np.diag([1.0, 0.0])),
+            DensityMatrix(SpaceLayout.electronic_only(), rho_e),
             model, ThermalSpec(beta=1.0))
         prop = SpectralPropagator(model)
-        grid.points  # cached before tracing
+        # a first call fills numpy's FFT plan cache (0.1 dim^2), which
+        # later calls reuse
+        prop.reduced_trajectory(rho0, grid)
         tracemalloc.start()
         try:
             prop.reduced_trajectory(rho0, grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 6.4 * dim ** 2 * 8
+        assert peak < bound * dim ** 2 * 8
 
     def test_clean_up_peak(self):
         # ReducedTrajectory keeps one 64-byte copy per point and cleans it in
@@ -767,6 +777,19 @@ class TestFFTKernel:
                                  TimeGrid(t_max=40.0, n_steps=300),
                                  monkeypatch)
         assert np.abs(fft.states - gemm.states).max() < 1e-12
+
+    @pytest.mark.parametrize("name, n_max", [
+        ("shared", 4), ("independent", 6), ("independent", 14)])
+    @pytest.mark.parametrize("beta", [1.0, np.inf])
+    @pytest.mark.parametrize("complex_state", [False, True])
+    def test_matches_gemm_kernel_in_small_pair_blocks(
+            self, params, mode, monkeypatch, name, n_max, beta,
+            complex_state):
+        # blocks of 5 rows: dims 8, 72 and 392 take 2, 15 and 79 blocks,
+        # the last of 3, 2 and 2 rows
+        monkeypatch.setattr(dynamics, "PAIR_BLOCK", 5)
+        self.test_matches_gemm_kernel(params, mode, monkeypatch, name, n_max,
+                                      beta, complex_state)
 
     @pytest.mark.parametrize("n_points, m", [
         (2048, 2048),  # M = n_points: the upper half is mirrored
