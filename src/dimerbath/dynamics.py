@@ -18,23 +18,20 @@ rebuilds the full rho(t); neither forms the dense rho(0), and
 ``DensityMatrix`` has checked that rho_e, and so rho(0), is positive
 semidefinite. The weight matrices W_ab = Q_ab o rt0 of the elements
 (0,0) and (0,1) are formed one row block at a time, so beside the
-Hamiltonian, V and rt0 no whole W is alive, but on a GEMM grid of
-several chunks, which takes each W whole (kernels below). rho_e[1,1]
-takes no W: since Q_00 + Q_11 = V^T V = I and the phases of the diagonal
-are 1, it is tr(rt0) - rho_e[0,0] at every t. Two kernels evaluate the
+Hamiltonian, V and rt0 no whole W is alive. rho_e[1,1] takes no W:
+since Q_00 + Q_11 = V^T V = I and the phases of the diagonal are 1, it
+is tr(rt0) - rho_e[0,0] at every t. Two kernels evaluate the
 phase sum, chosen by dim and grid length:
 
 * grids shorter than FFT_MIN_POINTS, and every grid below dim FFT_MIN_DIM,
   batch over fixed-size chunks of the time grid as two real matrix
   products each, one against cos(L t) and one against sin(L t):
-  O(dim^2 n_points). A grid of one chunk, as in every bundled config but
-  the dim-2592 model of many_mode_equivalence.cfg (501 points, two
-  chunks), forms its phases once for all W and takes each W in blocks of
-  ROW_BLOCK rows, so no whole W exists. On a grid of several
-  chunks each W forms each chunk's phases again, twice in all (four
-  times for a complex rho_e), which costs O(dim n_points) against the
-  contraction's O(dim^2 n_points); at small dim, where sin and cos
-  outweigh the contraction, that is most of the time;
+  O(dim^2 n_points). Each chunk forms its phases once and contracts each
+  W against them in blocks of ROW_BLOCK rows, so no whole W exists. W is
+  formed again for each chunk, dim^3 / 2 multiply-adds against the
+  chunk's 2 dim^2 per point, so a chunk takes at least dim points, and
+  so at least sqrt(PHASE_CHUNK_ELEMENTS) = 1024: a grid shorter than
+  FFT_MIN_POINTS takes at most two chunks, and every bundled config one;
 * longer grids from dim FFT_MIN_DIM up use that the grid is uniform,
   t_k = k h: the sum is a non-uniform DFT of the dim (dim - 1) / 2
   frequencies L_m - L_n (m < n), evaluated by binning each phase
@@ -70,21 +67,22 @@ import numpy as np
 from .models import DEFAULT_DIM_CAP, DimensionCapError, TotalModel  # noqa: F401
 from .spaces import POSITIVITY_TOL, ProductState, eigenvalues_2x2
 
-# (cos, sin) element pairs per (dim x chunk) phase block in reduced_trajectory
+# (cos, sin) element pairs per (dim x chunk) phase block in reduced_trajectory,
+# or dim^2 where that is more
 PHASE_CHUNK_ELEMENTS = 1 << 20
 
-# rows per block of a weight matrix in the phase sum of a one-chunk grid
+# rows per block of a weight matrix in the GEMM phase sum
 ROW_BLOCK = 256
 
 # rows per block of the weight matrices and pair phases of the FFT phase sum
 PAIR_BLOCK = ROW_BLOCK // 4
 
 # grids of at least FFT_MIN_POINTS points at dim FFT_MIN_DIM or more take
-# the FFT phase sum. In README's kernel table it wins at every length
-# from 5001 points at dim 50 and up (and from 1001 points at dims 392 and
-# 1250), and below dim 50 loses at every length. Every bundled
-# config and every benchmark workload but long_trajectory (dim 392) stays
-# on the GEMM kernel.
+# the FFT phase sum. In README's kernel table it wins at dims 50 to 392 on
+# 2048 to 20001 points, for a real and a complex rho_e (one tie), and
+# loses at dim 8 at every length and at dims 50 and 72 on 10^6 points.
+# Every bundled config and every benchmark workload but long_trajectory
+# (dim 392) stays on the GEMM kernel.
 FFT_MIN_POINTS = 2048
 FFT_MIN_DIM = 50
 
@@ -98,8 +96,8 @@ FFT_TAYLOR_TOL = 1e-17
 # the comparisons; the bundled configs reach at most 5.5e-13.
 PHASE_ROUNDING_TOL = 1e-8
 
-# TimeGrid's point cap: a trajectory run peaks at about 170 bytes per grid
-# point (rabi.cfg through the CLI: 205 MB at 10^6 steps, 681 MB at 4 10^6),
+# TimeGrid's point cap: a trajectory run peaks at about 160 bytes per grid
+# point (rabi.cfg through the CLI: 192 MB at 10^6 steps, 673 MB at 4 10^6),
 # so the largest grid stays under 1 GB
 MAX_GRID_POINTS = 4_000_001
 
@@ -274,14 +272,13 @@ class SpectralPropagator:
         V off orthonormal still fails the unit-trace check of
         ``ReducedTrajectory``. Grids of FFT_MIN_POINTS or more at dim
         FFT_MIN_DIM or more take the FFT kernel (module docstring); the rest
-        the chunked GEMM kernel. The GEMM kernel takes the weights from
-        ``_weighted`` one row block at a time. On a one-chunk grid it forms
-        the phases once and contracts blocks of ROW_BLOCK rows against them,
-        adding each block's sums into the states, so no whole W exists:
-        beside rt0 and the phases, one block and its (block x n_points)
-        product are alive. A longer grid takes each W whole as one block,
-        so it forms each chunk's phases once per weight matrix, twice per
-        half of rt0. The FFT kernel forms W and W^T in blocks of PAIR_BLOCK
+        the chunked GEMM kernel. For each chunk the GEMM kernel forms the
+        phases once, takes the weights from ``_weighted`` in blocks of
+        ROW_BLOCK rows, contracts each block against the phases and adds
+        its sums into the states, so no whole W exists: beside rt0 and the
+        chunk's phases, one block and its (block x chunk) product are
+        alive, and the phases are freed before the next chunk's are
+        formed. The FFT kernel forms W and W^T in blocks of PAIR_BLOCK
         rows R, over the columns from min R on, and copies their pairs
         m < n straight into the rows (W + W^T)[m<n] and (W - W^T)[m<n],
         three arrays of dim (dim - 1) / 2 per half of rt0; each half is
@@ -307,20 +304,16 @@ class SpectralPropagator:
         del a
         trace = np.trace(halves[0][1])  # Im rt0 has a zero diagonal
         if n_points < FFT_MIN_POINTS or dim < FFT_MIN_DIM:
-            points = grid.points
-            step = max(1, PHASE_CHUNK_ELEMENTS // dim)
-            chunks = [slice(s, s + step) for s in range(0, n_points, step)]
-            whole = self.phases(points) if len(chunks) == 1 else None
-            # W in row blocks against the phases of a one-chunk grid; a
-            # longer grid takes all rows as one block, W itself. Only the
-            # generator holds rt0, which it frees after the last block
-            weighted = self._weighted(halves, ROW_BLOCK if whole else dim)
-            del halves
-            for b, unit, rows, w in weighted:
-                for chunk in chunks:
-                    cos, sin = whole or self.phases(points[chunk])
+            # at least dim points a chunk, since each chunk forms W again
+            step = max(PHASE_CHUNK_ELEMENTS, dim * dim) // dim
+            for start in range(0, n_points, step):
+                chunk = slice(start, start + step)
+                cos, sin = self.phases(grid.points[chunk])
+                for b, unit, rows, w in self._weighted(halves):
                     states[chunk, 0, b] += unit * _phase_sum(w, cos, sin, rows)
-                del w  # before the generator forms the next block
+                    del w  # before the generator forms the next block
+                del cos, sin  # before the next chunk's phases are formed
+            del halves  # rt0, before ReducedTrajectory copies the states
         else:
             # pair m < n: w[m,n] e^{-i x} + w[n,m] e^{+i x}, x = (L_m - L_n) t,
             # is (w + w^T)[m,n] cos x - i (w - w^T)[m,n] sin x. Q_00 is
@@ -372,11 +365,10 @@ class SpectralPropagator:
         states[:, 1, 0] = states[:, 0, 1].conj()
         return ReducedTrajectory(grid, states)
 
-    def _weighted(self, halves: list[tuple[complex, np.ndarray]],
-                  height: int):
+    def _weighted(self, halves: list[tuple[complex, np.ndarray]]):
         """Yield (b, unit, rows, W_0b[rows]) for b = 0, 1 and each half
         (unit, Re rt0 or Im rt0), the row blocks of the real weights of
-        rho_e[0,b], ``height`` rows each but the last: W_0b[R] =
+        rho_e[0,b], ROW_BLOCK rows each but the last: W_0b[R] =
         (V_0^T[R] V_b) o rt0[R]. rho_e[1,1] and rho_e[1,0] need none
         (``reduced_trajectory``). One block is alive at a time, so a caller
         must be done with each block before it asks for the next."""
@@ -385,8 +377,8 @@ class SpectralPropagator:
         half = dim // 2
         for unit, rt0 in halves:
             for b in (0, 1):
-                for start in range(0, dim, height):
-                    rows = slice(start, start + height)
+                for start in range(0, dim, ROW_BLOCK):
+                    rows = slice(start, start + ROW_BLOCK)
                     w = v[:half, rows].T @ v[b * half:(b + 1) * half]
                     w *= rt0[rows]
                     yield b, unit, rows, w

@@ -154,10 +154,11 @@ class TestReducedTrajectory:
         grid = TimeGrid(t_max=12.0, n_steps=40)
         whole = prop.reduced_trajectory(rho0, grid).states
         dim = small_model.layout.total_dim
-        monkeypatch.setattr(dynamics, "PHASE_CHUNK_ELEMENTS", 7 * dim)
+        # chunks of dim = 12 points, the least a chunk takes
+        monkeypatch.setattr(dynamics, "PHASE_CHUNK_ELEMENTS", dim * dim)
         chunked = prop.reduced_trajectory(rho0, grid)
         assert np.abs(chunked.states - whole).max() < 1e-15
-        for k in (0, 6, 7, 20, 40):  # chunk edges and interiors
+        for k in (0, 11, 12, 20, 24, 40):  # chunk edges and interiors
             full = evolve(prop, rho0, grid.points[k])
             direct = partial_trace_matrix(full, small_model.layout.dims, [0])
             assert np.abs(chunked.states[k] - direct).max() < 1e-12
@@ -166,7 +167,7 @@ class TestReducedTrajectory:
     def test_chunked_grid_from_fft_min_dim(self, params, mode, monkeypatch,
                                            complex_state):
         # a shared model at dim FFT_MIN_DIM, real and complex rho_e, on a
-        # grid of several chunks: each W walks every chunk on its own
+        # grid of three chunks of dim points: each chunk forms W again
         model = build_shared_anticorrelated(params, [mode], 25)
         dim = model.layout.total_dim
         assert dim == dynamics.FFT_MIN_DIM
@@ -175,12 +176,12 @@ class TestReducedTrajectory:
         rho0 = initial_state(DensityMatrix(SpaceLayout.electronic_only(),
                                            rho_e0), model, ThermalSpec(1.0))
         prop = SpectralPropagator(model)
-        grid = TimeGrid(t_max=12.0, n_steps=40)
+        grid = TimeGrid(t_max=36.0, n_steps=120)
         whole = prop.reduced_trajectory(rho0, grid).states
-        monkeypatch.setattr(dynamics, "PHASE_CHUNK_ELEMENTS", 7 * dim)
+        monkeypatch.setattr(dynamics, "PHASE_CHUNK_ELEMENTS", dim * dim)
         chunked = prop.reduced_trajectory(rho0, grid).states
         assert np.abs(chunked - whole).max() < 1e-15
-        for k in (0, 6, 7, 20, 40):  # chunk edges and interiors
+        for k in (0, 49, 50, 80, 99, 100, 120):  # chunk edges and interiors
             full = evolve(prop, rho0, grid.points[k])
             direct = partial_trace_matrix(full, model.layout.dims, [0])
             assert np.abs(chunked[k] - direct).max() < 1e-12
@@ -196,10 +197,11 @@ class TestReducedTrajectory:
             ThermalSpec(beta=1.0))
         prop = SpectralPropagator(model)
         grid = TimeGrid(t_max=12.0, n_steps=40)
-        monkeypatch.setattr(dynamics, "PHASE_CHUNK_ELEMENTS",
-                            7 * model.layout.total_dim)
+        # chunks of dim = 32 points, the least a chunk takes
+        dim = model.layout.total_dim
+        monkeypatch.setattr(dynamics, "PHASE_CHUNK_ELEMENTS", dim * dim)
         traj = prop.reduced_trajectory(rho0, grid)
-        for k in (0, 6, 7, 20, 40):  # chunk edges and interiors
+        for k in (0, 20, 31, 32, 40):  # chunk edges and interiors
             full = evolve(prop, rho0, grid.points[k])
             direct = partial_trace_matrix(full, model.layout.dims, [0])
             assert np.abs(traj.states[k] - direct).max() < 1e-12
@@ -374,7 +376,8 @@ class TestReducedTrajectory:
     def test_two_weight_matrices_per_half(self, small_model, monkeypatch,
                                           complex_state, chunk_points, chunks):
         # rho_e[1,1] comes from the trace: W_00 and W_01 per half of rt0,
-        # each contracted once per chunk of the 41-point grid
+        # each contracted once per chunk of the 71-point grid. A chunk
+        # takes at least dim = 12 points, so 7 points a chunk give 6 chunks
         calls = []
         kernel = dynamics._phase_sum
         monkeypatch.setattr(dynamics, "_phase_sum",
@@ -388,15 +391,16 @@ class TestReducedTrajectory:
                                            rho_e0), small_model,
                              ThermalSpec(1.0))
         SpectralPropagator(small_model).reduced_trajectory(
-            rho0, TimeGrid(t_max=12.0, n_steps=40))
+            rho0, TimeGrid(t_max=21.0, n_steps=70))
         assert len(calls) == (4 if complex_state else 2) * chunks
 
     @pytest.mark.parametrize("complex_state", [False, True])
     @pytest.mark.parametrize("chunk_points, formed, rows", [
         # one chunk: phases formed once, each W in blocks of 5, 5 and 2 rows
-        (None, [41], [5, 5, 2]),
-        # 6 chunks: each W whole, forming each chunk's phases again
-        (7, [7, 7, 7, 7, 7, 6], [12] * 6)])
+        (None, [71], [5, 5, 2]),
+        # 6 chunks of at least dim points: each chunk's phases formed once,
+        # and each W in blocks of 5, 5 and 2 rows against them
+        (7, [12, 12, 12, 12, 12, 11], [5, 5, 2])])
     def test_phases_per_chunk_and_row_blocks(
             self, small_model, monkeypatch, complex_state, chunk_points,
             formed, rows):
@@ -419,10 +423,10 @@ class TestReducedTrajectory:
         rho0 = initial_state(DensityMatrix(SpaceLayout.electronic_only(),
                                            rho_e0), small_model,
                              ThermalSpec(1.0))
-        prop.reduced_trajectory(rho0, TimeGrid(t_max=12.0, n_steps=40))
+        prop.reduced_trajectory(rho0, TimeGrid(t_max=21.0, n_steps=70))
         n_w = 4 if complex_state else 2  # W_00 and W_01 per half of rt0
-        assert phases == (formed if len(formed) == 1 else formed * n_w)
-        assert sums == rows * n_w
+        assert phases == formed
+        assert sums == rows * n_w * len(formed)
 
     @pytest.mark.parametrize("complex_state", [False, True])
     def test_row_blocks_match_one_block(self, params, mode, monkeypatch,
@@ -527,8 +531,8 @@ class TestFactor:
                             lambda self, rho0: calls.append(1)
                             or factor(self, rho0))
         monkeypatch.setattr(SpectralPropagator, "_weighted",
-                            lambda self, h, height: halves.extend(h)
-                            or weighted(self, h, height))
+                            lambda self, h: halves.extend(h)
+                            or weighted(self, h))
         rho0 = initial_state(
             DensityMatrix(SpaceLayout.electronic_only(), rho_e), small_model,
             ThermalSpec(beta=1.0))
@@ -549,12 +553,41 @@ class TestWorkingSet:
         (np.array([[0.6, 0.1 + 0.2j], [0.1 - 0.2j, 0.4]]), 2),
     ])
     def test_reduced_trajectory_peak(self, params, mode, rho_e, halves):
-        # dim 392 on 301 points: one chunk, so the phases are formed once
+        # dim 392 on 301 points: one chunk, so the phases are formed once.
+        # 3.73 dim^2 measured for a real rho_e, 4.73 for a complex one; a
+        # whole W would take 4.34 and 5.34. The set-up before the kernel
+        # peaks at 1.5 dim^2 for site1 and plus (G and rt0) and at 4.0 for
+        # the complex rank-2 state: G (2 dim^2) and its copy
+        # [Re G | Im G], then that copy, Re rt0 and A = Im G Re G^T, the
+        # copy freed before Im rt0 = A - A^T
+        self.check_gemm_peak(params, mode, rho_e, halves,
+                             TimeGrid(t_max=30.0, n_steps=300), 301)
+
+    @pytest.mark.parametrize("rho_e, halves", [
+        (np.diag([1.0, 0.0]), 1),
+        (np.array([[0.6, 0.1 + 0.2j], [0.1 - 0.2j, 0.4]]), 2),
+    ], ids=["site1", "complex"])
+    def test_chunked_grid_peak(self, params, mode, monkeypatch, rho_e,
+                               halves):
+        # dim 392 on 1201 points in chunks of dim points (392, 392, 392
+        # and 25): each chunk's phases are formed once and freed before the
+        # next chunk's, and W is contracted against them in row blocks.
+        # 4.40 dim^2 measured for site1 and 5.39 for the complex state;
+        # each W whole, with each chunk's phases formed once per W, would
+        # take 6.07 and 7.07
+        monkeypatch.setattr(dynamics, "PHASE_CHUNK_ELEMENTS", 392 ** 2)
+        self.check_gemm_peak(params, mode, rho_e, halves,
+                             TimeGrid(t_max=120.0, n_steps=1200), 392)
+
+    @staticmethod
+    def check_gemm_peak(params, mode, rho_e, halves, grid, chunk):
+        """The traced peak of one GEMM-kernel trajectory at dim 392, whose
+        chunks have at most ``chunk`` points, within its working set."""
         model = build("independent", params, [mode], 14)
         dim = model.layout.total_dim
-        grid = TimeGrid(t_max=30.0, n_steps=300)
-        n_points = grid.n_steps + 1
-        assert dim == 392 and dim * n_points <= dynamics.PHASE_CHUNK_ELEMENTS
+        step = max(dynamics.PHASE_CHUNK_ELEMENTS, dim * dim) // dim
+        assert dim == 392 and min(step, grid.n_steps + 1) == chunk
+        assert grid.n_steps + 1 < dynamics.FFT_MIN_POINTS
         rho0 = initial_state(
             DensityMatrix(SpaceLayout.electronic_only(), rho_e), model,
             ThermalSpec(beta=1.0))
@@ -566,18 +599,13 @@ class TestWorkingSet:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the kernel holds one real dim^2 matrix per half of rt0, the
-        # phase block (cos and sin, dim x n_points each) and, of the weight
+        # the kernel holds one real dim^2 matrix per half of rt0, one
+        # chunk's phases (cos and sin, dim x chunk each) and, of the weight
         # matrix W, one block of h = min(ROW_BLOCK, dim) rows and its
-        # h x n_points product: 3.73 dim^2 measured for a real rho_e, 4.73
-        # for a complex one; a whole W would take 4.34 and 5.34. The set-up
-        # before it peaks at 1.5 dim^2 for site1 and plus (G and rt0) and
-        # at 4.0 for the complex rank-2 state: G (2 dim^2) and its copy
-        # [Re G | Im G], then that copy, Re rt0 and A = Im G Re G^T, the
-        # copy freed before Im rt0 = A - A^T. A quarter dim^2 is spare
+        # h x chunk product. A quarter dim^2 is spare
         h = min(dynamics.ROW_BLOCK, dim)
-        bound = ((halves + 0.25) * dim ** 2 + h * (dim + n_points)
-                 + 2 * dim * n_points) * 8
+        bound = ((halves + 0.25) * dim ** 2 + h * (dim + chunk)
+                 + 2 * dim * chunk) * 8
         assert peak < bound
 
     @pytest.mark.parametrize("rho_e, bound", [
