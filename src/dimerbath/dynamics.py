@@ -222,7 +222,8 @@ class SpectralPropagator:
         if not h.is_hermitian():
             raise ValueError("Hamiltonian must be Hermitian")
         self.model = model
-        self.eigenvalues, self.eigenvectors = np.linalg.eigh(h.matrix)
+        self.eigenvalues, self.eigenvectors = np.linalg.eigh(
+            h.lower_triangle())
         self.eigenvalues.flags.writeable = False
         self.eigenvectors.flags.writeable = False
 

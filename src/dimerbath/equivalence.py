@@ -161,8 +161,8 @@ def spectrum_equivalence(model_a: TotalModel, model_b: TotalModel,
         raise ValueError("models must have equal total dimension")
     if not 0.0 < lowest_fraction <= 1.0:
         raise ValueError("lowest_fraction must be in (0, 1]")
-    e_a = np.linalg.eigvalsh(model_a.hamiltonian.matrix)
-    e_b = np.linalg.eigvalsh(model_b.hamiltonian.matrix)
+    e_a = np.linalg.eigvalsh(model_a.hamiltonian.lower_triangle())
+    e_b = np.linalg.eigvalsh(model_b.hamiltonian.lower_triangle())
     radius = max(np.abs(e_a).max(), np.abs(e_b).max())
     k = max(1, int(round(lowest_fraction * e_a.size)))
     return float(np.abs(e_a[:k] - e_b[:k]).max() / (1.0 + radius))

@@ -38,6 +38,12 @@ from .spaces import (
 
 SQRT2 = math.sqrt(2.0)
 
+# The dense path peaks in eigh at 4 dim^2 float64: LAPACK's copy of H,
+# dsyevd's 2 dim^2 workspace and the eigenvectors. H itself reaches eigh as
+# Operator.lower_triangle, whose unwritten diagonals take no memory. At dim
+# 1250 pair_2mode peaks 57.2 MiB above its set-up: 47.7 MiB for the four,
+# 4.5 MiB of written diagonals (in 2 MiB huge pages) and library pages
+# (numpy 2.4, one OpenBLAS thread). At this cap the four come to 537 MB.
 DEFAULT_DIM_CAP = 4096
 
 
@@ -218,22 +224,30 @@ def _assemble(p: ElectronicParams, n_max: int, frequencies: Sequence[float],
               ) -> Operator:
     """H_e + sum_k omega_k n_k + sum_k g_k (c1 |1><1| + c2 |2><2|)(b_k + b_k^dag).
 
-    One (g_k, (c1, c2)) coupling per Fock factor k. H is written into one
-    dense array by index lookup in the occupation basis: the state at row
-    e B + i is electronic state e with bath occupations basis[i].
+    One (g_k, (c1, c2)) coupling per Fock factor k. H is emitted once as
+    (row, col, value) triplets by index lookup in the occupation basis: the
+    state at row e B + i is electronic state e with bath occupations
+    basis[i]. Each (row, col) is written once. No dense H is kept: eigh
+    reads the operator's ``lower_triangle``, other readers its ``matrix``.
     """
     n_fock = len(frequencies)
     basis = occupation_basis(n_fock, n_max)
     n_bath = len(basis)
-    h = np.zeros((exciton_dim(n_fock, n_max),) * 2)
+    rows, cols, values = [], [], []
+
+    def emit(r, c, v):
+        rows.append(r)
+        cols.append(c)
+        values.append(np.broadcast_to(v, r.shape))
+
     h_e = electronic_hamiltonian(p).matrix
     bath = np.arange(n_bath)
     for e in (0, 1):
         energy = np.full(n_bath, h_e[e, e])
         for k, omega in enumerate(frequencies):
             energy += omega * basis[:, k]
-        h[e * n_bath + bath, e * n_bath + bath] = energy
-        h[e * n_bath + bath, (1 - e) * n_bath + bath] = h_e[e, 1 - e]
+        emit(e * n_bath + bath, e * n_bath + bath, energy)
+        emit(e * n_bath + bath, (1 - e) * n_bath + bath, h_e[e, 1 - e])
     # (b + b^dag) connects occupation n of factor k with n - 1, amplitude sqrt(n)
     a = annihilation_matrix(n_max).matrix
     for k, (g, sites) in enumerate(couplings):
@@ -247,11 +261,14 @@ def _assemble(p: ElectronicParams, n_max: int, frequencies: Sequence[float],
         for e, c in enumerate(sites):
             if c == 0.0:
                 continue
-            value = g * (c * a[n - 1, n])
-            h[e * n_bath + lower, e * n_bath + upper] += value
-            h[e * n_bath + upper, e * n_bath + lower] += value
-    h.flags.writeable = False
-    return Operator(SpaceLayout((2,) + (n_max,) * n_fock), h)
+            # 0.0 + v, as summed onto an empty entry: an underflowed -0.0
+            # is stored as +0.0
+            value = 0.0 + g * (c * a[n - 1, n])
+            emit(e * n_bath + lower, e * n_bath + upper, value)
+            emit(e * n_bath + upper, e * n_bath + lower, value)
+    return Operator.from_triplets(SpaceLayout((2,) + (n_max,) * n_fock),
+                                  np.concatenate(rows), np.concatenate(cols),
+                                  np.concatenate(values))
 
 
 def _model(kind: str, p: ElectronicParams, modes: Sequence[ModeSpec],

@@ -1,17 +1,20 @@
-"""Composite Hilbert spaces and dense operator algebra.
+"""Composite Hilbert spaces and operator algebra.
 
 A space is an ordered tensor product of factors, described by their
 dimensions: the two-level electronic factor first, when present, followed
 by truncated Fock factors. The bath of an exciton space is one
-occupation-number basis, listed by :func:`occupation_basis`. Operators and
-states are stored dense, in float64 when their imaginary part is exactly
-zero and in complex128 otherwise; one converter makes that choice. The
-exception is :class:`ProductState`, the initial state of every evolution:
-a :class:`DensityMatrix`, the one checked 2x2 electronic state, times a bath
-state diagonal in the occupation basis, stored as the 2x2 factor and one
-weight per basis row. An :class:`Operator` is a Hamiltonian and must be
-real, as every model Hamiltonian is. All values are immutable after
-construction and all operations are pure functions.
+occupation-number basis, listed by :func:`occupation_basis`. An
+:class:`Operator` is a Hamiltonian and must be real, as every model
+Hamiltonian is; it is stored as (row, col, value) triplets and formed
+dense only when read: as its lower triangle for ``eigh``, whole when its
+``matrix`` is read. A :class:`DensityMatrix`, the one checked 2x2
+electronic state, is stored dense, in float64 when its imaginary part is
+exactly zero and in complex128 otherwise; one converter makes that choice
+for every dense input. :class:`ProductState`, the initial state of every
+evolution, is a :class:`DensityMatrix` times a bath state diagonal in the
+occupation basis, stored as the 2x2 factor and one weight per basis row.
+All values are immutable after construction and all operations are pure
+functions.
 """
 
 from __future__ import annotations
@@ -78,28 +81,114 @@ def _as_square(matrix, dim: int) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Operator:
-    """A real dense Hamiltonian tagged with the layout it acts on."""
+    """A real Hamiltonian tagged with the layout it acts on, stored as
+    (row, col, value) triplets sorted by (row, col), one per stored entry.
+
+    ``Operator(layout, matrix)`` takes a dense array and keeps every entry
+    that is not +0.0; ``Operator.from_triplets`` takes the triplets of an
+    assembler. Dense forms are made anew on every read: ``lower_triangle``
+    for eigensolvers, ``matrix`` for every other reader.
+    """
 
     layout: SpaceLayout
-    matrix: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
 
-    def __post_init__(self):
-        m = _as_square(self.matrix, self.layout.total_dim)
-        if np.iscomplexobj(m):
+    def __init__(self, layout: SpaceLayout, matrix):
+        m = _as_square(matrix, layout.total_dim)
+        # -0.0 is kept too, so that ``matrix`` gives the input bit for bit;
+        # a complex m is rejected by _store
+        rows, cols = np.nonzero((m != 0.0) | np.signbit(m.real))
+        self._store(layout, rows, cols, m[rows, cols])
+
+    @classmethod
+    def from_triplets(cls, layout: SpaceLayout, rows, cols,
+                      values) -> "Operator":
+        """H[rows[i], cols[i]] = values[i], every other entry +0.0; each
+        (row, col) may occur once."""
+        op = cls.__new__(cls)
+        op._store(layout, rows, cols, values)
+        return op
+
+    def _store(self, layout, rows, cols, values):
+        if np.iscomplexobj(values):
             raise ValueError("Hamiltonian must be real: the propagator "
                              "diagonalizes real symmetric matrices only")
-        object.__setattr__(self, "matrix", m)
+        dim = layout.total_dim
+        rows = np.asarray(rows, dtype=np.intp)
+        cols = np.asarray(cols, dtype=np.intp)
+        values = np.asarray(values, dtype=np.float64)
+        if rows.ndim != 1 or not rows.shape == cols.shape == values.shape:
+            raise LayoutError("rows, cols and values must be 1-D arrays of "
+                              "one length")
+        if rows.size and (min(rows.min(), cols.min()) < 0
+                          or max(rows.max(), cols.max()) >= dim):
+            raise LayoutError(f"an index is outside layout dim {dim}")
+        if not np.isfinite(values).all():
+            raise ValueError("matrix has a non-finite entry")
+        order = np.argsort(rows * dim + cols)
+        rows, cols, values = rows[order], cols[order], values[order]
+        twice = np.flatnonzero((rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1]))
+        if twice.size:
+            i = twice[0]
+            raise ValueError(f"entry ({rows[i]}, {cols[i]}) is given twice")
+        object.__setattr__(self, "layout", layout)
+        for name, a in (("rows", rows), ("cols", cols), ("values", values)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense float64 dim x dim array, read-only, scattered from the
+        triplets on every read."""
+        dim = self.layout.total_dim
+        m = np.zeros((dim, dim))
+        m[self.rows, self.cols] = self.values
+        m.flags.writeable = False
+        return m
+
+    def lower_triangle(self) -> np.ndarray:
+        """tril(H), read-only, for eigh and eigvalsh, which read only the
+        lower triangle: a dim x dim view of a (2 dim - 1) x dim array whose
+        row dim - 1 + i - j holds the diagonal i - j, indexed by j.
+
+        Only the diagonals on and below the main one that hold an entry are
+        written. The array is allocated zeroed, and large zeroed allocations
+        take memory only where written, so a banded H costs a few rows of
+        dim entries here, not dim^2.
+        """
+        dim = self.layout.total_dim
+        low = self.rows >= self.cols
+        cols = self.cols[low]
+        diagonals = np.zeros((2 * dim - 1, dim))
+        diagonals[dim - 1 + self.rows[low] - cols, cols] = self.values[low]
+        size = diagonals.itemsize
+        view = np.ndarray((dim, dim), buffer=diagonals,
+                          offset=size * dim * (dim - 1),
+                          strides=(size * dim, size * (1 - dim)))
+        view.flags.writeable = False
+        return view
 
     def is_hermitian(self, rtol: float = HERMITICITY_RTOL) -> bool:
-        """||A - A^T||_F <= rtol max|A_ij|, in O(dim^2) without an SVD."""
-        m = self.matrix
-        scale = np.abs(m).max()
-        if scale == 0.0:
+        """||A - A^T||_F <= rtol max|A_ij|, on the triplets: each entry is
+        paired with its transpose by a search of the sorted (row, col)
+        keys, in O(nnz log nnz) and with no dense array."""
+        if not self.values.any():
             return True
+        scale = np.abs(self.values).max()
+        dim = self.layout.total_dim
+        keys = self.rows * dim + self.cols
+        mirror = self.cols * dim + self.rows
+        at = np.minimum(np.searchsorted(keys, mirror), keys.size - 1)
+        paired = keys[at] == mirror
+        diff = self.values - np.where(paired, self.values[at], 0.0)
+        # an entry with no partner stands at (i, j) and, negated, at (j, i)
+        diff = np.concatenate((diff, diff[~paired]))
         # ||.||_2 <= ||.||_F and max|A_ij| <= ||A||_2: implies the spectral test
-        return np.linalg.norm(m - m.T) <= rtol * scale
+        return np.linalg.norm(diff) <= rtol * scale
 
 
 @dataclass(frozen=True)

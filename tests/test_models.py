@@ -22,7 +22,7 @@ from dimerbath.models import (
     electronic_hamiltonian,
     ohmic_drude_modes,
 )
-from dimerbath.spaces import Operator
+from dimerbath.spaces import HERMITICITY_RTOL, Operator
 
 SQRT2 = np.sqrt(2.0)
 
@@ -70,6 +70,29 @@ class TestKronReference:
         reference = kron_hamiltonian(model)
         assert not reference.imag.any()
         assert _bitwise_equal(model.hamiltonian.matrix, reference.real)
+
+
+class TestTriplets:
+    def test_built_model_holds_no_dense_hamiltonian(self, params):
+        # pair_2mode's independent model: 4 Fock factors at 5 levels, dim
+        # 1250, whose dense H alone would take 12.5 MB
+        modes = [ModeSpec(0.8, 0.15), ModeSpec(1.3, 0.1)]
+        tracemalloc.start()
+        try:
+            model = models.build("independent", params, modes, 5)
+            kept = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            # the check a SpectralPropagator repeats forms no dense array
+            assert model.hamiltonian.is_hermitian()
+            checked = tracemalloc.get_traced_memory()[1] - kept
+        finally:
+            tracemalloc.stop()
+        assert model.layout.total_dim == 1250
+        assert kept < 1 << 20 and checked < 1 << 20
+        a, b = model.hamiltonian.matrix, model.hamiltonian.matrix
+        assert not np.shares_memory(a, b)
+        assert np.array_equal(a, b)
+        assert not a.flags.writeable and not b.flags.writeable
 
 
 class TestElectronicHamiltonian:
@@ -247,6 +270,14 @@ class TestEffectiveCoupling:
         assert (np.diff(mags) < 0).all()
 
 
+def _shift(i, j, fraction):
+    """Edit adding fraction rtol max|A_ij| to the entry (i, j)."""
+    def edit(h, bound):
+        h[i, j] += fraction * bound
+        return h
+    return edit
+
+
 class TestHermiticity:
     @pytest.mark.parametrize("build", [
         lambda p, m, n: build_shared_anticorrelated(p, m, n),
@@ -259,12 +290,34 @@ class TestHermiticity:
         m = build(params, [ModeSpec(1.0, 0.2), ModeSpec(0.5, -0.1)], 3)
         assert m.hamiltonian.is_hermitian(1e-12)
 
-    def test_perturbed_hamiltonian_rejected(self, params, mode):
+    @pytest.mark.parametrize("edit, hermitian", [
+        pytest.param(_shift(0, 1, 1e6), False, id="partners-far-apart"),
+        # no (2, 0) entry: the stray one counts at (0, 2) and, negated, at
+        # (2, 0), so ||A - A^T||_F is sqrt(2) 0.9 rtol max|A_ij|
+        pytest.param(_shift(0, 2, 0.9), False, id="partner-missing"),
+        # ||A - A^T||_F = sqrt(2) shift: just inside and just outside
+        pytest.param(_shift(0, 1, 0.99 / SQRT2), True,
+                     id="partners-just-inside"),
+        pytest.param(_shift(0, 1, 1.01 / SQRT2), False,
+                     id="partners-just-outside"),
+        pytest.param(lambda h, bound: np.zeros_like(h), True, id="zero"),
+    ])
+    def test_perturbed_hamiltonian_verdict(self, params, mode, edit,
+                                           hermitian):
+        # the triplet check gives the dense criterion's verdict
         model = build_shared_anticorrelated(params, [mode], 4)
         h = model.hamiltonian.matrix.copy()
-        h[0, 1] += 1e-6
-        with pytest.raises(ValueError, match="not Hermitian"):
+        assert h[0, 1] == h[1, 0] != 0.0 and h[0, 2] == h[2, 0] == 0.0
+        h = edit(h, HERMITICITY_RTOL * np.abs(h).max())
+        dense = (np.linalg.norm(h - h.T)
+                 <= HERMITICITY_RTOL * np.abs(h).max())
+        assert dense == hermitian
+        assert Operator(model.layout, h).is_hermitian() == hermitian
+        if hermitian:
             replace(model, hamiltonian=Operator(model.layout, h))
+        else:
+            with pytest.raises(ValueError, match="not Hermitian"):
+                replace(model, hamiltonian=Operator(model.layout, h))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("mode, eps1", [

@@ -212,6 +212,36 @@ def test_is_hermitian_accepts_hermitian_and_zero_rejects_perturbed():
     assert not Operator(layout, h).is_hermitian()
 
 
+def test_operator_keeps_every_entry_bit_for_bit():
+    h = np.array([[1.5, -0.0, 0.0], [-0.0, 0.0, 2.0], [0.0, 2.0, -3.0]])
+    op = Operator(SpaceLayout((3,)), h)
+    assert op.values.size == 6
+    assert op.matrix.tobytes() == h.tobytes()
+
+
+def test_operator_from_triplets():
+    layout = SpaceLayout((3,))
+    op = Operator.from_triplets(layout, [2, 0, 1], [1, 0, 2], [0.5, 1.0, 0.5])
+    assert np.array_equal(op.matrix, [[1.0, 0, 0], [0, 0, 0.5], [0, 0.5, 0]])
+    assert op.is_hermitian()
+    with pytest.raises(ValueError, match=r"entry \(0, 1\) is given twice"):
+        Operator.from_triplets(layout, [0, 0], [1, 1], [1.0, 2.0])
+    with pytest.raises(LayoutError, match="outside layout dim 3"):
+        Operator.from_triplets(layout, [3], [0], [1.0])
+    with pytest.raises(ValueError, match="must be real"):
+        Operator.from_triplets(layout, [0], [0], [1j])
+
+
+def test_lower_triangle_is_tril_and_gives_eigh_bit_for_bit():
+    x = np.random.default_rng(5).normal(size=(9, 9))
+    op = Operator(SpaceLayout((9,)), x + x.T)
+    low = op.lower_triangle()
+    assert np.array_equal(low, np.tril(op.matrix))
+    assert not low.flags.writeable
+    for a, b in zip(np.linalg.eigh(low), np.linalg.eigh(op.matrix)):
+        assert a.tobytes() == b.tobytes()
+
+
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 12),
        log_eps=st.one_of(st.none(), st.floats(-18.0, -8.0)))
