@@ -168,9 +168,9 @@ def _list_of(conv):
         try:
             values = tuple(conv(part.strip()) for part in raw.split(",")
                            if part.strip())
-        except ValueError:
-            raise ValueError(
-                f"expected a comma-separated list, got {raw!r}") from None
+        except ValueError as exc:
+            raise ValueError(f"expected a comma-separated list, got {raw!r} "
+                             f"({exc})") from None
         if not values:
             raise ValueError(f"empty list {raw!r}")
         return values
@@ -304,7 +304,7 @@ def parse_config(text: str) -> RunConfig:
         if value is not None and not used:
             e.fail(f"bath.{param}", "only valid when bath.kind or "
                    f"task.compare_with is {' or '.join(takers)}")
-    alphas = e.get("task.alphas", _list_of(float), (),
+    alphas = e.get("task.alphas", _list_of(_finite), (),
                    required=(task == "alpha_sweep"))
     if not _strictly_ascending(alphas):
         e.fail("task.alphas", "alpha list must be strictly ascending")
@@ -428,7 +428,10 @@ def _run(config: RunConfig) -> int:
         # every build has n_max >= 2 and the dimension grows with n_max, so
         # m modes over the cap at n_max 2 are rejected before discretizing
         models.check_dim_cap(config.bath_kind, m, 2, config.dim_cap)
-        modes = models.ohmic_drude_modes(lam, gamma, m, omega_max)
+        try:
+            modes = models.ohmic_drude_modes(lam, gamma, m, omega_max)
+        except ValueError as exc:  # e.g. couplings that overflow float64
+            raise ConfigError(f"bath.ohmic: {exc}") from exc
     else:
         modes = [models.ModeSpec(omega, g) for omega, g in config.modes]
 

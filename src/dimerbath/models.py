@@ -1,7 +1,7 @@
 """Hamiltonian constructors for the dimer exciton-phonon model families.
 
 All energies are angular frequencies (hbar = 1). The electronic space is the
-two-dimensional single-exciton manifold spanned by |1> and |2| (site basis);
+two-dimensional single-exciton manifold spanned by |1> and |2> (site basis);
 phonon modes are truncated to their lowest ``n_max`` Fock levels.
 
 Model families:
@@ -31,7 +31,6 @@ from .spaces import (
     HERMITICITY_RTOL,
     Operator,
     SpaceLayout,
-    annihilation_matrix,
     exciton_dim,
     occupation_basis,
 )
@@ -213,12 +212,6 @@ def build(name: str, p: ElectronicParams, modes: Sequence[ModeSpec],
         raise ModelBuildError(f"cannot build the {name} model: {exc}") from exc
 
 
-def electronic_hamiltonian(p: ElectronicParams) -> Operator:
-    """2x2 dimer Hamiltonian [[eps1, j], [j, eps2]] in the site basis."""
-    m = np.array([[p.eps1, p.j], [p.j, p.eps2]])
-    return Operator(SpaceLayout.electronic_only(), m)
-
-
 def _assemble(p: ElectronicParams, n_max: int, frequencies: Sequence[float],
               couplings: Sequence[tuple[float, tuple[float, float]]]
               ) -> Operator:
@@ -240,7 +233,8 @@ def _assemble(p: ElectronicParams, n_max: int, frequencies: Sequence[float],
         cols.append(c)
         values.append(np.broadcast_to(v, r.shape))
 
-    h_e = electronic_hamiltonian(p).matrix
+    # H_e = [[eps1, j], [j, eps2]] in the site basis; integer params too
+    h_e = np.array([[p.eps1, p.j], [p.j, p.eps2]], dtype=np.float64)
     bath = np.arange(n_bath)
     for e in (0, 1):
         energy = np.full(n_bath, h_e[e, e])
@@ -249,7 +243,6 @@ def _assemble(p: ElectronicParams, n_max: int, frequencies: Sequence[float],
         emit(e * n_bath + bath, e * n_bath + bath, energy)
         emit(e * n_bath + bath, (1 - e) * n_bath + bath, h_e[e, 1 - e])
     # (b + b^dag) connects occupation n of factor k with n - 1, amplitude sqrt(n)
-    a = annihilation_matrix(n_max).matrix
     for k, (g, sites) in enumerate(couplings):
         if g == 0.0:
             continue
@@ -263,12 +256,12 @@ def _assemble(p: ElectronicParams, n_max: int, frequencies: Sequence[float],
                 continue
             # 0.0 + v, as summed onto an empty entry: an underflowed -0.0
             # is stored as +0.0
-            value = 0.0 + g * (c * a[n - 1, n])
+            value = 0.0 + g * (c * np.sqrt(n))
             emit(e * n_bath + lower, e * n_bath + upper, value)
             emit(e * n_bath + upper, e * n_bath + lower, value)
-    return Operator.from_triplets(SpaceLayout((2,) + (n_max,) * n_fock),
-                                  np.concatenate(rows), np.concatenate(cols),
-                                  np.concatenate(values))
+    return Operator(SpaceLayout((2,) + (n_max,) * n_fock),
+                    np.concatenate(rows), np.concatenate(cols),
+                    np.concatenate(values))
 
 
 def _model(kind: str, p: ElectronicParams, modes: Sequence[ModeSpec],
@@ -376,14 +369,24 @@ def ohmic_drude_modes(lambda_reorg: float, gamma_cutoff: float, m: int,
 
     J(w) = 2 lambda gamma w / (w^2 + gamma^2) sampled at w_k = k dw on
     (0, omega_max], with g_k = sqrt(J(w_k) dw / pi). The reorganization sum
-    sum_k g_k^2 / w_k converges to lambda as m and omega_max grow.
+    sum_k g_k^2 / w_k converges to lambda as m and omega_max grow. Each g_k
+    is formed in Python floats, so a g_k that overflows float64 is a
+    ValueError, not a numpy RuntimeWarning.
     """
     if lambda_reorg < 0 or gamma_cutoff <= 0 or omega_max <= 0:
         raise ValueError("spectral density parameters must be positive")
     if m < 1:
         raise ValueError(f"mode count must be >= 1, got {m}")
     dw = omega_max / m
-    omegas = dw * np.arange(1, m + 1)
-    j_w = 2.0 * lambda_reorg * gamma_cutoff * omegas / (omegas**2 + gamma_cutoff**2)
-    gs = np.sqrt(j_w * dw / np.pi)
-    return [ModeSpec(float(w), float(g)) for w, g in zip(omegas, gs)]
+    modes = []
+    for k in range(1, m + 1):
+        w = dw * k
+        try:  # gamma^2 overflows, or w^2 + gamma^2 underflows to 0
+            j_w = 2.0 * lambda_reorg * gamma_cutoff * w / (w * w + gamma_cutoff**2)
+        except ArithmeticError:
+            j_w = math.inf
+        g = math.sqrt(j_w * dw / math.pi)
+        if not math.isfinite(g):
+            raise ValueError(f"coupling at omega {w:g} overflows float64")
+        modes.append(ModeSpec(w, g))
+    return modes

@@ -5,12 +5,12 @@ dimensions: the two-level electronic factor first, when present, followed
 by truncated Fock factors. The bath of an exciton space is one
 occupation-number basis, listed by :func:`occupation_basis`. An
 :class:`Operator` is a Hamiltonian and must be real, as every model
-Hamiltonian is; it is stored as (row, col, value) triplets and formed
-dense only when read: as its lower triangle for ``eigh``, whole when its
-``matrix`` is read. A :class:`DensityMatrix`, the one checked 2x2
-electronic state, is stored dense, in float64 when its imaginary part is
-exactly zero and in complex128 otherwise; one converter makes that choice
-for every dense input. :class:`ProductState`, the initial state of every
+Hamiltonian is; it is built from (row, col, value) triplets, stored as
+such and formed dense only when read: as its lower triangle for ``eigh``,
+whole when its ``matrix`` is read. A :class:`DensityMatrix`, the one
+checked 2x2 electronic state, is stored dense, in float64 when its
+imaginary part is exactly zero and in complex128 otherwise.
+:class:`ProductState`, the initial state of every
 evolution, is a :class:`DensityMatrix` times a bath state diagonal in the
 occupation basis, stored as the 2x2 factor and one weight per basis row.
 All values are immutable after construction and all operations are pure
@@ -64,32 +64,16 @@ def occupation_basis(n_fock: int, n_max: int) -> np.ndarray:
     return np.indices((n_max,) * n_fock).reshape(n_fock, -1).T
 
 
-def _as_square(matrix, dim: int) -> np.ndarray:
-    """Read-only float64 array, or complex128 if any imaginary part is nonzero."""
-    m = np.asarray(matrix)
-    if np.iscomplexobj(m) and np.isreal(m).all():
-        m = m.real
-    m = np.asarray(m, dtype=np.complex128 if np.iscomplexobj(m) else np.float64)
-    if m.shape != (dim, dim):
-        raise LayoutError(f"matrix shape {m.shape} does not match layout dim {dim}")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix has a non-finite entry")
-    # an array that owns its data and is already read-only is taken as is
-    if m.flags.writeable or not m.flags.owndata:
-        m = m.copy()
-        m.flags.writeable = False
-    return m
-
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Operator:
     """A real Hamiltonian tagged with the layout it acts on, stored as
-    (row, col, value) triplets sorted by (row, col), one per stored entry.
+    (row, col, value) triplets: H[rows[i], cols[i]] = values[i], every other
+    entry +0.0.
 
-    ``Operator(layout, matrix)`` takes a dense array and keeps every entry
-    that is not +0.0; ``Operator.from_triplets`` takes the triplets of an
-    assembler. Dense forms are made anew on every read: ``lower_triangle``
-    for eigensolvers, ``matrix`` for every other reader.
+    Construction sorts the triplets by (row, col), rejects a complex value,
+    an index outside the layout, a non-finite value and a (row, col) given
+    twice, and freezes the arrays. Dense forms are made anew on every read:
+    ``lower_triangle`` for eigensolvers, ``matrix`` for every other reader.
     """
 
     layout: SpaceLayout
@@ -97,30 +81,14 @@ class Operator:
     cols: np.ndarray
     values: np.ndarray
 
-    def __init__(self, layout: SpaceLayout, matrix):
-        m = _as_square(matrix, layout.total_dim)
-        # -0.0 is kept too, so that ``matrix`` gives the input bit for bit;
-        # a complex m is rejected by _store
-        rows, cols = np.nonzero((m != 0.0) | np.signbit(m.real))
-        self._store(layout, rows, cols, m[rows, cols])
-
-    @classmethod
-    def from_triplets(cls, layout: SpaceLayout, rows, cols,
-                      values) -> "Operator":
-        """H[rows[i], cols[i]] = values[i], every other entry +0.0; each
-        (row, col) may occur once."""
-        op = cls.__new__(cls)
-        op._store(layout, rows, cols, values)
-        return op
-
-    def _store(self, layout, rows, cols, values):
-        if np.iscomplexobj(values):
+    def __post_init__(self):
+        if np.iscomplexobj(self.values):
             raise ValueError("Hamiltonian must be real: the propagator "
                              "diagonalizes real symmetric matrices only")
-        dim = layout.total_dim
-        rows = np.asarray(rows, dtype=np.intp)
-        cols = np.asarray(cols, dtype=np.intp)
-        values = np.asarray(values, dtype=np.float64)
+        dim = self.layout.total_dim
+        rows = np.asarray(self.rows, dtype=np.intp)
+        cols = np.asarray(self.cols, dtype=np.intp)
+        values = np.asarray(self.values, dtype=np.float64)
         if rows.ndim != 1 or not rows.shape == cols.shape == values.shape:
             raise LayoutError("rows, cols and values must be 1-D arrays of "
                               "one length")
@@ -135,7 +103,6 @@ class Operator:
         if twice.size:
             i = twice[0]
             raise ValueError(f"entry ({rows[i]}, {cols[i]}) is given twice")
-        object.__setattr__(self, "layout", layout)
         for name, a in (("rows", rows), ("cols", cols), ("values", values)):
             a.flags.writeable = False
             object.__setattr__(self, name, a)
@@ -204,7 +171,15 @@ class DensityMatrix:
         if self.layout != SpaceLayout.electronic_only():
             raise LayoutError("an electronic state has the layout (2,), got "
                               f"{self.layout.dims}")
-        m = _as_square(self.matrix, 2)
+        m = np.asarray(self.matrix)
+        if np.iscomplexobj(m) and np.isreal(m).all():
+            m = m.real
+        m = np.array(m, dtype=np.complex128 if np.iscomplexobj(m)
+                     else np.float64)
+        if m.shape != (2, 2):
+            raise LayoutError(f"matrix shape {m.shape} is not 2x2")
+        if not np.isfinite(m).all():
+            raise ValueError("matrix has a non-finite entry")
         tr = np.trace(m)
         if abs(tr - 1.0) > 1e-9:
             raise ValueError(f"density matrix trace {tr} is not 1")
@@ -214,6 +189,7 @@ class DensityMatrix:
         if lowest < -POSITIVITY_TOL:
             raise ValueError("electronic state is not positive semidefinite: "
                              f"smallest eigenvalue {lowest:g}")
+        m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
 
@@ -266,18 +242,6 @@ def eigenvalues_2x2(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m = 0.5 * (p1 + p2)
     r = np.hypot(0.5 * (p1 - p2), np.abs(s[:, 0, 1]))
     return m - r, m + r
-
-
-def annihilation_matrix(n_max: int) -> Operator:
-    """Truncated bosonic annihilation operator on a single Fock factor.
-
-    Entries a[n-1, n] = sqrt(n); the commutator with its adjoint equals the
-    identity except on the top truncated level.
-    """
-    if n_max < 2:
-        raise ValueError(f"n_max must be >= 2, got {n_max}")
-    a = np.diag(np.sqrt(np.arange(1, n_max)), k=1)
-    return Operator(SpaceLayout((n_max,)), a)
 
 
 def partial_trace_matrix(matrix: np.ndarray, dims: Sequence[int],

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dimerbath.models import ElectronicParams, ModeSpec
-from dimerbath.spaces import DensityMatrix, ProductState, SpaceLayout
+from dimerbath.spaces import DensityMatrix, Operator, ProductState, SpaceLayout
 
 
 @pytest.fixture
@@ -54,6 +54,20 @@ def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
     return rho / np.trace(rho)
 
 
+def ladder(n_max: int) -> np.ndarray:
+    """Truncated annihilation operator of one Fock factor, a[n - 1, n] =
+    sqrt(n): the reference the assembler's couplings are checked against."""
+    return np.diag(np.sqrt(np.arange(1, n_max)), k=1)
+
+
+def dense_operator(layout: SpaceLayout, matrix) -> Operator:
+    """The Operator of a dense array: one triplet per entry that is not
+    +0.0, so that -0.0 survives and a complex array reaches Operator."""
+    m = np.asarray(matrix)
+    rows, cols = np.nonzero((m != 0.0) | np.signbit(m.real))
+    return Operator(layout, rows, cols, m[rows, cols])
+
+
 def embed_matrix(matrix: np.ndarray, factor_index: int, dims) -> np.ndarray:
     """Lift a single-factor matrix to the full space, identity elsewhere."""
     left = int(np.prod(dims[:factor_index], initial=1))
@@ -90,18 +104,19 @@ def kron_hamiltonian(model) -> np.ndarray:
     """The model's Hamiltonian summed term by term from np.kron embeddings.
 
     H_e, then omega_k n_k for every Fock factor, then g_k (el_op_k x x_k);
-    a reference for the index-lookup assembly in ``models``.
+    a reference for the index-lookup assembly in ``models``, which shares
+    none of its code.
     """
-    from dimerbath.models import electronic_hamiltonian
-
     couplings = _kron_couplings(model)
     per_mode = len(couplings) // len(model.modes)
     n_max = model.n_max
     dims = (2,) + (n_max,) * len(couplings)
-    a = np.diag(np.sqrt(np.arange(1, n_max)), k=1).astype(np.complex128)
+    a = ladder(n_max).astype(np.complex128)
     x = a + a.conj().T
     num = np.diag(np.arange(n_max)).astype(np.complex128)
-    h = embed_matrix(electronic_hamiltonian(model.electronic).matrix, 0, dims)
+    p = model.electronic
+    h_e = np.array([[p.eps1, p.j], [p.j, p.eps2]], dtype=np.float64)
+    h = embed_matrix(h_e, 0, dims)
     for k in range(len(couplings)):
         omega = model.modes[k // per_mode].omega
         h += omega * embed_matrix(num, k + 1, dims)

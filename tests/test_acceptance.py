@@ -12,7 +12,7 @@ import os
 import numpy as np
 import pytest
 
-from conftest import evolve, unitary
+from conftest import evolve, ladder, unitary
 from dimerbath.cli import parse_config
 from dimerbath.dynamics import SpectralPropagator, TimeGrid, evolve_reduced
 from dimerbath.equivalence import (
@@ -40,7 +40,6 @@ from dimerbath.models import (
 from dimerbath.spaces import (
     DensityMatrix,
     SpaceLayout,
-    annihilation_matrix,
     partial_trace_matrix,
     permute_factors_matrix,
 )
@@ -217,7 +216,7 @@ def test_criterion_7_invariant_suite():
             if np.abs(traj.rho11 - rabi).max() > 1e-9:
                 failures.append(f"{name}: Rabi closed form")
 
-        a = annihilation_matrix(n_max).matrix
+        a = ladder(n_max)
         comm = a @ a.conj().T - a.conj().T @ a
         if np.abs((comm - np.eye(n_max))[:-1, :-1]).max() > 1e-12:
             failures.append(f"{name}: commutator identity")
@@ -260,7 +259,7 @@ def _structure_residual(model, modes, n_max):
     shared = build_shared_anticorrelated(PARAMS, modes, n_max)
     s = shared.hamiltonian.matrix
     d_s, d_com = s.shape[0], n_max ** k
-    a = annihilation_matrix(n_max).matrix
+    a = ladder(n_max)
     h_com = np.zeros((d_com, d_com))
     for i, m in enumerate(modes):
         left, right = np.eye(n_max ** i), np.eye(n_max ** (k - 1 - i))

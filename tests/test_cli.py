@@ -573,17 +573,24 @@ class TestRunAlphaSweep:
         ("10.0", "-1e308, 0.0", 2, "config-error: task.alphas"),
         # a finite coupling whose phases are NaN fails the trajectory check
         ("1e308", "0.0", 1, "verification-failure: non-finite value"),
+        # a non-finite alpha is a bad alpha too
+        ("0.2", "0.0, inf", 2, "config-error: task.alphas"),
+        ("0.2", "nan", 2, "config-error: task.alphas"),
     ])
     def test_extreme_coupling_exit_code(self, tmp_path, capsys, g, alphas,
                                         code, message):
-        text = config_text(bath__kind="reduced_effective",
-                           bath__modes__0__g=g, task__kind="alpha_sweep",
-                           task__alphas=alphas, thermal__n_max_override="3",
-                           output__directory=str(tmp_path))
-        assert run(parse_config(text)) == code
+        # through main, which also reports what parse_config rejects
+        out = tmp_path / "out"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config_text(bath__kind="reduced_effective",
+                                   bath__modes__0__g=g, task__kind="alpha_sweep",
+                                   task__alphas=alphas,
+                                   thermal__n_max_override="3",
+                                   output__directory=str(out)))
+        assert main([str(cfg)]) == code
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
-        assert not list(tmp_path.iterdir())
+        assert not out.exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_hamiltonian_is_config_error(self, tmp_path, capsys):
@@ -969,6 +976,18 @@ def fuzz_entries(draw):
                   "initial__electronic_state": "explicit",
                   "initial__rho11": "0.0", "initial__rho12_re": "1e-6",
                   "initial__rho12_im": "0",
+                  "task__kind": "trajectory", "task__compare_with": None,
+                  "task__alphas": None, "task__n_max_list": None})
+# ohmic_trajectory.cfg at lambda = 1e308: couplings that overflow float64
+# are a config error, raised before numpy meets them
+@example(entries={"bath__kind": "shared", "bath__alpha": None,
+                  "bath__coupling_scale": None, "bath__modes__0__omega": None,
+                  "bath__modes__0__g": None, "bath__ohmic__lambda": "1e308",
+                  "bath__ohmic__gamma": "1.0", "bath__ohmic__m": "4",
+                  "bath__ohmic__omega_max": "4.0", "thermal__beta": "1.0",
+                  "thermal__n_max_override": "4", "evolution__t_max": "30.0",
+                  "evolution__n_steps": "300", "evolution__dim_cap": None,
+                  "initial__electronic_state": "site1",
                   "task__kind": "trajectory", "task__compare_with": None,
                   "task__alphas": None, "task__n_max_list": None})
 def test_fuzzed_configs_exit_with_a_documented_code(entries):

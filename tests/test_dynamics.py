@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import evolve, random_density, unitary
+from conftest import dense_operator, evolve, random_density, unitary
 from dimerbath import dynamics
 from dimerbath.dynamics import (
     ReducedTrajectory,
@@ -28,7 +28,6 @@ from dimerbath.models import (
 )
 from dimerbath.spaces import (
     DensityMatrix,
-    Operator,
     ProductState,
     SpaceLayout,
     eigenvalues_2x2,
@@ -95,7 +94,7 @@ class TestRealPath:
         h = small_model.hamiltonian.matrix + 1e-3j * np.kron(
             [[0.0, 1.0], [-1.0, 0.0]], np.eye(small_model.n_max))
         with pytest.raises(ValueError, match="Hamiltonian must be real"):
-            Operator(small_model.layout, h)
+            dense_operator(small_model.layout, h)
 
 
 class TestUnitary:

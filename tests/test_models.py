@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import embed_matrix, kron_hamiltonian
+from conftest import dense_operator, embed_matrix, kron_hamiltonian
 from dimerbath import models
 from dimerbath.models import (
     DimensionCapError,
@@ -19,10 +19,9 @@ from dimerbath.models import (
     build_shared_anticorrelated,
     build_transformed,
     effective_coupling,
-    electronic_hamiltonian,
     ohmic_drude_modes,
 )
-from dimerbath.spaces import HERMITICITY_RTOL, Operator
+from dimerbath.spaces import HERMITICITY_RTOL
 
 SQRT2 = np.sqrt(2.0)
 
@@ -96,17 +95,24 @@ class TestTriplets:
 
 
 class TestElectronicHamiltonian:
+    """H_e, read as the bath ground state's block of the g = 0 model."""
+
+    @staticmethod
+    def block(p):
+        model = build_shared_anticorrelated(p, [ModeSpec(1.0, 0.0)], 2)
+        return model.hamiltonian.matrix[np.ix_([0, 2], [0, 2])]
+
     def test_zero(self):
-        h = electronic_hamiltonian(ElectronicParams(0, 0, 0)).matrix
+        h = self.block(ElectronicParams(0, 0, 0))
         assert np.abs(h).max() == 0.0
 
     def test_pure_coupling_eigenvalues(self):
-        h = electronic_hamiltonian(ElectronicParams(0, 0, 0.7)).matrix
+        h = self.block(ElectronicParams(0, 0, 0.7))
         assert np.linalg.eigvalsh(h) == pytest.approx([-0.7, 0.7])
 
     def test_detuned_eigenvalues(self):
         # closed form: eps_avg +- sqrt((deps/2)^2 + j^2) for (0.5, 0, 1)
-        h = electronic_hamiltonian(ElectronicParams(0.5, 0.0, 1.0)).matrix
+        h = self.block(ElectronicParams(0.5, 0.0, 1.0))
         expected = [0.25 - np.sqrt(0.0625 + 1.0), 0.25 + np.sqrt(0.0625 + 1.0)]
         assert np.linalg.eigvalsh(h) == pytest.approx(expected, abs=1e-12)
         assert np.linalg.eigvalsh(h) == pytest.approx([-0.7807764064, 1.2807764064])
@@ -115,7 +121,7 @@ class TestElectronicHamiltonian:
 class TestSharedAnticorrelated:
     def test_decoupled_limit_is_sum(self, params):
         m = build_shared_anticorrelated(params, [ModeSpec(1.0, 0.0)], 4)
-        h_e = electronic_hamiltonian(params).matrix
+        h_e = np.array([[params.eps1, params.j], [params.j, params.eps2]])
         h_ph = np.diag(np.arange(4)).astype(complex)
         expected = np.kron(h_e, np.eye(4)) + np.kron(np.eye(2), h_ph)
         assert np.abs(m.hamiltonian.matrix - expected).max() == 0.0
@@ -155,7 +161,8 @@ class TestSharedAnticorrelated:
 class TestIndependentLocal:
     def test_decoupled_spectrum(self, params):
         m = build_independent_local(params, [ModeSpec(1.0, 0.0)], 3)
-        eig_e = np.linalg.eigvalsh(electronic_hamiltonian(params).matrix)
+        eig_e = np.linalg.eigvalsh([[params.eps1, params.j],
+                                    [params.j, params.eps2]])
         expected = np.sort([e + n1 + n2 for e in eig_e
                             for n1 in range(3) for n2 in range(3)])
         assert np.linalg.eigvalsh(m.hamiltonian.matrix) == pytest.approx(
@@ -312,12 +319,13 @@ class TestHermiticity:
         dense = (np.linalg.norm(h - h.T)
                  <= HERMITICITY_RTOL * np.abs(h).max())
         assert dense == hermitian
-        assert Operator(model.layout, h).is_hermitian() == hermitian
+        op = dense_operator(model.layout, h)
+        assert op.is_hermitian() == hermitian
         if hermitian:
-            replace(model, hamiltonian=Operator(model.layout, h))
+            replace(model, hamiltonian=op)
         else:
             with pytest.raises(ValueError, match="not Hermitian"):
-                replace(model, hamiltonian=Operator(model.layout, h))
+                replace(model, hamiltonian=op)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("mode, eps1", [
@@ -397,8 +405,14 @@ class TestOhmicDrudeModes:
         b = ohmic_drude_modes(0.2, 0.7, 16, 4.0)
         assert a == b
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             ohmic_drude_modes(0.1, -1.0, 4, 5.0)
         with pytest.raises(ValueError):
             ohmic_drude_modes(0.1, 1.0, 0, 5.0)
+        # 2 lambda gamma w overflows; gamma^2 overflows; w^2 + gamma^2 is 0
+        for args in ((1e308, 1.0, 4, 4.0), (0.1, 1e200, 4, 4.0),
+                     (0.1, 1e-170, 4, 4e-170)):
+            with pytest.raises(ValueError, match="overflows float64"):
+                ohmic_drude_modes(*args)

@@ -3,14 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import embed_matrix, random_density
+from conftest import dense_operator, embed_matrix, ladder, random_density
 from dimerbath.spaces import (
     HERMITICITY_RTOL,
     DensityMatrix,
     LayoutError,
     Operator,
     SpaceLayout,
-    annihilation_matrix,
     eigenvalues_2x2,
     exciton_dim,
     occupation_basis,
@@ -19,25 +18,9 @@ from dimerbath.spaces import (
 )
 
 
-def test_annihilation_smallest_truncation():
-    a = annihilation_matrix(2).matrix
-    assert np.array_equal(a, [[0, 1], [0, 0]])
-
-
-def test_annihilation_sqrt_entries():
-    a = annihilation_matrix(3).matrix
-    assert a[0, 1] == 1.0
-    assert a[1, 2] == pytest.approx(np.sqrt(2), abs=1e-12)
-
-
-def test_annihilation_rejects_small_truncation():
-    with pytest.raises(ValueError):
-        annihilation_matrix(1)
-
-
 @pytest.mark.parametrize("n_max", [3, 4, 8])
 def test_truncated_commutator_identity_below_top(n_max):
-    a = annihilation_matrix(n_max).matrix
+    a = ladder(n_max)
     c = a @ a.conj().T - a.conj().T @ a - np.eye(n_max)
     # the identity holds exactly except on the top truncated level
     p = n_max - 1
@@ -70,7 +53,7 @@ def test_embed_identity_is_identity():
 
 def test_embed_distinct_factors_commute():
     dims = (2, 4, 4)
-    a = annihilation_matrix(4).matrix
+    a = ladder(4)
     lhs = embed_matrix(a, 1, dims)
     rhs = embed_matrix(a.conj().T, 2, dims)
     assert np.abs(lhs @ rhs - rhs @ lhs).max() < 1e-13
@@ -206,35 +189,39 @@ def test_is_hermitian_accepts_hermitian_and_zero_rejects_perturbed():
     x = rng.normal(size=(6, 6))
     h = x + x.T
     layout = SpaceLayout((2, 3))
-    assert Operator(layout, h).is_hermitian()
-    assert Operator(layout, np.zeros((6, 6))).is_hermitian()
+    assert dense_operator(layout, h).is_hermitian()
+    assert dense_operator(layout, np.zeros((6, 6))).is_hermitian()
     h[2, 4] += 1e-6
-    assert not Operator(layout, h).is_hermitian()
+    assert not dense_operator(layout, h).is_hermitian()
 
 
 def test_operator_keeps_every_entry_bit_for_bit():
     h = np.array([[1.5, -0.0, 0.0], [-0.0, 0.0, 2.0], [0.0, 2.0, -3.0]])
-    op = Operator(SpaceLayout((3,)), h)
+    op = dense_operator(SpaceLayout((3,)), h)
     assert op.values.size == 6
     assert op.matrix.tobytes() == h.tobytes()
 
 
-def test_operator_from_triplets():
+def test_operator_sorts_and_checks_triplets():
     layout = SpaceLayout((3,))
-    op = Operator.from_triplets(layout, [2, 0, 1], [1, 0, 2], [0.5, 1.0, 0.5])
+    op = Operator(layout, [2, 0, 1], [1, 0, 2], [0.5, 1, 0.5])
+    assert op.rows.tolist() == [0, 1, 2] and op.cols.tolist() == [0, 2, 1]
+    assert op.values.dtype == np.float64 and not op.values.flags.writeable
     assert np.array_equal(op.matrix, [[1.0, 0, 0], [0, 0, 0.5], [0, 0.5, 0]])
     assert op.is_hermitian()
     with pytest.raises(ValueError, match=r"entry \(0, 1\) is given twice"):
-        Operator.from_triplets(layout, [0, 0], [1, 1], [1.0, 2.0])
+        Operator(layout, [0, 0], [1, 1], [1.0, 2.0])
     with pytest.raises(LayoutError, match="outside layout dim 3"):
-        Operator.from_triplets(layout, [3], [0], [1.0])
+        Operator(layout, [3], [0], [1.0])
     with pytest.raises(ValueError, match="must be real"):
-        Operator.from_triplets(layout, [0], [0], [1j])
+        Operator(layout, [0], [0], [1j])
+    with pytest.raises(ValueError, match="non-finite entry"):
+        Operator(layout, [0], [0], [np.inf])
 
 
 def test_lower_triangle_is_tril_and_gives_eigh_bit_for_bit():
     x = np.random.default_rng(5).normal(size=(9, 9))
-    op = Operator(SpaceLayout((9,)), x + x.T)
+    op = dense_operator(SpaceLayout((9,)), x + x.T)
     low = op.lower_triangle()
     assert np.array_equal(low, np.tril(op.matrix))
     assert not low.flags.writeable
@@ -253,7 +240,7 @@ def test_is_hermitian_implies_spectral_norm_bound(seed, dim, log_eps):
     a = x + x.T
     if log_eps is not None:
         a = a + 10.0**log_eps * rng.normal(size=(dim, dim))
-    if Operator(SpaceLayout((dim,)), a).is_hermitian():
+    if dense_operator(SpaceLayout((dim,)), a).is_hermitian():
         assert (np.linalg.norm(a - a.T, 2)
                 <= HERMITICITY_RTOL * np.linalg.norm(a, 2))
 
