@@ -24,7 +24,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import dimerbath
 
@@ -362,8 +362,12 @@ def _format(value) -> str:
 
 def _open_output(path: str):
     # the directory is made at the first write: a failed run creates nothing
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    return open(path, "w")
+    try:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        return open(path, "w")
+    except OSError as exc:
+        raise ConfigError(f"output.directory: cannot write {path}: "
+                          f"{exc.strerror or exc}") from exc
 
 
 def _write_csv(path: str, traj):
@@ -490,16 +494,10 @@ def _run(config: RunConfig) -> int:
                     f"task.alphas: effective coupling at alpha {a:g} overflows")
             report_items[f"alpha_{i}"] = a
             report_items[f"effective_coupling_{i}"] = g_eff
-
-        def build(p, modes, n_max, alpha):
-            # a Hamiltonian that overflows is a config error, as in trajectory
-            return _build_model(replace(config, alpha=alpha),
-                                config.bath_kind, modes, n_max)
-
         p = models.ElectronicParams(config.eps1, config.eps2, config.j)
         sweep = equivalence.coherence_vs_alpha(p, modes, spec, grid,
                                                config.alphas, n_max, rho_e0,
-                                               build=build)
+                                               dim_cap=config.dim_cap)
         for a, traj in zip(sweep.alphas, sweep.trajectories):
             _write_csv(_alpha_csv(base, a), traj)
         decreasing = sweep.couplings_strictly_decreasing()
@@ -551,9 +549,9 @@ def _start(args) -> int:
                     "MKL_NUM_THREADS"):
             os.environ[var] = str(args.threads)
     try:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {args.config}: {exc}") from exc
     # looked up at call time, so a wrapper set on the module attribute sees it
     return run(parse_config(text))

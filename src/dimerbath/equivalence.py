@@ -41,7 +41,8 @@ from .models import (
     ElectronicParams,
     ModeSpec,
     TotalModel,
-    build_reduced_effective,
+    build,
+    build_reduced_effective,  # unused; bench/tests/test_bench.py reads it
     check_dim_cap,
     effective_coupling,
 )
@@ -264,22 +265,16 @@ def coherence_vs_alpha(p: ElectronicParams, modes: Sequence[ModeSpec],
                        spec: ThermalSpec, grid: TimeGrid,
                        alphas: Sequence[float], n_max: int,
                        rho_e0: DensityMatrix,
-                       build=None) -> AlphaSweepResult:
-    """Reduced-effective trajectory for each alpha, ascending.
-
-    ``build(p, modes, n_max, alpha)`` makes each model; by default it is the
-    reduced-effective builder, checked once against DEFAULT_DIM_CAP. A
-    caller with its own cap passes its own builder, such as models.build.
-    """
-    if build is None:
-        check_dim_cap("reduced_effective", len(modes), n_max, DEFAULT_DIM_CAP)
-        build = build_reduced_effective
+                       dim_cap: int = DEFAULT_DIM_CAP) -> AlphaSweepResult:
+    """Reduced-effective trajectory for each alpha, ascending, each model
+    made by ``models.build`` under ``dim_cap``."""
     alphas = tuple(float(a) for a in alphas)
     if list(alphas) != sorted(alphas):
         raise ValueError("alphas must be sorted ascending")
     couplings = np.array([[effective_coupling(m.g, a) for m in modes]
                           for a in alphas])
     trajectories = tuple(
-        _reduced(build(p, modes, n_max, a), rho_e0, spec, grid)
+        _reduced(build("reduced_effective", p, modes, n_max, alpha=a,
+                       dim_cap=dim_cap), rho_e0, spec, grid)
         for a in alphas)
     return AlphaSweepResult(alphas, couplings, trajectories)

@@ -1,4 +1,9 @@
-"""Gibbs initial states for the phonon factors and truncation selection."""
+"""Thermal initial states and truncation selection.
+
+The bath starts in its Gibbs state exp(-beta sum_k omega_k n_k) / Z, which
+depends only on the bath energy of each row of the occupation basis; the
+initial state of every evolution is an electronic state times it.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import DimensionCapError, TotalModel
-from .spaces import DensityMatrix, ProductState
+from .spaces import DensityMatrix, ProductState, occupation_basis
 
 #: extra Fock levels kept above the thermal support; the (b^dag + b) coupling
 #: displaces population beyond thermal occupancy, so the tail bound alone
@@ -31,24 +36,6 @@ class ThermalSpec:
             raise ValueError(f"beta must be positive (or +inf), got {self.beta}")
         if not (0.0 < self.tail_tol < 1.0):
             raise ValueError(f"tail_tol must be in (0, 1), got {self.tail_tol}")
-
-
-def gibbs_state(omega: float, beta: float, n_max: int) -> np.ndarray:
-    """Thermal state of one truncated mode as its diagonal in the Fock
-    basis: the n_max weights p_n ~ exp(-beta omega n), summing to 1."""
-    if not (omega > 0):
-        raise ValueError(f"omega must be positive, got {omega}")
-    if not (beta > 0):
-        raise ValueError(f"beta must be positive (or +inf), got {beta}")
-    if n_max < 2:
-        raise ValueError(f"n_max must be >= 2, got {n_max}")
-    if math.isinf(beta):
-        p = np.zeros(n_max)
-        p[0] = 1.0
-    else:
-        p = np.exp(-beta * omega * np.arange(n_max))
-        p /= p.sum()
-    return p
 
 
 def choose_truncation(omega: float, spec: ThermalSpec) -> int:
@@ -80,10 +67,17 @@ def choose_truncation(omega: float, spec: ThermalSpec) -> int:
 def initial_state(rho_e0: DensityMatrix, model: TotalModel,
                   spec: ThermalSpec) -> ProductState:
     """Product state: electronic rho_e0 times the bath Gibbs state, one
-    diagonal over the occupation basis, the 1-D kron of the Gibbs weights
-    of each Fock factor. rho_e0, a ``DensityMatrix``, is the checked 2x2
-    state; ``ProductState`` checks the weights."""
-    weights = np.ones(1)
-    for omega in model.factor_frequencies:
-        weights = np.kron(weights, gibbs_state(omega, spec.beta, model.n_max))
+    diagonal over the occupation basis with weights exp(-beta E) / Z, E the
+    bath energy sum_k omega_k n_k of each row. At beta = inf all weight is
+    on the ground row E = 0; a finite beta E that overflows has weight 0.
+    rho_e0, a ``DensityMatrix``, is the checked 2x2 state;
+    ``ProductState`` checks the weights."""
+    basis = occupation_basis(len(model.factor_frequencies), model.n_max)
+    energy = basis @ np.asarray(model.factor_frequencies)
+    if math.isinf(spec.beta):  # beta E would be inf * 0 on the ground row
+        weights = (energy == 0.0).astype(float)
+    else:
+        with np.errstate(over="ignore"):
+            weights = np.exp(-(spec.beta * energy))
+        weights /= weights.sum()
     return ProductState(model.layout, rho_e0, weights)

@@ -789,6 +789,45 @@ class TestMain:
             "resource-cap: Unable to allocate 11.9 GiB for an array\n")
         assert not out.exists()
 
+    def test_config_that_is_not_utf8_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"electronic.eps1 = 0.25\xff\n")
+        assert main([str(path), "--threads", "1"]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config-error: cannot read {path}: 'utf-8' codec can't decode "
+            "byte 0xff")
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]
+
+    def test_unwritable_output_directory_is_config_error(self, tmp_path,
+                                                         capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        path = tmp_path / "run.cfg"
+        path.write_text((CONFIGS / "rabi.cfg").read_text()
+                        + f"output.directory = {blocker}/sub\n")
+        assert main([str(path), "--threads", "1"]) == 2
+        assert capsys.readouterr().err == (
+            f"config-error: output.directory: cannot write {blocker}/sub/"
+            "rabi.csv: Not a directory\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file",
+                                                              "run.cfg"]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("omega", ["1.0", "10.0"])
+    def test_beta_omega_that_overflows_is_the_ground_state(
+            self, tmp_path, capsys, omega):
+        text = (CONFIGS / "rabi.cfg").read_text()
+        for old, new in (("bath.modes.0.omega = 1.0", f"bath.modes.0.omega = "
+                          f"{omega}"),
+                         ("thermal.beta = inf", "thermal.beta = 1e308")):
+            assert old in text
+            text = text.replace(old, new)
+        path = tmp_path / "run.cfg"
+        path.write_text(text + f"output.directory = {tmp_path}\n")
+        assert main([str(path), "--threads", "1"]) == 0
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "rabi.csv").exists()
+
     def test_negative_threads_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text(config_text())

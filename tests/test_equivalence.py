@@ -320,6 +320,12 @@ class TestCoherenceVsAlpha:
             coherence_vs_alpha(params, [mode, mode], GROUND, GRID, [0.5],
                                n_max=65, rho_e0=site1)
 
+    def test_dim_cap_is_honoured(self, params, mode, site1):
+        # 2 * 5^2 = 50 states, over a cap of 40
+        with pytest.raises(DimensionCapError, match="over cap 40"):
+            coherence_vs_alpha(params, [mode, mode], GROUND, GRID, [0.5],
+                               n_max=5, rho_e0=site1, dim_cap=40)
+
     def test_zero_coupling_modes_never_decrease(self, params, site1):
         result = coherence_vs_alpha(params, [ModeSpec(1.0, 0.0)], GROUND,
                                     GRID, [0.0, 0.5], n_max=4, rho_e0=site1)

@@ -1,10 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dimerbath.dynamics import TimeGrid, evolve_reduced
 from dimerbath.models import (
     DimensionCapError,
     MODEL_KINDS,
+    ElectronicParams,
     ModeSpec,
     build,
     build_independent_local,
@@ -19,37 +23,55 @@ from dimerbath.spaces import (
 from dimerbath.thermal import (
     ThermalSpec,
     choose_truncation,
-    gibbs_state,
     initial_state,
 )
 
 from conftest import thermal_occupation
 
+PARAMS = ElectronicParams(0.25, -0.25, 0.5)
+SITE1 = DensityMatrix(SpaceLayout.electronic_only(), np.diag([1.0, 0.0]))
+
+
+def boltzmann(frequencies, beta: float, n_max: int) -> np.ndarray:
+    """Explicit weights exp(-beta E) / Z, E = sum_k omega_k n_k, over the
+    occupation tuples with every n_k < n_max, the last mode fastest."""
+    energies = np.array([
+        sum(omega * n for omega, n in zip(frequencies, occupation))
+        for occupation in itertools.product(range(n_max),
+                                            repeat=len(frequencies))])
+    w = np.exp(-beta * energies)
+    return w / w.sum()
+
+
+def bath_weights(omega: float, beta: float, n_max: int) -> np.ndarray:
+    """initial_state's bath weights for one shared mode of frequency omega."""
+    model = build_shared_anticorrelated(PARAMS, [ModeSpec(omega, 0.2)], n_max)
+    return initial_state(SITE1, model, ThermalSpec(beta)).weights
+
 
 class TestGibbsState:
     def test_ground_state_at_infinite_beta(self):
-        p = gibbs_state(1.0, np.inf, 5)
+        p = bath_weights(1.0, np.inf, 5)
         assert np.array_equal(p, [1.0, 0.0, 0.0, 0.0, 0.0])
 
     def test_diagonal_geometric_weights(self):
         # independent oracle: explicit normalized Boltzmann weights
         beta, omega, n = 0.7, 1.3, 8
-        w = np.exp(-beta * omega * np.arange(n))
-        p = gibbs_state(omega, beta, n)
+        p = bath_weights(omega, beta, n)
         assert p.shape == (n,)
-        assert np.abs(p - w / w.sum()).max() < 1e-15
+        assert np.abs(p - boltzmann([omega], beta, n)).max() < 1e-15
 
     def test_trace_one(self):
-        p = gibbs_state(2.0, 0.1, 12)
+        p = bath_weights(2.0, 0.1, 12)
         assert p.sum() == pytest.approx(1.0, abs=1e-14)
 
     def test_high_temperature_approaches_uniform(self):
-        p = gibbs_state(1.0, 1e-9, 4)
+        p = bath_weights(1.0, 1e-9, 4)
         assert p == pytest.approx([0.25] * 4, abs=1e-8)
 
     def test_rejects_negative_beta(self):
-        with pytest.raises(ValueError):
-            gibbs_state(1.0, -0.1, 4)
+        with pytest.raises(ValueError, match="beta must be positive"):
+            bath_weights(1.0, -0.1, 4)
 
 
 class TestThermalOccupation:
@@ -65,7 +87,7 @@ class TestThermalOccupation:
     @settings(max_examples=25, deadline=None)
     def test_matches_gibbs_expectation(self, omega, beta):
         n_max = choose_truncation(omega, ThermalSpec(beta, tail_tol=1e-14))
-        mean_n = float(gibbs_state(omega, beta, n_max) @ np.arange(n_max))
+        mean_n = float(bath_weights(omega, beta, n_max) @ np.arange(n_max))
         assert mean_n == pytest.approx(thermal_occupation(omega, beta),
                                        rel=1e-5, abs=1e-10)
 
@@ -104,16 +126,16 @@ class TestInitialState:
         model = build_shared_anticorrelated(params, [mode], 5)
         rho0 = initial_state(site1, model, ThermalSpec(beta=1.0))
         expected = np.kron(site1.matrix,
-                           np.diag(gibbs_state(mode.omega, 1.0, 5)))
+                           np.diag(boltzmann([mode.omega], 1.0, 5)))
         assert np.abs(rho0.matrix - expected).max() < 1e-15
 
     def test_independent_model_uses_all_factor_frequencies(self, params, site1):
         modes = [ModeSpec(1.0, 0.1), ModeSpec(2.0, 0.2)]
         model = build_independent_local(params, modes, 3)
         rho0 = initial_state(site1, model, ThermalSpec(beta=0.5))
-        expected = site1.matrix
-        for omega in model.factor_frequencies:
-            expected = np.kron(expected, np.diag(gibbs_state(omega, 0.5, 3)))
+        # two local factors per mode, each at the mode's frequency
+        expected = np.kron(site1.matrix,
+                           np.diag(boltzmann([1.0, 1.0, 2.0, 2.0], 0.5, 3)))
         assert np.abs(rho0.matrix - expected).max() < 1e-15
 
     def test_result_is_valid_density_matrix(self, params, mode, site1):
@@ -121,6 +143,17 @@ class TestInitialState:
         rho0 = initial_state(site1, model, ThermalSpec(beta=2.0))
         assert np.trace(rho0.matrix).real == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.eigvalsh(rho0.matrix)[0] > -1e-14
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_beta_is_the_ground_state(self):
+        # beta omega = 1e309 overflows; beta * 0 on the ground row does not
+        model = build_shared_anticorrelated(PARAMS, [ModeSpec(10.0, 0.2)], 6)
+        grid = TimeGrid(5.0, 50)
+        huge, ground = (initial_state(SITE1, model, ThermalSpec(beta))
+                        for beta in (1e308, np.inf))
+        assert np.array_equal(huge.weights, ground.weights)
+        a, b = (evolve_reduced(model, rho0, grid) for rho0 in (huge, ground))
+        assert np.array_equal(a.states, b.states)
 
     @pytest.mark.parametrize("name", sorted(MODEL_KINDS))
     @pytest.mark.parametrize("rho_e, dtype", [
