@@ -155,6 +155,12 @@ def _finite(raw: str) -> float:
     return value
 
 
+def _path(raw: str) -> str:
+    if "\0" in raw:
+        raise ValueError("a path cannot hold a NUL character")
+    return raw
+
+
 def _one_of(options):
     def conv(raw: str) -> str:
         if raw not in options:
@@ -322,8 +328,8 @@ def parse_config(text: str) -> RunConfig:
     if threshold <= 0:
         e.fail("task.threshold", "must be positive")
 
-    out_dir = e.get("output.directory", str, ".")
-    basename = e.get("output.basename", str, required=True)
+    out_dir = e.get("output.directory", _path, ".")
+    basename = e.get("output.basename", _path, required=True)
 
     e.reject_unknown()
     return RunConfig(

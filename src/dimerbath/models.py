@@ -39,10 +39,10 @@ SQRT2 = math.sqrt(2.0)
 
 # The dense path peaks in eigh at 4 dim^2 float64: LAPACK's copy of H,
 # dsyevd's 2 dim^2 workspace and the eigenvectors. H itself reaches eigh as
-# Operator.lower_triangle, whose unwritten diagonals take no memory. At dim
-# 1250 pair_2mode peaks 57.2 MiB above its set-up: 47.7 MiB for the four,
-# 4.5 MiB of written diagonals (in 2 MiB huge pages) and library pages
-# (numpy 2.4, one OpenBLAS thread). At this cap the four come to 537 MB.
+# Operator.lower_triangle, whose written diagonals take 4 KiB pages and the
+# rest none. At dim 1250 the four are 47.7 MiB of pair_2mode's peak above
+# its set-up, library pages the rest (numpy 2.4, one OpenBLAS thread). At
+# this cap the four come to 537 MB.
 DEFAULT_DIM_CAP = 4096
 
 

@@ -64,6 +64,24 @@ def occupation_basis(n_fock: int, n_max: int) -> np.ndarray:
     return np.indices((n_max,) * n_fock).reshape(n_fock, -1).T
 
 
+def _zeros_without_huge_pages(shape) -> np.ndarray:
+    """np.zeros(shape) with numpy's transparent huge page advice off for
+    this allocation; the switch is in numpy._core on numpy 2 and in
+    numpy.core before, and without it this is plain np.zeros."""
+    for core in ("_core", "core"):
+        multiarray = getattr(getattr(np, core, None), "multiarray", None)
+        switch = getattr(multiarray, "_set_madvise_hugepage", None)
+        if switch is not None:
+            break
+    else:
+        return np.zeros(shape)
+    advised = switch(False)
+    try:
+        return np.zeros(shape)
+    finally:
+        switch(advised)
+
+
 @dataclass(frozen=True)
 class Operator:
     """A real Hamiltonian tagged with the layout it acts on, stored as
@@ -125,12 +143,15 @@ class Operator:
         Only the diagonals on and below the main one that hold an entry are
         written. The array is allocated zeroed, and large zeroed allocations
         take memory only where written, so a banded H costs a few rows of
-        dim entries here, not dim^2.
+        dim entries here, not dim^2. numpy advises transparent huge pages
+        for allocations of 4 MiB and more, under which each written row
+        would fault in a whole 2 MiB page; the advice is off for this one
+        allocation, so the written rows cost 4 KiB pages.
         """
         dim = self.layout.total_dim
         low = self.rows >= self.cols
         cols = self.cols[low]
-        diagonals = np.zeros((2 * dim - 1, dim))
+        diagonals = _zeros_without_huge_pages((2 * dim - 1, dim))
         diagonals[dim - 1 + self.rows[low] - cols, cols] = self.values[low]
         size = diagonals.itemsize
         view = np.ndarray((dim, dim), buffer=diagonals,

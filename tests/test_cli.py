@@ -812,6 +812,24 @@ class TestMain:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["file",
                                                               "run.cfg"]
 
+    @pytest.mark.parametrize("key", ["output.directory", "output.basename"])
+    def test_nul_in_an_output_path_is_config_error(self, tmp_path, capsys,
+                                                   monkeypatch, key):
+        entries = {"output.directory": str(tmp_path),
+                   "output.basename": "rabi", key: "a\0b"}
+        text = (CONFIGS / "rabi.cfg").read_text().replace(
+            "output.basename = rabi\n", "")
+        text += "".join(f"{k} = {v}\n" for k, v in entries.items())
+        lineno = text.splitlines().index(f"{key} = a\0b") + 1
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        monkeypatch.chdir(tmp_path)
+        assert main([str(path), "--threads", "1"]) == 2
+        assert capsys.readouterr().err == (
+            f"config-error: {key} (line {lineno}): a path cannot hold a NUL "
+            "character\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("omega", ["1.0", "10.0"])
     def test_beta_omega_that_overflows_is_the_ground_state(

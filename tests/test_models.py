@@ -1,6 +1,7 @@
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -92,6 +93,40 @@ class TestTriplets:
         assert not np.shares_memory(a, b)
         assert np.array_equal(a, b)
         assert not a.flags.writeable and not b.flags.writeable
+
+    def test_lower_triangle_takes_no_huge_pages(self, params):
+        # the same model's tril(H) sits in a zeroed 25 MB buffer with 6 rows
+        # written; in 2 MiB huge pages those rows grew VmRSS by 4 to 6 MiB
+        status = Path("/proc/self/status")
+        if not status.exists():
+            pytest.skip("no /proc/self/status to read VmRSS from")
+        for core in ("_core", "core"):
+            multiarray = getattr(getattr(np, core, None), "multiarray", None)
+            switch = getattr(multiarray, "_set_madvise_hugepage", None)
+            if switch is not None:
+                break
+        else:
+            pytest.skip("this numpy has no huge page switch")
+
+        def vm_rss():
+            line = next(line for line in status.read_text().splitlines()
+                        if line.startswith("VmRSS:"))
+            return int(line.split()[1]) * 1024
+
+        modes = [ModeSpec(0.8, 0.15), ModeSpec(1.3, 0.1)]
+        h = models.build("independent", params, modes, 5).hamiltonian
+        advised = switch(True)
+        try:
+            for value in (True, False):
+                switch(value)
+                before = vm_rss()
+                low = h.lower_triangle()
+                grown = vm_rss() - before
+                assert switch(value) is value
+                assert grown < 1 << 20
+                del low
+        finally:
+            switch(advised)
 
 
 class TestElectronicHamiltonian:
