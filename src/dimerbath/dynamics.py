@@ -274,12 +274,12 @@ class SpectralPropagator:
         ``ReducedTrajectory``. Grids of FFT_MIN_POINTS or more at dim
         FFT_MIN_DIM or more take the FFT kernel (module docstring); the rest
         the chunked GEMM kernel. For each chunk the GEMM kernel forms the
-        phases once, takes the weights from ``_weighted`` in blocks of
-        ROW_BLOCK rows, contracts each block against the phases and adds
-        its sums into the states, so no whole W exists: beside rt0 and the
-        chunk's phases, one block and its (block x chunk) product are
-        alive, and the phases are freed before the next chunk's are
-        formed. The FFT kernel forms W and W^T in blocks of PAIR_BLOCK
+        phases once, forms the weights W_0b[R] = (V_0^T[R] V_b) o rt0[R] in
+        blocks R of ROW_BLOCK rows (``_weights``), contracts each block
+        against the phases and adds its sums into the states, so no whole W
+        exists: beside rt0 and the chunk's phases, one block and its
+        (block x chunk) product are alive, and the phases are freed before
+        the next chunk's are formed. The FFT kernel forms W and W^T in blocks of PAIR_BLOCK
         rows R, over the columns from min R on, and copies their pairs
         m < n straight into the rows (W + W^T)[m<n] and (W - W^T)[m<n],
         three arrays of dim (dim - 1) / 2 per half of rt0; each half is
@@ -289,7 +289,8 @@ class SpectralPropagator:
         copies the states.
         """
         self._check_phase_bound(grid.t_max)  # before any dim^3 work
-        dim = self.eigenvectors.shape[0]
+        v = self.eigenvectors
+        dim = v.shape[0]
         n_points = grid.n_steps + 1
         states = np.zeros((n_points, 2, 2), dtype=np.complex128)
         g = self.factor(rho0)  # checks the layout of rho0
@@ -310,9 +311,14 @@ class SpectralPropagator:
             for start in range(0, n_points, step):
                 chunk = slice(start, start + step)
                 cos, sin = self.phases(grid.points[chunk])
-                for b, unit, rows, w in self._weighted(halves):
-                    states[chunk, 0, b] += unit * _phase_sum(w, cos, sin, rows)
-                    del w  # before the generator forms the next block
+                for unit, rt0 in halves:
+                    for b in (0, 1):
+                        for r in range(0, dim, ROW_BLOCK):
+                            rows = slice(r, r + ROW_BLOCK)
+                            w = _weights(v, rt0, 0, b, rows)
+                            states[chunk, 0, b] += unit * _phase_sum(
+                                w, cos, sin, rows)
+                            del w  # before the next block is formed
                 del cos, sin  # before the next chunk's phases are formed
             del halves  # rt0, before ReducedTrajectory copies the states
         else:
@@ -329,7 +335,7 @@ class SpectralPropagator:
                     for unit, _ in halves for b in (0, 1)
                     for z, part in ((unit, np.real), (1j * unit, np.imag))
                     if b or z != 1j]
-            rows, v, half = [], self.eigenvectors, dim // 2
+            rows = []
             while halves:  # each half of rt0 freed once its rows are built
                 unit, rt0 = halves.pop(0)
                 new = np.empty((3, dim * (dim - 1) // 2))
@@ -337,14 +343,12 @@ class SpectralPropagator:
                     diag = 0.0
                     for blk, pairs, upper in _pair_blocks(dim):
                         cols = slice(blk.start, None)
-                        w = v[:half, blk].T @ v[b * half:(b + 1) * half, cols]
-                        w *= rt0[blk, cols]
+                        w = _weights(v, rt0, 0, b, blk, cols)
                         diag += np.trace(w)
                         if b:
                             # W^T[blk, cols] = (V_1^T V_0 o rt0^T)[blk, cols],
                             # rt0^T = +-rt0 for the real (imaginary) half
-                            t = v[half:, blk].T @ v[:half, cols]
-                            t *= rt0[blk, cols]
+                            t = _weights(v, rt0, 1, 0, blk, cols)
                             if unit != 1.0:
                                 np.negative(t, out=t)
                             np.compress(upper, w + t, out=new[1, pairs])
@@ -365,25 +369,6 @@ class SpectralPropagator:
         states[:, 1, 1] = trace - states[:, 0, 0]
         states[:, 1, 0] = states[:, 0, 1].conj()
         return ReducedTrajectory(grid, states)
-
-    def _weighted(self, halves: list[tuple[complex, np.ndarray]]):
-        """Yield (b, unit, rows, W_0b[rows]) for b = 0, 1 and each half
-        (unit, Re rt0 or Im rt0), the row blocks of the real weights of
-        rho_e[0,b], ROW_BLOCK rows each but the last: W_0b[R] =
-        (V_0^T[R] V_b) o rt0[R]. rho_e[1,1] and rho_e[1,0] need none
-        (``reduced_trajectory``). One block is alive at a time, so a caller
-        must be done with each block before it asks for the next."""
-        v = self.eigenvectors
-        dim = v.shape[0]
-        half = dim // 2
-        for unit, rt0 in halves:
-            for b in (0, 1):
-                for start in range(0, dim, ROW_BLOCK):
-                    rows = slice(start, start + ROW_BLOCK)
-                    w = v[:half, rows].T @ v[b * half:(b + 1) * half]
-                    w *= rt0[rows]
-                    yield b, unit, rows, w
-                    del w
 
     def factor(self, rho0: ProductState) -> np.ndarray:
         """G with V^T rho0 V = G G^H, from the closed-form eigenpairs
@@ -440,6 +425,16 @@ def _eigh2(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     u /= np.linalg.norm(u)
     return (np.array([mean + radius, mean - radius]),
             np.stack([u, [-np.conj(u[1]), np.conj(u[0])]], axis=1))
+
+
+def _weights(v: np.ndarray, rt0: np.ndarray, a: int, b: int, rows: slice,
+             cols: slice = slice(None)) -> np.ndarray:
+    """The block (V_a^T[rows] V_b[:, cols]) o rt0[rows, cols] of a real
+    weight matrix, V_c the electronic row block c of the eigenvectors v."""
+    half = v.shape[0] // 2
+    w = v[a * half:(a + 1) * half, rows].T @ v[b * half:(b + 1) * half, cols]
+    w *= rt0[rows, cols]
+    return w
 
 
 def _phase_sum(w: np.ndarray, cos: np.ndarray, sin: np.ndarray,

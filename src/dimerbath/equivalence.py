@@ -114,6 +114,8 @@ def compare_ladder(pairs: Sequence[tuple[TotalModel, TotalModel]],
     """One rung per (model_a, model_b) pair, in ascending truncation: the
     reduced trajectories' trace distance at every grid time. Every rung is
     built before any trajectory, so a cap or build failure comes first."""
+    if not pairs:
+        raise ValueError("pairs must be non-empty")
     n_max = tuple(max(a.n_max, b.n_max) for a, b in pairs)
     if any(a.electronic != b.electronic for a, b in pairs):
         raise ValueError("models must share electronic parameters")
@@ -138,7 +140,7 @@ def compare_reduced(model_a: TotalModel, model_b: TotalModel,
     try:
         # both refinements are checked before either is assembled
         for model in (model_a, model_b):
-            check_dim_cap(model.name, len(model.modes),
+            check_dim_cap(model.kind, len(model.modes),
                           model.n_max + CONVERGENCE_STEP, dim_cap)
     except DimensionCapError:
         pass
@@ -269,6 +271,8 @@ def coherence_vs_alpha(p: ElectronicParams, modes: Sequence[ModeSpec],
     """Reduced-effective trajectory for each alpha, ascending, each model
     made by ``models.build`` under ``dim_cap``."""
     alphas = tuple(float(a) for a in alphas)
+    if not alphas:
+        raise ValueError("alphas must be non-empty")
     if list(alphas) != sorted(alphas):
         raise ValueError("alphas must be sorted ascending")
     couplings = np.array([[effective_coupling(m.g, a) for m in modes]

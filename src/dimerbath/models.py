@@ -16,6 +16,10 @@ Model families:
   weight alpha (alpha = 0 reduces to independent local at unit scale);
 * reduced effective: the shared anti-correlated model with couplings
   rescaled by (1 - alpha)/sqrt(2).
+
+``MODEL_KINDS`` is the one record of a family: its config name, which a
+model keeps as ``TotalModel.kind``, gives its report label, the labels of
+one mode's Fock factors and the parameter its builder takes.
 """
 
 from __future__ import annotations
@@ -54,38 +58,34 @@ class ModelBuildError(ValueError):
     """A builder rejected its parameters; names the model kind and why."""
 
 
-# TotalModel.kind values
-SHARED_ANTICORRELATED = "shared_anticorrelated"
-INDEPENDENT_LOCAL = "independent_local"
-TRANSFORMED = "transformed"
-CORRELATED_ALPHA = "correlated_alpha"
-REDUCED_EFFECTIVE = "reduced_effective"
-
-
-@dataclass(frozen=True)
-class ModelKind:
-    """What the config-facing name of a model family stands for."""
-
-    label: str  # TotalModel.kind; its builder is build_<label>
-    factors_per_mode: int  # Fock factors per bath mode
-    parameter: str | None  # "alpha", "coupling_scale" or None
-
-
-# config name -> model kind; the only place that knows the model families
-MODEL_KINDS = {
-    "shared": ModelKind(SHARED_ANTICORRELATED, 1, None),
-    "independent": ModelKind(INDEPENDENT_LOCAL, 2, "coupling_scale"),
-    "transformed": ModelKind(TRANSFORMED, 2, None),
-    "correlated": ModelKind(CORRELATED_ALPHA, 2, "alpha"),
-    "reduced_effective": ModelKind(REDUCED_EFFECTIVE, 1, "alpha"),
-}
-
 # bath partition labels, one per Fock factor
 SHARED = "shared"
 LOCAL_SITE_1 = "local-site-1"
 LOCAL_SITE_2 = "local-site-2"
 RELATIVE_B = "relative-b"
 CENTER_OF_MASS_B = "center-of-mass-B"
+
+
+@dataclass(frozen=True)
+class ModelKind:
+    """What the config-facing name of a model family stands for."""
+
+    label: str  # report label; its builder is build_<label>
+    partition: tuple[str, ...]  # the labels of one mode's Fock factors
+    parameter: str | None  # "alpha", "coupling_scale" or None
+
+
+# config name -> model kind; the only place that knows the model families
+MODEL_KINDS = {
+    "shared": ModelKind("shared_anticorrelated", (SHARED,), None),
+    "independent": ModelKind("independent_local",
+                             (LOCAL_SITE_1, LOCAL_SITE_2), "coupling_scale"),
+    "transformed": ModelKind("transformed", (RELATIVE_B, CENTER_OF_MASS_B),
+                             None),
+    "correlated": ModelKind("correlated_alpha", (LOCAL_SITE_1, LOCAL_SITE_2),
+                            "alpha"),
+    "reduced_effective": ModelKind("reduced_effective", (SHARED,), "alpha"),
+}
 
 
 @dataclass(frozen=True)
@@ -118,8 +118,9 @@ class ModeSpec:
 
 @dataclass(frozen=True)
 class TotalModel:
-    """A labeled total Hamiltonian plus the metadata needed to rebuild it.
+    """A total Hamiltonian plus the metadata needed to rebuild it.
 
+    ``kind`` is the config name of the model family, a key of MODEL_KINDS.
     ``bath_partition`` labels each Fock factor; ``factor_frequencies`` gives
     its harmonic frequency (used for thermal initial states). ``modes``
     always stores the *unscaled* input modes so that :meth:`rebuild` can
@@ -137,6 +138,8 @@ class TotalModel:
     coupling_scale: float | None = None
 
     def __post_init__(self):
+        if self.kind not in MODEL_KINDS:
+            raise ValueError(f"unknown model kind {self.kind!r}")
         if len(self.bath_partition) != len(self.layout.dims) - 1:
             raise ValueError("one partition label per Fock factor required")
         if len(self.factor_frequencies) != len(self.bath_partition):
@@ -149,25 +152,17 @@ class TotalModel:
         return self.hamiltonian.layout
 
     def describe(self) -> str:
-        s = self.kind
+        s = MODEL_KINDS[self.kind].label
         if self.alpha is not None:
             s += f"(alpha={self.alpha:g})"
         if self.coupling_scale is not None and self.coupling_scale != SQRT2:
             s += f"(scale={self.coupling_scale:g})"
         return s + f"[M={len(self.modes)}, n_max={self.n_max}]"
 
-    @property
-    def name(self) -> str:
-        """The config kind name, the key of this model's MODEL_KINDS entry."""
-        for name, kind in MODEL_KINDS.items():
-            if kind.label == self.kind:
-                return name
-        raise ValueError(f"unknown model kind {self.kind!r}")
-
     def rebuild(self, n_max: int, dim_cap: int = DEFAULT_DIM_CAP
                 ) -> "TotalModel":
         """Same model family and parameters at a different Fock truncation."""
-        return build(self.name, self.electronic, self.modes, n_max,
+        return build(self.kind, self.electronic, self.modes, n_max,
                      self.alpha, self.coupling_scale, dim_cap)
 
 
@@ -180,7 +175,7 @@ def check_dim_cap(name: str, n_modes: int, n_max: int, dim_cap: int):
     cap's is rejected without forming the power, which is shown as
     2*n_max^k: thousands of modes would make it too long to print.
     """
-    n_fock = MODEL_KINDS[name].factors_per_mode * n_modes
+    n_fock = len(MODEL_KINDS[name].partition) * n_modes
     if n_fock * (int(n_max).bit_length() - 1) <= dim_cap.bit_length() + 64:
         dim = exciton_dim(n_fock, n_max)
         if dim <= dim_cap:
@@ -265,19 +260,19 @@ def _assemble(p: ElectronicParams, n_max: int, frequencies: Sequence[float],
 
 
 def _model(kind: str, p: ElectronicParams, modes: Sequence[ModeSpec],
-           n_max: int, factors: Sequence[tuple[str, tuple[float, float]]],
+           n_max: int, factors: Sequence[tuple[float, float]],
            g_scale: float = 1.0, **parameters) -> TotalModel:
-    """Model with one Fock factor per mode and ``factors`` entry.
-
-    Each entry is (partition label, (c1, c2)): that factor couples to the
-    exciton through c1 |1><1| + c2 |2><2| with strength g_scale g of its mode.
+    """Model of config kind ``kind``: per mode, one Fock factor per entry
+    (c1, c2) of ``factors``, labelled by the kind's MODEL_KINDS partition and
+    coupled to the exciton through c1 |1><1| + c2 |2><2| with strength
+    g_scale g of its mode.
     """
     if not modes:
         raise ValueError("mode list must be non-empty")
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
     frequencies = tuple(m.omega for m in modes for _ in factors)
-    couplings = [(g_scale * m.g, sites) for m in modes for _, sites in factors]
+    couplings = [(g_scale * m.g, sites) for m in modes for sites in factors]
     # the extreme entries of H, in Python floats and in _assemble's order, so
     # an overflow is named before numpy meets it: g (c sqrt(n_max - 1)) off
     # the diagonal, eps_e + sum_k omega_k (n_max - 1) on it
@@ -290,16 +285,14 @@ def _model(kind: str, p: ElectronicParams, modes: Sequence[ModeSpec],
         raise ValueError("a Hamiltonian entry overflows float64")
     h = _assemble(p, n_max, frequencies, couplings)
     return TotalModel(h, kind, p, tuple(modes), n_max,
-                      bath_partition=tuple(label for _ in modes
-                                           for label, _ in factors),
+                      bath_partition=MODEL_KINDS[kind].partition * len(modes),
                       factor_frequencies=frequencies, **parameters)
 
 
 def build_shared_anticorrelated(p: ElectronicParams, modes: Sequence[ModeSpec],
                                 n_max: int) -> TotalModel:
     """Shared bath: every mode couples through |1><1| - |2><2|."""
-    return _model(SHARED_ANTICORRELATED, p, modes, n_max,
-                  [(SHARED, (1.0, -1.0))])
+    return _model("shared", p, modes, n_max, [(1.0, -1.0)])
 
 
 def build_independent_local(p: ElectronicParams, modes: Sequence[ModeSpec],
@@ -310,8 +303,7 @@ def build_independent_local(p: ElectronicParams, modes: Sequence[ModeSpec],
     Fock factors are interleaved (site1, xi), (site2, xi) per mode xi.
     """
     scale = SQRT2 if coupling_scale is None else float(coupling_scale)
-    return _model(INDEPENDENT_LOCAL, p, modes, n_max,
-                  [(LOCAL_SITE_1, (1.0, 0.0)), (LOCAL_SITE_2, (0.0, 1.0))],
+    return _model("independent", p, modes, n_max, [(1.0, 0.0), (0.0, 1.0)],
                   g_scale=scale, coupling_scale=scale)
 
 
@@ -323,8 +315,7 @@ def build_transformed(p: ElectronicParams, modes: Sequence[ModeSpec],
     center-of-mass factor through the electronic identity; factors are
     interleaved (relative, center-of-mass) per xi.
     """
-    return _model(TRANSFORMED, p, modes, n_max,
-                  [(RELATIVE_B, (1.0, -1.0)), (CENTER_OF_MASS_B, (1.0, 1.0))])
+    return _model("transformed", p, modes, n_max, [(1.0, -1.0), (1.0, 1.0)])
 
 
 def build_correlated_alpha(p: ElectronicParams, modes: Sequence[ModeSpec],
@@ -336,8 +327,7 @@ def build_correlated_alpha(p: ElectronicParams, modes: Sequence[ModeSpec],
         warnings.warn(f"|alpha| = {abs(alpha):g} > 1 is outside the usual range",
                       stacklevel=2)
     alpha = float(alpha)
-    return _model(CORRELATED_ALPHA, p, modes, n_max,
-                  [(LOCAL_SITE_1, (1.0, alpha)), (LOCAL_SITE_2, (alpha, 1.0))],
+    return _model("correlated", p, modes, n_max, [(1.0, alpha), (alpha, 1.0)],
                   alpha=alpha)
 
 
@@ -349,11 +339,9 @@ def build_reduced_effective(p: ElectronicParams, modes: Sequence[ModeSpec],
     replaced by g (1 - alpha)/sqrt(2).
     """
     scaled = tuple(replace(m, g=effective_coupling(m.g, alpha)) for m in modes)
-    base = build_shared_anticorrelated(p, scaled, n_max)
-    return TotalModel(base.hamiltonian, REDUCED_EFFECTIVE, p, tuple(modes),
-                      n_max, bath_partition=base.bath_partition,
-                      factor_frequencies=base.factor_frequencies,
-                      alpha=float(alpha))
+    return replace(build_shared_anticorrelated(p, scaled, n_max),
+                   kind="reduced_effective", modes=tuple(modes),
+                   alpha=float(alpha))
 
 
 def effective_coupling(g: float, alpha: float) -> float:

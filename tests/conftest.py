@@ -84,15 +84,15 @@ def _kron_couplings(model) -> list[tuple[np.ndarray, float]]:
     """(electronic operator, coupling) of every Fock factor, in factor order."""
     from dimerbath import models
 
-    if model.kind == models.SHARED_ANTICORRELATED:
+    if model.kind == "shared":
         return [(_P1 - _P2, m.g) for m in model.modes]
-    if model.kind == models.REDUCED_EFFECTIVE:
+    if model.kind == "reduced_effective":
         return [(_P1 - _P2, models.effective_coupling(m.g, model.alpha))
                 for m in model.modes]
-    if model.kind == models.INDEPENDENT_LOCAL:
+    if model.kind == "independent":
         s = model.coupling_scale
         return [c for m in model.modes for c in ((_P1, s * m.g), (_P2, s * m.g))]
-    if model.kind == models.TRANSFORMED:
+    if model.kind == "transformed":
         eye = np.eye(2, dtype=np.complex128)
         return [c for m in model.modes for c in ((_P1 - _P2, m.g), (eye, m.g))]
     a = model.alpha

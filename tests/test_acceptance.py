@@ -23,9 +23,6 @@ from dimerbath.equivalence import (
     spectrum_equivalence,
 )
 from dimerbath.models import (
-    CENTER_OF_MASS_B,
-    RELATIVE_B,
-    TRANSFORMED,
     ElectronicParams,
     ModeSpec,
     _model,
@@ -290,9 +287,8 @@ def test_criterion_9_transformed_is_shared_plus_center_of_mass():
         residual, scale = _structure_residual(model, modes, n)
         residuals.append(residual)
         scales.append(scale)
-        skewed = _model(TRANSFORMED, PARAMS, modes, n,
-                        [(RELATIVE_B, (1.0, -1.0)),
-                         (CENTER_OF_MASS_B, (1.0, 0.9))])
+        skewed = _model("transformed", PARAMS, modes, n,
+                        [(1.0, -1.0), (1.0, 0.9)])
         controls.append(_structure_residual(skewed, modes, n)[0])
     # a few ulps of max|T|; one rounding of a diagonal sum is one ulp
     tol = [4 * np.finfo(float).eps * x for x in scales]

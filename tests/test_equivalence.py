@@ -177,6 +177,10 @@ class TestCompareLadder:
         assert report.max_distance == d4
         assert report.convergence_delta == abs(d8 - d6)
 
+    def test_empty_ladder_rejected(self, site1):
+        with pytest.raises(ValueError, match="^pairs must be non-empty$"):
+            compare_ladder([], site1, GROUND, GRID)
+
 
 class TestPointwiseDistances:
     def test_shapes_and_zero_diagonal(self, params, mode, site1):
@@ -313,6 +317,11 @@ class TestCoherenceVsAlpha:
         with pytest.raises(ValueError):
             coherence_vs_alpha(params, [mode], GROUND, GRID, [0.5, 0.0],
                                n_max=4, rho_e0=site1)
+
+    def test_empty_alphas_rejected(self, params, mode, site1):
+        with pytest.raises(ValueError, match="^alphas must be non-empty$"):
+            coherence_vs_alpha(params, [mode], GROUND, GRID, [], n_max=4,
+                               rho_e0=site1)
 
     def test_default_build_is_capped(self, params, mode, site1):
         # 2 * 65^2 states, over the default cap of 4096

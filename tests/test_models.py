@@ -409,11 +409,23 @@ class TestDimensionCap:
         with pytest.raises(DimensionCapError, match="over cap 40"):
             reduced.rebuild(5, dim_cap=40)
 
-    def test_rebuild_of_unknown_kind_rejected(self, params):
-        model = replace(models.build("shared", params, [ModeSpec(1.0, 0.2)], 3),
-                        kind="bogus")
-        with pytest.raises(ValueError, match="unknown model kind 'bogus'"):
-            model.rebuild(4)
+    @pytest.mark.parametrize("kind", sorted(models.MODEL_KINDS))
+    def test_cap_counts_the_factors_of_the_built_model(self, params, kind):
+        # the cap's factor count and the built model's factors come from
+        # one MODEL_KINDS entry
+        modes = [ModeSpec(0.8, 0.15), ModeSpec(1.3, 0.1)]
+        model = models.build(kind, params, modes, 3, alpha=0.3)
+        cap = model.layout.total_dim
+        models.check_dim_cap(kind, 2, 3, cap)
+        with pytest.raises(DimensionCapError, match=f"over cap {cap - 1}$"):
+            models.check_dim_cap(kind, 2, 3, cap - 1)
+        assert model.kind == kind
+        assert model.bath_partition == models.MODEL_KINDS[kind].partition * 2
+
+    def test_unknown_kind_rejected_at_construction(self, params):
+        model = models.build("shared", params, [ModeSpec(1.0, 0.2)], 3)
+        with pytest.raises(ValueError, match="^unknown model kind 'bogus'$"):
+            replace(model, kind="bogus")
 
 
 class TestOhmicDrudeModes:
