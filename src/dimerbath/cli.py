@@ -7,8 +7,8 @@ lines; the only other command-line input is ``--threads N``. Tasks:
 * ``compare``      -- reduced-dynamics comparison against a second model kind,
                       CSV plus a ``.report`` file with the convergence
                       certificate;
-* ``alpha_sweep``  -- reduced-effective trajectories across alpha values, one
-                      CSV each plus a report with the effective couplings;
+* ``alpha_sweep``  -- the trajectory task once per alpha, one CSV each, plus
+                      a report with the effective couplings;
 * ``convergence``  -- comparison distances across an explicit n_max list.
 
 Exit codes: 0 ok, 1 verification failure, 2 config error, 3 resource cap.
@@ -24,7 +24,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import dimerbath
 
@@ -456,9 +456,8 @@ def _run(config: RunConfig) -> int:
 
     if config.task == "trajectory":
         model = _build_model(config, config.bath_kind, modes, n_max)
-        rho0 = thermal.initial_state(rho_e0, model, spec)
-        traj = dynamics.evolve_reduced(model, rho0, grid)
-        _write_csv(base + ".csv", traj)
+        _write_csv(base + ".csv",
+                   equivalence._reduced(model, rho_e0, spec, grid))
         return 0
 
     if config.task == "compare":
@@ -500,13 +499,17 @@ def _run(config: RunConfig) -> int:
                     f"task.alphas: effective coupling at alpha {a:g} overflows")
             report_items[f"alpha_{i}"] = a
             report_items[f"effective_coupling_{i}"] = g_eff
-        p = models.ElectronicParams(config.eps1, config.eps2, config.j)
-        sweep = equivalence.coherence_vs_alpha(p, modes, spec, grid,
-                                               config.alphas, n_max, rho_e0,
-                                               dim_cap=config.dim_cap)
-        for a, traj in zip(sweep.alphas, sweep.trajectories):
+        # the trajectory task once per alpha; every trajectory is formed,
+        # and so checked, before the first CSV is written
+        trajectories = [equivalence._reduced(
+            _build_model(replace(config, alpha=a), config.bath_kind, modes,
+                         n_max), rho_e0, spec, grid) for a in config.alphas]
+        for a, traj in zip(config.alphas, trajectories):
             _write_csv(_alpha_csv(base, a), traj)
-        decreasing = sweep.couplings_strictly_decreasing()
+        mags = [[abs(models.effective_coupling(m.g, a)) for m in modes
+                 if m.g != 0] for a in config.alphas]
+        decreasing = all(x > y for row, later in zip(mags, mags[1:])
+                         for x, y in zip(row, later))
         report_items["effective_coupling_strictly_decreasing"] = decreasing
         _write_report(base + ".report", report_items)
         if not decreasing:

@@ -38,13 +38,9 @@ from .models import (
     CENTER_OF_MASS_B,
     DEFAULT_DIM_CAP,
     DimensionCapError,
-    ElectronicParams,
-    ModeSpec,
     TotalModel,
-    build,
     build_reduced_effective,  # unused; bench/tests/test_bench.py reads it
     check_dim_cap,
-    effective_coupling,
 )
 from .spaces import (
     DensityMatrix,
@@ -104,6 +100,8 @@ class ComparisonReport:
 
 def _reduced(model: TotalModel, rho_e0: DensityMatrix, spec: ThermalSpec,
              grid: TimeGrid) -> ReducedTrajectory:
+    """The reduced trajectory of rho_e0 and the model's thermal bath; every
+    CLI task forms its trajectories here."""
     rho0 = initial_state(rho_e0, model, spec)
     return evolve_reduced(model, rho0, grid)
 
@@ -113,20 +111,26 @@ def compare_ladder(pairs: Sequence[tuple[TotalModel, TotalModel]],
                    grid: TimeGrid) -> ComparisonReport:
     """One rung per (model_a, model_b) pair, in ascending truncation: the
     reduced trajectories' trace distance at every grid time. Every rung is
-    built before any trajectory, so a cap or build failure comes first."""
+    built before any trajectory, so a cap or build failure comes first.
+    Only the first rung's arrays are kept; of every later rung only its
+    maximum outlives the rung."""
     if not pairs:
         raise ValueError("pairs must be non-empty")
     n_max = tuple(max(a.n_max, b.n_max) for a, b in pairs)
     if any(a.electronic != b.electronic for a, b in pairs):
         raise ValueError("models must share electronic parameters")
-    trajectories, distances = [], []
-    for model_a, model_b in pairs:
-        trajectories.append(_reduced(model_a, rho_e0, spec, grid))
-        distances.append(pointwise_distances(
-            trajectories[-1], _reduced(model_b, rho_e0, spec, grid)))
+
+    def rung(model_a, model_b):
+        trajectory_a = _reduced(model_a, rho_e0, spec, grid)
+        return trajectory_a, pointwise_distances(
+            trajectory_a, _reduced(model_b, rho_e0, spec, grid))
+
+    trajectory_a, distances = rung(*pairs[0])
+    maxima = (float(distances.max()),
+              *(float(rung(*pair)[1].max()) for pair in pairs[1:]))
     return ComparisonReport(
-        pairs[0][0].describe(), pairs[0][1].describe(), distances[0],
-        trajectories[0], n_max, tuple(float(d.max()) for d in distances))
+        pairs[0][0].describe(), pairs[0][1].describe(), distances,
+        trajectory_a, n_max, maxima)
 
 
 def compare_reduced(model_a: TotalModel, model_b: TotalModel,
@@ -238,47 +242,3 @@ def factorization_check(model: TotalModel, rho0: ProductState,
         values[k] = 0.5 * np.abs(np.linalg.eigvalsh(defect)).sum()
     return values
 
-
-@dataclass(frozen=True)
-class AlphaSweepResult:
-    """Reduced-effective trajectories across alpha values."""
-
-    alphas: tuple[float, ...]
-    #: shape (n_alpha, n_modes): effective coupling per alpha and mode
-    effective_couplings: np.ndarray
-    #: one reduced trajectory per alpha, in the order of ``alphas``
-    trajectories: tuple[ReducedTrajectory, ...]
-
-    @property
-    def coherence(self) -> np.ndarray:
-        """Shape (n_alpha, n_points): |rho12(t)| per alpha."""
-        return np.array([np.abs(t.rho12) for t in self.trajectories])
-
-    def couplings_strictly_decreasing(self) -> bool:
-        """|effective coupling| strictly decreasing in alpha for every g != 0 mode."""
-        mags = np.abs(self.effective_couplings)
-        nonzero = mags[0] > 0
-        if not nonzero.any():
-            return True
-        return bool((np.diff(mags[:, nonzero], axis=0) < 0).all())
-
-
-def coherence_vs_alpha(p: ElectronicParams, modes: Sequence[ModeSpec],
-                       spec: ThermalSpec, grid: TimeGrid,
-                       alphas: Sequence[float], n_max: int,
-                       rho_e0: DensityMatrix,
-                       dim_cap: int = DEFAULT_DIM_CAP) -> AlphaSweepResult:
-    """Reduced-effective trajectory for each alpha, ascending, each model
-    made by ``models.build`` under ``dim_cap``."""
-    alphas = tuple(float(a) for a in alphas)
-    if not alphas:
-        raise ValueError("alphas must be non-empty")
-    if list(alphas) != sorted(alphas):
-        raise ValueError("alphas must be sorted ascending")
-    couplings = np.array([[effective_coupling(m.g, a) for m in modes]
-                          for a in alphas])
-    trajectories = tuple(
-        _reduced(build("reduced_effective", p, modes, n_max, alpha=a,
-                       dim_cap=dim_cap), rho_e0, spec, grid)
-        for a in alphas)
-    return AlphaSweepResult(alphas, couplings, trajectories)

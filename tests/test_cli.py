@@ -573,6 +573,8 @@ class TestRunAlphaSweep:
         ("10.0", "-1e308, 0.0", 2, "config-error: task.alphas"),
         # a finite coupling whose phases are NaN fails the trajectory check
         ("1e308", "0.0", 1, "verification-failure: non-finite value"),
+        # a later alpha that fails leaves no earlier alpha's CSV behind
+        ("1e308", "1.0, 1.5", 1, "verification-failure: non-finite value"),
         # a non-finite alpha is a bad alpha too
         ("0.2", "0.0, inf", 2, "config-error: task.alphas"),
         ("0.2", "nan", 2, "config-error: task.alphas"),
@@ -591,6 +593,49 @@ class TestRunAlphaSweep:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
         assert not out.exists()
+
+    def test_gate_checks_a_mode_uncoupled_at_the_first_alpha(self, tmp_path,
+                                                           capsys):
+        # every coupling is 0 at alpha = 1, and |g_eff| grows beyond it
+        text = (CONFIGS / "alpha_sweep.cfg").read_text()
+        assert "\ntask.alphas = -1.0,-0.5,0.0,0.5,1.0\n" in text
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text.replace("task.alphas = -1.0,-0.5,0.0,0.5,1.0",
+                                    "task.alphas = 1, 1.5, 3")
+                       + "thermal.n_max_override = 3\n"
+                       + f"output.directory = {tmp_path / 'out'}\n")
+        assert main([str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            "verification-failure: effective coupling magnitude not strictly "
+            "decreasing in alpha\n")
+        report = (tmp_path / "out" / "alpha_sweep.report").read_text()
+        assert "effective_coupling_strictly_decreasing = false" in report
+
+    @pytest.mark.parametrize("modes", [
+        {"bath__modes__0__g": "0.0"},
+        {"bath__modes__1__omega": "2.0", "bath__modes__1__g": "0.0"},
+        {"bath__modes__0__g": "0.0", "bath__modes__1__omega": "2.0",
+         "bath__modes__1__g": "0.2"},
+    ])
+    def test_zero_coupling_modes_are_not_gated(self, tmp_path, modes):
+        text = config_text(bath__kind="reduced_effective",
+                           task__kind="alpha_sweep", task__alphas="0.0,0.5",
+                           thermal__n_max_override="3",
+                           output__directory=str(tmp_path), **modes)
+        assert run(parse_config(text)) == 0
+        report = (tmp_path / "out.report").read_text()
+        assert "effective_coupling_strictly_decreasing = true" in report
+
+    def test_dim_cap_is_honoured(self, tmp_path, capsys):
+        # 2 * 5^2 = 50 states, over a cap of 40
+        text = config_text(bath__kind="reduced_effective",
+                           bath__modes__1__omega="2.0", bath__modes__1__g="0.1",
+                           task__kind="alpha_sweep", task__alphas="0.5",
+                           thermal__n_max_override="5", evolution__dim_cap="40",
+                           output__directory=str(tmp_path / "out"))
+        assert run(parse_config(text)) == 3
+        assert "over cap 40" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_hamiltonian_is_config_error(self, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -10,10 +11,9 @@ from dimerbath.dynamics import (
     TimeGrid,
     evolve_reduced,
 )
-from dimerbath import models
+from dimerbath import equivalence, models
 from dimerbath.equivalence import (
     CONVERGENCE_TOL,
-    coherence_vs_alpha,
     compare_ladder,
     compare_reduced,
     factorization_check,
@@ -21,7 +21,6 @@ from dimerbath.equivalence import (
     spectrum_equivalence,
 )
 from dimerbath.models import (
-    DimensionCapError,
     ModeSpec,
     build_correlated_alpha,
     build_independent_local,
@@ -177,6 +176,34 @@ class TestCompareLadder:
         assert report.max_distance == d4
         assert report.convergence_delta == abs(d8 - d6)
 
+    def test_later_rungs_keep_no_arrays(self, params, mode, site1,
+                                        monkeypatch):
+        # memory does not grow with the rungs: rung 1's model_a trajectory
+        # and distances are gone before rung 2's first trajectory is formed
+        reduced, distances = equivalence._reduced, equivalence.pointwise_distances
+        formed, measured, alive = [], [], []
+
+        def recording_reduced(*args):
+            if len(formed) == 4:
+                alive.append((formed[2](), measured[1]()))
+            traj = reduced(*args)
+            formed.append(weakref.ref(traj))
+            return traj
+
+        def recording_distances(a, b):
+            d = distances(a, b)
+            measured.append(weakref.ref(d))
+            return d
+
+        monkeypatch.setattr(equivalence, "_reduced", recording_reduced)
+        monkeypatch.setattr(equivalence, "pointwise_distances",
+                            recording_distances)
+        report = compare_ladder(self._pairs(params, mode, [4, 6, 8]), site1,
+                                GROUND, GRID)
+        assert len(formed) == 6 and alive == [(None, None)]
+        assert formed[0]() is report.trajectory_a
+        assert measured[0]() is report.per_time_distance
+
     def test_empty_ladder_rejected(self, site1):
         with pytest.raises(ValueError, match="^pairs must be non-empty$"):
             compare_ladder([], site1, GROUND, GRID)
@@ -291,51 +318,3 @@ def _direct_defect(prop, rho0, t: float) -> float:
                       partial_trace_matrix(rho_t, dims, [2]))
     return 0.5 * np.abs(np.linalg.eigvalsh(rho_t - product)).sum()
 
-
-class TestCoherenceVsAlpha:
-    def test_monotone_couplings_and_shapes(self, params, mode, site1):
-        alphas = [-0.5, 0.0, 0.5, 1.0]
-        result = coherence_vs_alpha(params, [mode], GROUND, GRID, alphas,
-                                    n_max=6, rho_e0=site1)
-        assert result.alphas == (-0.5, 0.0, 0.5, 1.0)
-        assert result.effective_couplings.shape == (4, 1)
-        assert result.coherence.shape == (4, GRID.n_steps + 1)
-        assert len(result.trajectories) == 4
-        assert result.couplings_strictly_decreasing()
-
-    def test_alpha_one_row_matches_uncoupled_dimer(self, params, mode, site1):
-        result = coherence_vs_alpha(params, [mode], GROUND, GRID, [1.0],
-                                    n_max=6, rho_e0=site1)
-        bare = build_shared_anticorrelated(
-            params, [ModeSpec(mode.omega, 0.0)], 6)
-        rho0 = initial_state(site1, bare, GROUND)
-        traj = evolve_reduced(bare, rho0, GRID)
-        assert result.coherence[0] == pytest.approx(np.abs(traj.rho12),
-                                                    abs=1e-12)
-
-    def test_unsorted_alphas_rejected(self, params, mode, site1):
-        with pytest.raises(ValueError):
-            coherence_vs_alpha(params, [mode], GROUND, GRID, [0.5, 0.0],
-                               n_max=4, rho_e0=site1)
-
-    def test_empty_alphas_rejected(self, params, mode, site1):
-        with pytest.raises(ValueError, match="^alphas must be non-empty$"):
-            coherence_vs_alpha(params, [mode], GROUND, GRID, [], n_max=4,
-                               rho_e0=site1)
-
-    def test_default_build_is_capped(self, params, mode, site1):
-        # 2 * 65^2 states, over the default cap of 4096
-        with pytest.raises(DimensionCapError, match="over cap 4096"):
-            coherence_vs_alpha(params, [mode, mode], GROUND, GRID, [0.5],
-                               n_max=65, rho_e0=site1)
-
-    def test_dim_cap_is_honoured(self, params, mode, site1):
-        # 2 * 5^2 = 50 states, over a cap of 40
-        with pytest.raises(DimensionCapError, match="over cap 40"):
-            coherence_vs_alpha(params, [mode, mode], GROUND, GRID, [0.5],
-                               n_max=5, rho_e0=site1, dim_cap=40)
-
-    def test_zero_coupling_modes_never_decrease(self, params, site1):
-        result = coherence_vs_alpha(params, [ModeSpec(1.0, 0.0)], GROUND,
-                                    GRID, [0.0, 0.5], n_max=4, rho_e0=site1)
-        assert result.couplings_strictly_decreasing()
