@@ -9,7 +9,8 @@ differs, when the set of output files differs, or when a token of an output
 file differs: a number by more than 1e-10 + 1e-8 |base|, the golden
 tolerance of the benchmark, and any other token at all. Standard output and
 standard error count as output files, with each tree's path replaced by a
-placeholder. Exit 0 when everything matches.
+placeholder. The summary counts the files that are byte-identical and
+those that match only within the tolerance. Exit 0 when everything matches.
 """
 
 from __future__ import annotations
@@ -103,17 +104,24 @@ def main(argv: list[str]) -> int:
                   f"{sorted(set(files[base]) - set(files[head]))}, only in "
                   f"head {sorted(set(files[head]) - set(files[base]))}")
             failed = True
+        identical = close = 0
         for name in sorted(set(files[base]) & set(files[head])):
-            base_text, head_text = (
-                (outs[tree] / name).read_text().replace(str(tree), "<tree>")
-                for tree in (base, head))
-            problems = compare_text(base_text, head_text)
-            if problems:
+            base_bytes, head_bytes = (
+                (outs[tree] / name).read_bytes().replace(
+                    str(tree).encode(), b"<tree>") for tree in (base, head))
+            if base_bytes == head_bytes:
+                identical += 1
+                continue
+            problems = compare_text(base_bytes.decode(), head_bytes.decode())
+            if not problems:
+                close += 1
+            else:
                 failed = True
                 print(f"{name}: {len(problems)} lines differ")
                 for problem in problems[:SHOWN]:
                     print(f"  {problem}")
-    print(f"{len(names)} configs, {len(files[base])} base output files: "
+    print(f"{len(names)} configs, {len(files[base])} base output files, "
+          f"{identical} byte-identical, {close} equal only within tolerance: "
           + ("outputs differ" if failed else "outputs match"))
     return 1 if failed else 0
 

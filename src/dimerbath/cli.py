@@ -490,15 +490,17 @@ def _run(config: RunConfig) -> int:
     if config.task == "alpha_sweep":
         report_items = {"task": "alpha_sweep", "n_max_used": n_max,
                         "t_max": grid.t_max, "n_steps": grid.n_steps}
-        # g_ref has the largest |g|, so its effective coupling overflows first
-        g_ref = max((m.g for m in modes), key=abs)
-        for i, a in enumerate(config.alphas):
-            g_eff = models.effective_coupling(g_ref, a)
-            if not math.isfinite(g_eff):
+        # every (alpha, mode) effective coupling once; the report gives the
+        # mode of largest |g|, whose coupling overflows first
+        table = [[models.effective_coupling(m.g, a) for m in modes]
+                 for a in config.alphas]
+        ref = max(range(len(modes)), key=lambda k: abs(modes[k].g))
+        for i, (a, row) in enumerate(zip(config.alphas, table)):
+            if not math.isfinite(row[ref]):
                 raise ConfigError(
                     f"task.alphas: effective coupling at alpha {a:g} overflows")
             report_items[f"alpha_{i}"] = a
-            report_items[f"effective_coupling_{i}"] = g_eff
+            report_items[f"effective_coupling_{i}"] = row[ref]
         # the trajectory task once per alpha; every trajectory is formed,
         # and so checked, before the first CSV is written
         trajectories = [equivalence._reduced(
@@ -506,10 +508,8 @@ def _run(config: RunConfig) -> int:
                          n_max), rho_e0, spec, grid) for a in config.alphas]
         for a, traj in zip(config.alphas, trajectories):
             _write_csv(_alpha_csv(base, a), traj)
-        mags = [[abs(models.effective_coupling(m.g, a)) for m in modes
-                 if m.g != 0] for a in config.alphas]
-        decreasing = all(x > y for row, later in zip(mags, mags[1:])
-                         for x, y in zip(row, later))
+        decreasing = all(abs(x) > abs(y) for row, nxt in zip(table, table[1:])
+                         for x, y, m in zip(row, nxt, modes) if m.g != 0)
         report_items["effective_coupling_strictly_decreasing"] = decreasing
         _write_report(base + ".report", report_items)
         if not decreasing:

@@ -35,7 +35,6 @@ from .spaces import (
     HERMITICITY_RTOL,
     Operator,
     SpaceLayout,
-    exciton_dim,
     occupation_basis,
 )
 
@@ -121,35 +120,43 @@ class TotalModel:
     """A total Hamiltonian plus the metadata needed to rebuild it.
 
     ``kind`` is the config name of the model family, a key of MODEL_KINDS.
-    ``bath_partition`` labels each Fock factor; ``factor_frequencies`` gives
-    its harmonic frequency (used for thermal initial states). ``modes``
-    always stores the *unscaled* input modes so that :meth:`rebuild` can
-    re-derive the Hamiltonian at a different truncation.
+    ``modes`` always stores the *unscaled* input modes so that :meth:`rebuild`
+    can re-derive the Hamiltonian at a different truncation. ``n_max``,
+    ``bath_partition`` and ``factor_frequencies`` are read from kind, modes
+    and the layout, which has one Fock factor per partition label.
     """
 
     hamiltonian: Operator
     kind: str
     electronic: ElectronicParams
     modes: tuple[ModeSpec, ...]
-    n_max: int
-    bath_partition: tuple[str, ...]
-    factor_frequencies: tuple[float, ...]
     alpha: float | None = None
     coupling_scale: float | None = None
 
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
-        if len(self.bath_partition) != len(self.layout.dims) - 1:
-            raise ValueError("one partition label per Fock factor required")
-        if len(self.factor_frequencies) != len(self.bath_partition):
-            raise ValueError("one frequency per Fock factor required")
+        if len(self.layout.dims) != 1 + len(self.bath_partition):
+            raise ValueError("one Fock factor per partition label required")
         if not self.hamiltonian.is_hermitian(HERMITICITY_RTOL):
             raise ValueError("total Hamiltonian is not Hermitian")
 
     @property
     def layout(self) -> SpaceLayout:
         return self.hamiltonian.layout
+
+    @property
+    def n_max(self) -> int:
+        return self.layout.dims[1]
+
+    @property
+    def bath_partition(self) -> tuple[str, ...]:
+        return MODEL_KINDS[self.kind].partition * len(self.modes)
+
+    @property
+    def factor_frequencies(self) -> tuple[float, ...]:
+        return tuple(m.omega for m in self.modes for _ in
+                     MODEL_KINDS[self.kind].partition)
 
     def describe(self) -> str:
         s = MODEL_KINDS[self.kind].label
@@ -177,7 +184,7 @@ def check_dim_cap(name: str, n_modes: int, n_max: int, dim_cap: int):
     """
     n_fock = len(MODEL_KINDS[name].partition) * n_modes
     if n_fock * (int(n_max).bit_length() - 1) <= dim_cap.bit_length() + 64:
-        dim = exciton_dim(n_fock, n_max)
+        dim = 2 * n_max ** n_fock
         if dim <= dim_cap:
             return
     else:
@@ -218,8 +225,8 @@ def _assemble(p: ElectronicParams, n_max: int, frequencies: Sequence[float],
     basis[i]. Each (row, col) is written once. No dense H is kept: eigh
     reads the operator's ``lower_triangle``, other readers its ``matrix``.
     """
-    n_fock = len(frequencies)
-    basis = occupation_basis(n_fock, n_max)
+    dims = (n_max,) * len(frequencies)
+    basis = occupation_basis(dims)
     n_bath = len(basis)
     rows, cols, values = [], [], []
 
@@ -245,7 +252,7 @@ def _assemble(p: ElectronicParams, n_max: int, frequencies: Sequence[float],
         n = basis[upper, k]
         lowered = basis[upper]
         lowered[:, k] -= 1
-        lower = np.ravel_multi_index(lowered.T, (n_max,) * n_fock)
+        lower = np.ravel_multi_index(lowered.T, dims)
         for e, c in enumerate(sites):
             if c == 0.0:
                 continue
@@ -254,7 +261,7 @@ def _assemble(p: ElectronicParams, n_max: int, frequencies: Sequence[float],
             value = 0.0 + g * (c * np.sqrt(n))
             emit(e * n_bath + lower, e * n_bath + upper, value)
             emit(e * n_bath + upper, e * n_bath + lower, value)
-    return Operator(SpaceLayout((2,) + (n_max,) * n_fock),
+    return Operator(SpaceLayout((2,) + dims),
                     np.concatenate(rows), np.concatenate(cols),
                     np.concatenate(values))
 
@@ -284,9 +291,7 @@ def _model(kind: str, p: ElectronicParams, modes: Sequence[ModeSpec],
     if not all(map(math.isfinite, extremes)):
         raise ValueError("a Hamiltonian entry overflows float64")
     h = _assemble(p, n_max, frequencies, couplings)
-    return TotalModel(h, kind, p, tuple(modes), n_max,
-                      bath_partition=MODEL_KINDS[kind].partition * len(modes),
-                      factor_frequencies=frequencies, **parameters)
+    return TotalModel(h, kind, p, tuple(modes), **parameters)
 
 
 def build_shared_anticorrelated(p: ElectronicParams, modes: Sequence[ModeSpec],

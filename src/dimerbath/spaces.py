@@ -50,18 +50,13 @@ class SpaceLayout:
         return int(np.prod(self.dims))
 
 
-def exciton_dim(n_fock: int, n_max: int) -> int:
-    """Dimension 2 n_max^n_fock of the electronic factor times the bath basis."""
-    return 2 * n_max ** n_fock
-
-
-def occupation_basis(n_fock: int, n_max: int) -> np.ndarray:
-    """Occupation tuples with every n_k < n_max, one row per bath state.
+def occupation_basis(dims: Sequence[int]) -> np.ndarray:
+    """Occupation tuples with every n_k < dims[k], one row per bath state.
 
     Rows are in the order of the Fock factors' tensor product: the last
     mode's occupation varies fastest.
     """
-    return np.indices((n_max,) * n_fock).reshape(n_fock, -1).T
+    return np.indices(dims).reshape(len(dims), -1).T
 
 
 def _zeros_without_huge_pages(shape) -> np.ndarray:

@@ -72,7 +72,7 @@ def initial_state(rho_e0: DensityMatrix, model: TotalModel,
     on the ground row E = 0; a finite beta E that overflows has weight 0.
     rho_e0, a ``DensityMatrix``, is the checked 2x2 state;
     ``ProductState`` checks the weights."""
-    basis = occupation_basis(len(model.factor_frequencies), model.n_max)
+    basis = occupation_basis(model.layout.dims[1:])
     energy = basis @ np.asarray(model.factor_frequencies)
     if math.isinf(spec.beta):  # beta E would be inf * 0 on the ground row
         weights = (energy == 0.0).astype(float)

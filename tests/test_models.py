@@ -412,15 +412,31 @@ class TestDimensionCap:
     @pytest.mark.parametrize("kind", sorted(models.MODEL_KINDS))
     def test_cap_counts_the_factors_of_the_built_model(self, params, kind):
         # the cap's factor count and the built model's factors come from
-        # one MODEL_KINDS entry
+        # one MODEL_KINDS entry; n_max, the partition and the factor
+        # frequencies are read from the kind, the unscaled modes and the
+        # layout, one frequency per factor of each mode
         modes = [ModeSpec(0.8, 0.15), ModeSpec(1.3, 0.1)]
         model = models.build(kind, params, modes, 3, alpha=0.3)
         cap = model.layout.total_dim
         models.check_dim_cap(kind, 2, 3, cap)
         with pytest.raises(DimensionCapError, match=f"over cap {cap - 1}$"):
             models.check_dim_cap(kind, 2, 3, cap - 1)
-        assert model.kind == kind
-        assert model.bath_partition == models.MODEL_KINDS[kind].partition * 2
+        partition = models.MODEL_KINDS[kind].partition
+        assert model.kind == kind and model.modes == tuple(modes)
+        assert model.n_max == 3
+        assert model.layout.dims == (2,) + (3,) * (2 * len(partition))
+        assert model.bath_partition == partition * 2
+        assert model.factor_frequencies == ((0.8,) * len(partition)
+                                            + (1.3,) * len(partition))
+
+    @pytest.mark.parametrize("kind", sorted(models.MODEL_KINDS))
+    def test_modes_must_match_the_layout(self, params, kind):
+        # the bath is read from kind, modes and layout: a second mode on a
+        # one-mode Hamiltonian would describe factors the layout lacks
+        model = models.build(kind, params, [ModeSpec(1.0, 0.2)], 3, alpha=0.3)
+        with pytest.raises(ValueError, match=(
+                "^one Fock factor per partition label required$")):
+            replace(model, modes=(ModeSpec(1.0, 0.2), ModeSpec(2.0, 0.1)))
 
     def test_unknown_kind_rejected_at_construction(self, params):
         model = models.build("shared", params, [ModeSpec(1.0, 0.2)], 3)

@@ -11,7 +11,6 @@ from dimerbath.spaces import (
     Operator,
     SpaceLayout,
     eigenvalues_2x2,
-    exciton_dim,
     occupation_basis,
     partial_trace_matrix,
     permute_factors_matrix,
@@ -38,12 +37,12 @@ def test_layout_dims():
 def test_occupation_basis_is_kron_order(n_fock, n_max):
     # row i holds the occupations that the kron-embedded number operators
     # of the bath factors give state i
-    basis = occupation_basis(n_fock, n_max)
     dims = (n_max,) * n_fock
+    basis = occupation_basis(dims)
     num = np.diag(np.arange(n_max))
     for k in range(n_fock):
         assert np.array_equal(basis[:, k], np.diag(embed_matrix(num, k, dims)).real)
-    assert 2 * len(basis) == exciton_dim(n_fock, n_max)
+    assert 2 * len(basis) == 2 * n_max ** n_fock
 
 
 def test_embed_identity_is_identity():
