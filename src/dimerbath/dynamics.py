@@ -118,8 +118,9 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if not (self.t_max > 0):
-            raise ValueError(f"t_max must be positive, got {self.t_max}")
+        if not (math.isfinite(self.t_max) and self.t_max > 0):
+            raise ValueError(f"t_max must be positive and finite, got "
+                             f"{self.t_max}")
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
         if self.n_steps + 1 > MAX_GRID_POINTS:

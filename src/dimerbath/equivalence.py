@@ -39,6 +39,7 @@ from .models import (
     DEFAULT_DIM_CAP,
     DimensionCapError,
     TotalModel,
+    build,
     build_reduced_effective,  # unused; bench/tests/test_bench.py reads it
     check_dim_cap,
 )
@@ -149,8 +150,10 @@ def compare_reduced(model_a: TotalModel, model_b: TotalModel,
     except DimensionCapError:
         pass
     else:
-        pairs.append(tuple(m.rebuild(m.n_max + CONVERGENCE_STEP, dim_cap)
-                           for m in (model_a, model_b)))
+        pairs.append(tuple(
+            build(m.kind, m.electronic, m.modes, m.n_max + CONVERGENCE_STEP,
+                  m.alpha, m.coupling_scale, dim_cap)
+            for m in (model_a, model_b)))
     return compare_ladder(pairs, rho_e0, spec, grid)
 
 

@@ -120,10 +120,11 @@ class TotalModel:
     """A total Hamiltonian plus the metadata needed to rebuild it.
 
     ``kind`` is the config name of the model family, a key of MODEL_KINDS.
-    ``modes`` always stores the *unscaled* input modes so that :meth:`rebuild`
-    can re-derive the Hamiltonian at a different truncation. ``n_max``,
-    ``bath_partition`` and ``factor_frequencies`` are read from kind, modes
-    and the layout, which has one Fock factor per partition label.
+    ``modes`` always stores the *unscaled* input modes, so that ``build``
+    re-derives the Hamiltonian at another truncation from kind, modes and
+    parameters. ``n_max``, ``bath_partition`` and ``factor_frequencies``
+    are read from kind, modes and the layout, which has one Fock factor per
+    partition label.
     """
 
     hamiltonian: Operator
@@ -165,12 +166,6 @@ class TotalModel:
         if self.coupling_scale is not None and self.coupling_scale != SQRT2:
             s += f"(scale={self.coupling_scale:g})"
         return s + f"[M={len(self.modes)}, n_max={self.n_max}]"
-
-    def rebuild(self, n_max: int, dim_cap: int = DEFAULT_DIM_CAP
-                ) -> "TotalModel":
-        """Same model family and parameters at a different Fock truncation."""
-        return build(self.kind, self.electronic, self.modes, n_max,
-                     self.alpha, self.coupling_scale, dim_cap)
 
 
 def check_dim_cap(name: str, n_modes: int, n_max: int, dim_cap: int):

@@ -19,6 +19,7 @@ functions.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -57,24 +58,6 @@ def occupation_basis(dims: Sequence[int]) -> np.ndarray:
     mode's occupation varies fastest.
     """
     return np.indices(dims).reshape(len(dims), -1).T
-
-
-def _zeros_without_huge_pages(shape) -> np.ndarray:
-    """np.zeros(shape) with numpy's transparent huge page advice off for
-    this allocation; the switch is in numpy._core on numpy 2 and in
-    numpy.core before, and without it this is plain np.zeros."""
-    for core in ("_core", "core"):
-        multiarray = getattr(getattr(np, core, None), "multiarray", None)
-        switch = getattr(multiarray, "_set_madvise_hugepage", None)
-        if switch is not None:
-            break
-    else:
-        return np.zeros(shape)
-    advised = switch(False)
-    try:
-        return np.zeros(shape)
-    finally:
-        switch(advised)
 
 
 @dataclass(frozen=True)
@@ -136,17 +119,16 @@ class Operator:
         row dim - 1 + i - j holds the diagonal i - j, indexed by j.
 
         Only the diagonals on and below the main one that hold an entry are
-        written. The array is allocated zeroed, and large zeroed allocations
-        take memory only where written, so a banded H costs a few rows of
-        dim entries here, not dim^2. numpy advises transparent huge pages
-        for allocations of 4 MiB and more, under which each written row
-        would fault in a whole 2 MiB page; the advice is off for this one
-        allocation, so the written rows cost 4 KiB pages.
+        written. The array lies in a private anonymous mapping, zeroed, whose
+        pages take memory only where written, so a banded H costs a few rows
+        of dim entries here, not dim^2, and reading the rest costs nothing.
         """
         dim = self.layout.total_dim
         low = self.rows >= self.cols
         cols = self.cols[low]
-        diagonals = _zeros_without_huge_pages((2 * dim - 1, dim))
+        # private: in a shared mapping each page read would take memory
+        pages = mmap.mmap(-1, 8 * (2 * dim - 1) * dim, access=mmap.ACCESS_COPY)
+        diagonals = np.frombuffer(pages).reshape(2 * dim - 1, dim)
         diagonals[dim - 1 + self.rows[low] - cols, cols] = self.values[low]
         size = diagonals.itemsize
         view = np.ndarray((dim, dim), buffer=diagonals,

