@@ -437,7 +437,7 @@ def _run(config: RunConfig) -> int:
         lam, gamma, m, omega_max = config.ohmic
         # every build has n_max >= 2 and the dimension grows with n_max, so
         # m modes over the cap at n_max 2 are rejected before discretizing
-        models.check_dim_cap(config.bath_kind, m, 2, config.dim_cap)
+        models.Box(2).check_cap(config.bath_kind, m, config.dim_cap)
         try:
             modes = models.ohmic_drude_modes(lam, gamma, m, omega_max)
         except ValueError as exc:  # e.g. couplings that overflow float64

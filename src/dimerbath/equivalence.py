@@ -7,8 +7,8 @@ truncation, in ascending order, each the maximal distance of the two models'
 reduced trajectories. ``compare_ladder`` is the one rung loop, and its
 report holds the one certificate, the change of the maximal distance
 between the two finest rungs. ``compare_reduced`` is the two-rung ladder
-(n_max and n_max + CONVERGENCE_STEP); the CLI's ``convergence`` task is the
-ladder over an explicit n_max list.
+of a box and its refinement, ``Box.refined``; the CLI's ``convergence``
+task is the ladder over an explicit n_max list.
 
 ``factorization_check`` certifies the center-of-mass decoupling on the full
 state of a product initial state. It never forms the dense rho(0): it
@@ -36,12 +36,12 @@ from .dynamics import (
 )
 from .models import (
     CENTER_OF_MASS_B,
+    CONVERGENCE_STEP,  # unused; bench/workloads.py reads it
     DEFAULT_DIM_CAP,
     DimensionCapError,
     TotalModel,
     build,
     build_reduced_effective,  # unused; bench/tests/test_bench.py reads it
-    check_dim_cap,
 )
 from .spaces import (
     DensityMatrix,
@@ -52,7 +52,6 @@ from .spaces import (
 )
 from .thermal import ThermalSpec, initial_state
 
-CONVERGENCE_STEP = 2
 CONVERGENCE_TOL = 1e-7
 
 
@@ -117,7 +116,7 @@ def compare_ladder(pairs: Sequence[tuple[TotalModel, TotalModel]],
     maximum outlives the rung."""
     if not pairs:
         raise ValueError("pairs must be non-empty")
-    n_max = tuple(max(a.n_max, b.n_max) for a, b in pairs)
+    n_max = tuple(max(a.box.n_max, b.box.n_max) for a, b in pairs)
     if any(a.electronic != b.electronic for a, b in pairs):
         raise ValueError("models must share electronic parameters")
 
@@ -137,21 +136,22 @@ def compare_ladder(pairs: Sequence[tuple[TotalModel, TotalModel]],
 def compare_reduced(model_a: TotalModel, model_b: TotalModel,
                     rho_e0: DensityMatrix, spec: ThermalSpec, grid: TimeGrid,
                     dim_cap: int = DEFAULT_DIM_CAP) -> ComparisonReport:
-    """The ladder of the two models and both with every Fock factor enlarged
-    by CONVERGENCE_STEP levels. A refinement that would exceed ``dim_cap``
-    is left out, so the report is non-converged (delta = nan) rather than
-    raised, since the base comparison itself is still valid."""
+    """The ladder of the two models and both in their refined box, with
+    CONVERGENCE_STEP more levels per Fock factor. A refinement that would
+    exceed ``dim_cap`` is left out, so the report is non-converged
+    (delta = nan) rather than raised, since the base comparison itself is
+    still valid."""
     pairs = [(model_a, model_b)]
     try:
         # both refinements are checked before either is assembled
         for model in (model_a, model_b):
-            check_dim_cap(model.kind, len(model.modes),
-                          model.n_max + CONVERGENCE_STEP, dim_cap)
+            model.box.refined().check_cap(model.kind, len(model.modes),
+                                          dim_cap)
     except DimensionCapError:
         pass
     else:
         pairs.append(tuple(
-            build(m.kind, m.electronic, m.modes, m.n_max + CONVERGENCE_STEP,
+            build(m.kind, m.electronic, m.modes, m.box.refined().n_max,
                   m.alpha, m.coupling_scale, dim_cap)
             for m in (model_a, model_b)))
     return compare_ladder(pairs, rho_e0, spec, grid)

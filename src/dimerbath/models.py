@@ -31,12 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .spaces import (
-    HERMITICITY_RTOL,
-    Operator,
-    SpaceLayout,
-    occupation_basis,
-)
+from .spaces import Operator, SpaceLayout
 
 SQRT2 = math.sqrt(2.0)
 
@@ -47,6 +42,10 @@ SQRT2 = math.sqrt(2.0)
 # its set-up, library pages the rest (numpy 2.4, one OpenBLAS thread). At
 # this cap the four come to 537 MB.
 DEFAULT_DIM_CAP = 4096
+
+# the levels per Fock factor that a refined box adds: the finer rung of the
+# two-rung comparison ladder
+CONVERGENCE_STEP = 2
 
 
 class DimensionCapError(RuntimeError):
@@ -88,6 +87,69 @@ MODEL_KINDS = {
 
 
 @dataclass(frozen=True)
+class Box:
+    """The bath truncation: every Fock factor keeps its lowest n_max levels.
+
+    The only code that knows the bath is a box. A model's layout holds
+    n_max once per Fock factor, and its bath states are the occupation
+    tuples with every n_k < n_max.
+    """
+
+    n_max: int
+
+    def __post_init__(self):
+        if self.n_max < 2:
+            raise ValueError(f"n_max must be >= 2, got {self.n_max}")
+
+    @classmethod
+    def of(cls, layout: SpaceLayout) -> "Box":
+        """The box of an exciton layout: its Fock dims must all be equal."""
+        fock = set(layout.dims[1:])
+        if len(fock) != 1:
+            raise ValueError(f"Fock dims {layout.dims[1:]} are not one box")
+        return cls(fock.pop())
+
+    def layout(self, n_fock: int) -> SpaceLayout:
+        """The electronic factor, then n_fock Fock factors of n_max levels."""
+        return SpaceLayout((2,) + (self.n_max,) * n_fock)
+
+    def basis(self, n_fock: int) -> np.ndarray:
+        """Occupation tuples of n_fock factors, one row per bath state, in
+        the order of the Fock factors' tensor product: the last factor's
+        occupation varies fastest."""
+        return np.indices((self.n_max,) * n_fock).reshape(n_fock, -1).T
+
+    def lookup(self, occupations: np.ndarray) -> np.ndarray:
+        """The basis row of each occupation tuple, one tuple per row."""
+        return np.ravel_multi_index(occupations.T,
+                                    (self.n_max,) * occupations.shape[1])
+
+    def check_cap(self, kind: str, n_modes: int, dim_cap: int):
+        """Raise DimensionCapError if the model of config kind ``kind`` with
+        ``n_modes`` modes in this box has more than dim_cap states.
+
+        The dimension 2 n_max^k of k Fock factors has more than k (b - 1) bits
+        for an n_max of b bits. A model whose bound is over 64 bits past the
+        cap's is rejected without forming the power, which is shown as
+        2*n_max^k: thousands of modes would make it too long to print.
+        """
+        n_max = self.n_max
+        n_fock = len(MODEL_KINDS[kind].partition) * n_modes
+        if n_fock * (int(n_max).bit_length() - 1) <= dim_cap.bit_length() + 64:
+            dim = 2 * n_max ** n_fock
+            if dim <= dim_cap:
+                return
+        else:
+            dim = f"2*{n_max}^{n_fock}"
+        raise DimensionCapError(f"{kind} model at n_max {n_max} has total "
+                                f"dimension {dim}, over cap {dim_cap}")
+
+    def refined(self) -> "Box":
+        """The box with CONVERGENCE_STEP more levels per Fock factor."""
+        return Box(self.n_max + CONVERGENCE_STEP)
+
+
+@dataclass(frozen=True)
 class ElectronicParams:
     """Site energies and electronic coupling of the dimer."""
 
@@ -122,9 +184,9 @@ class TotalModel:
     ``kind`` is the config name of the model family, a key of MODEL_KINDS.
     ``modes`` always stores the *unscaled* input modes, so that ``build``
     re-derives the Hamiltonian at another truncation from kind, modes and
-    parameters. ``n_max``, ``bath_partition`` and ``factor_frequencies``
-    are read from kind, modes and the layout, which has one Fock factor per
-    partition label.
+    parameters. ``box``, ``bath_partition`` and ``factor_frequencies`` are
+    read from kind, modes and the layout, which has one Fock factor per
+    partition label, all of one dim.
     """
 
     hamiltonian: Operator
@@ -139,7 +201,8 @@ class TotalModel:
             raise ValueError(f"unknown model kind {self.kind!r}")
         if len(self.layout.dims) != 1 + len(self.bath_partition):
             raise ValueError("one Fock factor per partition label required")
-        if not self.hamiltonian.is_hermitian(HERMITICITY_RTOL):
+        Box.of(self.layout)  # the Fock dims must be one box
+        if not self.hamiltonian.is_hermitian():
             raise ValueError("total Hamiltonian is not Hermitian")
 
     @property
@@ -147,8 +210,8 @@ class TotalModel:
         return self.hamiltonian.layout
 
     @property
-    def n_max(self) -> int:
-        return self.layout.dims[1]
+    def box(self) -> Box:
+        return Box.of(self.layout)
 
     @property
     def bath_partition(self) -> tuple[str, ...]:
@@ -165,27 +228,7 @@ class TotalModel:
             s += f"(alpha={self.alpha:g})"
         if self.coupling_scale is not None and self.coupling_scale != SQRT2:
             s += f"(scale={self.coupling_scale:g})"
-        return s + f"[M={len(self.modes)}, n_max={self.n_max}]"
-
-
-def check_dim_cap(name: str, n_modes: int, n_max: int, dim_cap: int):
-    """Raise DimensionCapError if the model of config kind ``name`` with
-    ``n_modes`` modes at ``n_max`` levels has more than dim_cap states.
-
-    The dimension 2 n_max^k of k Fock factors has more than k (b - 1) bits
-    for an n_max of b bits. A model whose bound is over 64 bits past the
-    cap's is rejected without forming the power, which is shown as
-    2*n_max^k: thousands of modes would make it too long to print.
-    """
-    n_fock = len(MODEL_KINDS[name].partition) * n_modes
-    if n_fock * (int(n_max).bit_length() - 1) <= dim_cap.bit_length() + 64:
-        dim = 2 * n_max ** n_fock
-        if dim <= dim_cap:
-            return
-    else:
-        dim = f"2*{n_max}^{n_fock}"
-    raise DimensionCapError(f"{name} model at n_max {n_max} has total "
-                            f"dimension {dim}, over cap {dim_cap}")
+        return s + f"[M={len(self.modes)}, n_max={self.box.n_max}]"
 
 
 def build(name: str, p: ElectronicParams, modes: Sequence[ModeSpec],
@@ -197,19 +240,19 @@ def build(name: str, p: ElectronicParams, modes: Sequence[ModeSpec],
     for the kind (alpha, coupling_scale or none), and a ValueError it raises
     becomes a ModelBuildError. The ``build_<label>`` builders below are the
     uncapped primitives."""
-    check_dim_cap(name, len(modes), n_max, dim_cap)
     kind = MODEL_KINDS[name]
     # looked up at call time, so a wrapper set on the module attribute sees it
     builder = globals()["build_" + kind.label]
     given = {"alpha": alpha, "coupling_scale": coupling_scale}
     try:
+        Box(n_max).check_cap(name, len(modes), dim_cap)
         return builder(p, modes, n_max, **{
             k: v for k, v in given.items() if k == kind.parameter})
-    except ValueError as exc:  # e.g. couplings that overflow the Hamiltonian
+    except ValueError as exc:  # e.g. n_max < 2, or couplings that overflow H
         raise ModelBuildError(f"cannot build the {name} model: {exc}") from exc
 
 
-def _assemble(p: ElectronicParams, n_max: int, frequencies: Sequence[float],
+def _assemble(p: ElectronicParams, box: Box, frequencies: Sequence[float],
               couplings: Sequence[tuple[float, tuple[float, float]]]
               ) -> Operator:
     """H_e + sum_k omega_k n_k + sum_k g_k (c1 |1><1| + c2 |2><2|)(b_k + b_k^dag).
@@ -220,8 +263,7 @@ def _assemble(p: ElectronicParams, n_max: int, frequencies: Sequence[float],
     basis[i]. Each (row, col) is written once. No dense H is kept: eigh
     reads the operator's ``lower_triangle``, other readers its ``matrix``.
     """
-    dims = (n_max,) * len(frequencies)
-    basis = occupation_basis(dims)
+    basis = box.basis(len(frequencies))
     n_bath = len(basis)
     rows, cols, values = [], [], []
 
@@ -247,7 +289,7 @@ def _assemble(p: ElectronicParams, n_max: int, frequencies: Sequence[float],
         n = basis[upper, k]
         lowered = basis[upper]
         lowered[:, k] -= 1
-        lower = np.ravel_multi_index(lowered.T, dims)
+        lower = box.lookup(lowered)
         for e, c in enumerate(sites):
             if c == 0.0:
                 continue
@@ -256,7 +298,7 @@ def _assemble(p: ElectronicParams, n_max: int, frequencies: Sequence[float],
             value = 0.0 + g * (c * np.sqrt(n))
             emit(e * n_bath + lower, e * n_bath + upper, value)
             emit(e * n_bath + upper, e * n_bath + lower, value)
-    return Operator(SpaceLayout((2,) + dims),
+    return Operator(box.layout(len(frequencies)),
                     np.concatenate(rows), np.concatenate(cols),
                     np.concatenate(values))
 
@@ -271,8 +313,7 @@ def _model(kind: str, p: ElectronicParams, modes: Sequence[ModeSpec],
     """
     if not modes:
         raise ValueError("mode list must be non-empty")
-    if n_max < 2:
-        raise ValueError(f"n_max must be >= 2, got {n_max}")
+    box = Box(n_max)
     frequencies = tuple(m.omega for m in modes for _ in factors)
     couplings = [(g_scale * m.g, sites) for m in modes for sites in factors]
     # the extreme entries of H, in Python floats and in _assemble's order, so
@@ -285,7 +326,7 @@ def _model(kind: str, p: ElectronicParams, modes: Sequence[ModeSpec],
                  for eps in (p.eps1, p.eps2)]
     if not all(map(math.isfinite, extremes)):
         raise ValueError("a Hamiltonian entry overflows float64")
-    h = _assemble(p, n_max, frequencies, couplings)
+    h = _assemble(p, box, frequencies, couplings)
     return TotalModel(h, kind, p, tuple(modes), **parameters)
 
 

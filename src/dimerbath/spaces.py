@@ -3,7 +3,7 @@
 A space is an ordered tensor product of factors, described by their
 dimensions: the two-level electronic factor first, when present, followed
 by truncated Fock factors. The bath of an exciton space is one
-occupation-number basis, listed by :func:`occupation_basis`. An
+occupation-number basis, listed by ``models.Box.basis``. An
 :class:`Operator` is a Hamiltonian and must be real, as every model
 Hamiltonian is; it is built from (row, col, value) triplets, stored as
 such and formed dense only when read: as its lower triangle for ``eigh``,
@@ -49,15 +49,6 @@ class SpaceLayout:
     @property
     def total_dim(self) -> int:
         return int(np.prod(self.dims))
-
-
-def occupation_basis(dims: Sequence[int]) -> np.ndarray:
-    """Occupation tuples with every n_k < dims[k], one row per bath state.
-
-    Rows are in the order of the Fock factors' tensor product: the last
-    mode's occupation varies fastest.
-    """
-    return np.indices(dims).reshape(len(dims), -1).T
 
 
 @dataclass(frozen=True)
@@ -137,10 +128,10 @@ class Operator:
         view.flags.writeable = False
         return view
 
-    def is_hermitian(self, rtol: float = HERMITICITY_RTOL) -> bool:
-        """||A - A^T||_F <= rtol max|A_ij|, on the triplets: each entry is
-        paired with its transpose by a search of the sorted (row, col)
-        keys, in O(nnz log nnz) and with no dense array."""
+    def is_hermitian(self) -> bool:
+        """||A - A^T||_F <= HERMITICITY_RTOL max|A_ij|, on the triplets:
+        each entry is paired with its transpose by a search of the sorted
+        (row, col) keys, in O(nnz log nnz) and with no dense array."""
         if not self.values.any():
             return True
         scale = np.abs(self.values).max()
@@ -153,7 +144,7 @@ class Operator:
         # an entry with no partner stands at (i, j) and, negated, at (j, i)
         diff = np.concatenate((diff, diff[~paired]))
         # ||.||_2 <= ||.||_F and max|A_ij| <= ||A||_2: implies the spectral test
-        return np.linalg.norm(diff) <= rtol * scale
+        return np.linalg.norm(diff) <= HERMITICITY_RTOL * scale
 
 
 @dataclass(frozen=True)

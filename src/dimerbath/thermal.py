@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import DimensionCapError, TotalModel
-from .spaces import DensityMatrix, ProductState, occupation_basis
+from .spaces import DensityMatrix, ProductState
 
 #: extra Fock levels kept above the thermal support; the (b^dag + b) coupling
 #: displaces population beyond thermal occupancy, so the tail bound alone
@@ -72,8 +72,8 @@ def initial_state(rho_e0: DensityMatrix, model: TotalModel,
     on the ground row E = 0; a finite beta E that overflows has weight 0.
     rho_e0, a ``DensityMatrix``, is the checked 2x2 state;
     ``ProductState`` checks the weights."""
-    basis = occupation_basis(model.layout.dims[1:])
-    energy = basis @ np.asarray(model.factor_frequencies)
+    frequencies = np.asarray(model.factor_frequencies)
+    energy = model.box.basis(frequencies.size) @ frequencies
     if math.isinf(spec.beta):  # beta E would be inf * 0 on the ground row
         weights = (energy == 0.0).astype(float)
     else:

@@ -22,7 +22,7 @@ from dimerbath.models import (
     effective_coupling,
     ohmic_drude_modes,
 )
-from dimerbath.spaces import HERMITICITY_RTOL
+from dimerbath.spaces import HERMITICITY_RTOL, Operator, SpaceLayout
 
 SQRT2 = np.sqrt(2.0)
 
@@ -330,7 +330,7 @@ class TestHermiticity:
     ])
     def test_all_constructors_hermitian(self, params, build):
         m = build(params, [ModeSpec(1.0, 0.2), ModeSpec(0.5, -0.1)], 3)
-        assert m.hamiltonian.is_hermitian(1e-12)
+        assert m.hamiltonian.is_hermitian()
 
     @pytest.mark.parametrize("edit, hermitian", [
         pytest.param(_shift(0, 1, 1e6), False, id="partners-far-apart"),
@@ -411,18 +411,18 @@ class TestDimensionCap:
     @pytest.mark.parametrize("kind", sorted(models.MODEL_KINDS))
     def test_cap_counts_the_factors_of_the_built_model(self, params, kind):
         # the cap's factor count and the built model's factors come from
-        # one MODEL_KINDS entry; n_max, the partition and the factor
+        # one MODEL_KINDS entry; the box, the partition and the factor
         # frequencies are read from the kind, the unscaled modes and the
         # layout, one frequency per factor of each mode
         modes = [ModeSpec(0.8, 0.15), ModeSpec(1.3, 0.1)]
         model = models.build(kind, params, modes, 3, alpha=0.3)
         cap = model.layout.total_dim
-        models.check_dim_cap(kind, 2, 3, cap)
+        models.Box(3).check_cap(kind, 2, cap)
         with pytest.raises(DimensionCapError, match=f"over cap {cap - 1}$"):
-            models.check_dim_cap(kind, 2, 3, cap - 1)
+            models.Box(3).check_cap(kind, 2, cap - 1)
         partition = models.MODEL_KINDS[kind].partition
         assert model.kind == kind and model.modes == tuple(modes)
-        assert model.n_max == 3
+        assert model.box == models.Box(3)
         assert model.layout.dims == (2,) + (3,) * (2 * len(partition))
         assert model.bath_partition == partition * 2
         assert model.factor_frequencies == ((0.8,) * len(partition)
@@ -436,6 +436,23 @@ class TestDimensionCap:
         with pytest.raises(ValueError, match=(
                 "^one Fock factor per partition label required$")):
             replace(model, modes=(ModeSpec(1.0, 0.2), ModeSpec(2.0, 0.1)))
+
+    @pytest.mark.parametrize("n_max", [1, 0, -100])
+    @pytest.mark.parametrize("kind", sorted(models.MODEL_KINDS))
+    def test_build_below_two_levels_names_the_kind(self, params, kind, n_max):
+        # rejected before the cap check, which -100 would fail at 2 modes
+        modes = [ModeSpec(0.8, 0.15), ModeSpec(1.3, 0.1)]
+        with pytest.raises(models.ModelBuildError, match=(
+                f"^cannot build the {kind} model: n_max must be >= 2, "
+                f"got {n_max}$")):
+            models.build(kind, params, modes, n_max, alpha=0.3)
+
+    def test_fock_dims_must_be_one_box(self, params):
+        layout = SpaceLayout((2, 3, 4))
+        with pytest.raises(ValueError, match=(
+                r"^Fock dims \(3, 4\) are not one box$")):
+            models.TotalModel(Operator(layout, [], [], []), "independent",
+                              params, (ModeSpec(1.0, 0.2),))
 
     def test_unknown_kind_rejected_at_construction(self, params):
         model = models.build("shared", params, [ModeSpec(1.0, 0.2)], 3)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dense_operator, embed_matrix, ladder, random_density
+from dimerbath.models import Box
 from dimerbath.spaces import (
     HERMITICITY_RTOL,
     DensityMatrix,
@@ -11,7 +12,6 @@ from dimerbath.spaces import (
     Operator,
     SpaceLayout,
     eigenvalues_2x2,
-    occupation_basis,
     partial_trace_matrix,
     permute_factors_matrix,
 )
@@ -33,16 +33,27 @@ def test_layout_dims():
     assert SpaceLayout.electronic_only().dims == (2,)
 
 
-@pytest.mark.parametrize("n_fock,n_max", [(1, 2), (1, 5), (2, 3), (3, 2), (4, 3)])
+BOX_CASES = pytest.mark.parametrize(
+    "n_fock,n_max", [(1, 2), (1, 5), (2, 3), (3, 2), (4, 3)])
+
+
+@BOX_CASES
 def test_occupation_basis_is_kron_order(n_fock, n_max):
     # row i holds the occupations that the kron-embedded number operators
     # of the bath factors give state i
     dims = (n_max,) * n_fock
-    basis = occupation_basis(dims)
+    basis = Box(n_max).basis(n_fock)
     num = np.diag(np.arange(n_max))
     for k in range(n_fock):
         assert np.array_equal(basis[:, k], np.diag(embed_matrix(num, k, dims)).real)
     assert 2 * len(basis) == 2 * n_max ** n_fock
+
+
+@BOX_CASES
+def test_box_lookup_inverts_basis(n_fock, n_max):
+    box = Box(n_max)
+    assert np.array_equal(box.lookup(box.basis(n_fock)),
+                          np.arange(n_max ** n_fock))
 
 
 def test_embed_identity_is_identity():
