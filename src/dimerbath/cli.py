@@ -217,7 +217,10 @@ def _parse_modes(e: _Entries) -> tuple[tuple[float, float], ...]:
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate the line-oriented config format."""
-    from .models import DEFAULT_DIM_CAP, MODEL_KINDS
+    from .models import DEFAULT_DIM_CAP, MODEL_KINDS, Box
+
+    def n_max(raw: str) -> int:  # Box holds the n_max >= 2 rule
+        return Box(_integer(raw)).n_max
 
     e = _Entries(_parse_entries(text))
 
@@ -251,9 +254,7 @@ def parse_config(text: str) -> RunConfig:
     tail_tol = e.get("thermal.tail_tol", _finite, 1e-8)
     if not 0 < tail_tol < 1:
         e.fail("thermal.tail_tol", "must be in (0, 1)")
-    n_max_override = e.get("thermal.n_max_override", _integer)
-    if n_max_override is not None and n_max_override < 2:
-        e.fail("thermal.n_max_override", "must be >= 2")
+    n_max_override = e.get("thermal.n_max_override", n_max)
     if n_max_override is not None and "thermal.tail_tol" in e.entries:
         e.fail("thermal.tail_tol", "not read when thermal.n_max_override "
                "is set")
@@ -319,11 +320,11 @@ def parse_config(text: str) -> RunConfig:
         if _alpha_csv("", a) == _alpha_csv("", b):
             e.fail("task.alphas", f"alphas {a!r} and {b!r} share the CSV "
                    f"file suffix {_alpha_csv('', a)}")
-    n_max_list = e.get("task.n_max_list", _list_of(int), (),
+    n_max_list = e.get("task.n_max_list", _list_of(n_max), (),
                        required=(task == "convergence"))
-    if min(n_max_list, default=2) < 2 or not _strictly_ascending(n_max_list):
-        e.fail("task.n_max_list",
-               "must be a strictly ascending list of integers >= 2")
+    if not _strictly_ascending(n_max_list):
+        e.fail("task.n_max_list", "must be a strictly ascending list of "
+               "integers")
     threshold = e.get("task.threshold", _finite, 1e-6)
     if threshold <= 0:
         e.fail("task.threshold", "must be positive")

@@ -116,7 +116,7 @@ def compare_ladder(pairs: Sequence[tuple[TotalModel, TotalModel]],
     maximum outlives the rung."""
     if not pairs:
         raise ValueError("pairs must be non-empty")
-    n_max = tuple(max(a.box.n_max, b.box.n_max) for a, b in pairs)
+    n_max = tuple(max(a.truncation.n_max, b.truncation.n_max) for a, b in pairs)
     if any(a.electronic != b.electronic for a, b in pairs):
         raise ValueError("models must share electronic parameters")
 
@@ -145,13 +145,13 @@ def compare_reduced(model_a: TotalModel, model_b: TotalModel,
     try:
         # both refinements are checked before either is assembled
         for model in (model_a, model_b):
-            model.box.refined().check_cap(model.kind, len(model.modes),
-                                          dim_cap)
+            model.truncation.refined().check_cap(model.kind, len(model.modes),
+                                                 dim_cap)
     except DimensionCapError:
         pass
     else:
         pairs.append(tuple(
-            build(m.kind, m.electronic, m.modes, m.box.refined().n_max,
+            build(m.kind, m.electronic, m.modes, m.truncation.refined().n_max,
                   m.alpha, m.coupling_scale, dim_cap)
             for m in (model_a, model_b)))
     return compare_ladder(pairs, rho_e0, spec, grid)

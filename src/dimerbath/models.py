@@ -90,9 +90,9 @@ MODEL_KINDS = {
 class Box:
     """The bath truncation: every Fock factor keeps its lowest n_max levels.
 
-    The only code that knows the bath is a box. A model's layout holds
-    n_max once per Fock factor, and its bath states are the occupation
-    tuples with every n_k < n_max.
+    The only code that knows the bath is a box: its bath states are the
+    occupation tuples with every n_k < n_max, and its layout has n_max
+    levels per Fock factor.
     """
 
     n_max: int
@@ -100,14 +100,6 @@ class Box:
     def __post_init__(self):
         if self.n_max < 2:
             raise ValueError(f"n_max must be >= 2, got {self.n_max}")
-
-    @classmethod
-    def of(cls, layout: SpaceLayout) -> "Box":
-        """The box of an exciton layout: its Fock dims must all be equal."""
-        fock = set(layout.dims[1:])
-        if len(fock) != 1:
-            raise ValueError(f"Fock dims {layout.dims[1:]} are not one box")
-        return cls(fock.pop())
 
     def layout(self, n_fock: int) -> SpaceLayout:
         """The electronic factor, then n_fock Fock factors of n_max levels."""
@@ -182,15 +174,17 @@ class TotalModel:
     """A total Hamiltonian plus the metadata needed to rebuild it.
 
     ``kind`` is the config name of the model family, a key of MODEL_KINDS.
-    ``modes`` always stores the *unscaled* input modes, so that ``build``
-    re-derives the Hamiltonian at another truncation from kind, modes and
-    parameters. ``box``, ``bath_partition`` and ``factor_frequencies`` are
-    read from kind, modes and the layout, which has one Fock factor per
-    partition label, all of one dim.
+    The bath is the kind, the *unscaled* input ``modes`` and the
+    ``truncation``, so that ``build`` re-derives the Hamiltonian at another
+    truncation from them and the parameters. ``bath_partition`` and
+    ``factor_frequencies`` are read from kind and modes, and the
+    Hamiltonian's layout must be the truncation's layout of one Fock factor
+    per partition label.
     """
 
     hamiltonian: Operator
     kind: str
+    truncation: Box
     electronic: ElectronicParams
     modes: tuple[ModeSpec, ...]
     alpha: float | None = None
@@ -199,19 +193,17 @@ class TotalModel:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
-        if len(self.layout.dims) != 1 + len(self.bath_partition):
-            raise ValueError("one Fock factor per partition label required")
-        Box.of(self.layout)  # the Fock dims must be one box
+        n_fock = len(self.bath_partition)
+        if self.layout != self.truncation.layout(n_fock):
+            raise ValueError(f"layout {self.layout.dims} is not the layout "
+                             f"of {self.truncation} with {n_fock} Fock "
+                             "factors")
         if not self.hamiltonian.is_hermitian():
             raise ValueError("total Hamiltonian is not Hermitian")
 
     @property
     def layout(self) -> SpaceLayout:
         return self.hamiltonian.layout
-
-    @property
-    def box(self) -> Box:
-        return Box.of(self.layout)
 
     @property
     def bath_partition(self) -> tuple[str, ...]:
@@ -228,7 +220,7 @@ class TotalModel:
             s += f"(alpha={self.alpha:g})"
         if self.coupling_scale is not None and self.coupling_scale != SQRT2:
             s += f"(scale={self.coupling_scale:g})"
-        return s + f"[M={len(self.modes)}, n_max={self.box.n_max}]"
+        return s + f"[M={len(self.modes)}, n_max={self.truncation.n_max}]"
 
 
 def build(name: str, p: ElectronicParams, modes: Sequence[ModeSpec],
@@ -327,7 +319,7 @@ def _model(kind: str, p: ElectronicParams, modes: Sequence[ModeSpec],
     if not all(map(math.isfinite, extremes)):
         raise ValueError("a Hamiltonian entry overflows float64")
     h = _assemble(p, box, frequencies, couplings)
-    return TotalModel(h, kind, p, tuple(modes), **parameters)
+    return TotalModel(h, kind, box, p, tuple(modes), **parameters)
 
 
 def build_shared_anticorrelated(p: ElectronicParams, modes: Sequence[ModeSpec],

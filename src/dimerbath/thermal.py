@@ -73,7 +73,7 @@ def initial_state(rho_e0: DensityMatrix, model: TotalModel,
     rho_e0, a ``DensityMatrix``, is the checked 2x2 state;
     ``ProductState`` checks the weights."""
     frequencies = np.asarray(model.factor_frequencies)
-    energy = model.box.basis(frequencies.size) @ frequencies
+    energy = model.truncation.basis(frequencies.size) @ frequencies
     if math.isinf(spec.beta):  # beta E would be inf * 0 on the ground row
         weights = (energy == 0.0).astype(float)
     else:

@@ -109,7 +109,7 @@ def kron_hamiltonian(model) -> np.ndarray:
     """
     couplings = _kron_couplings(model)
     per_mode = len(couplings) // len(model.modes)
-    n_max = model.box.n_max
+    n_max = model.truncation.n_max
     dims = (2,) + (n_max,) * len(couplings)
     a = ladder(n_max).astype(np.complex128)
     x = a + a.conj().T

@@ -2,6 +2,7 @@ import contextlib
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -178,6 +179,18 @@ class TestParseConfig:
             parse_config(config_text(task__kind="convergence",
                                      task__compare_with="independent",
                                      task__n_max_list="4,4"))
+
+    @pytest.mark.parametrize("entries,key", [
+        ({"thermal__n_max_override": "1"}, "thermal.n_max_override"),
+        ({"task__kind": "convergence", "task__compare_with": "independent",
+          "task__n_max_list": "1,4"}, "task.n_max_list"),
+    ])
+    def test_n_max_below_two_names_the_key(self, entries, key):
+        # the n_max >= 2 rule is models.Box's; the config error names the key
+        with pytest.raises(ConfigError, match=(
+                rf"^{re.escape(key)} \(line \d+\): "
+                r".*n_max must be >= 2, got 1\)?$")):
+            parse_config(config_text(**entries))
 
     def test_alphas_sharing_a_csv_name_rejected(self):
         # both would write out_alpha_0.123457.csv

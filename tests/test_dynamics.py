@@ -97,7 +97,7 @@ class TestRealPath:
     def test_complex_hamiltonian_rejected(self, small_model):
         # i (|1><2| - |2><1|) x identity is Hermitian but not real
         h = small_model.hamiltonian.matrix + 1e-3j * np.kron(
-            [[0.0, 1.0], [-1.0, 0.0]], np.eye(small_model.box.n_max))
+            [[0.0, 1.0], [-1.0, 0.0]], np.eye(small_model.truncation.n_max))
         with pytest.raises(ValueError, match="Hamiltonian must be real"):
             dense_operator(small_model.layout, h)
 

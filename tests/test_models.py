@@ -411,9 +411,9 @@ class TestDimensionCap:
     @pytest.mark.parametrize("kind", sorted(models.MODEL_KINDS))
     def test_cap_counts_the_factors_of_the_built_model(self, params, kind):
         # the cap's factor count and the built model's factors come from
-        # one MODEL_KINDS entry; the box, the partition and the factor
-        # frequencies are read from the kind, the unscaled modes and the
-        # layout, one frequency per factor of each mode
+        # one MODEL_KINDS entry; the model stores its truncation, and the
+        # partition and the factor frequencies are read from the kind and
+        # the unscaled modes, one frequency per factor of each mode
         modes = [ModeSpec(0.8, 0.15), ModeSpec(1.3, 0.1)]
         model = models.build(kind, params, modes, 3, alpha=0.3)
         cap = model.layout.total_dim
@@ -422,7 +422,7 @@ class TestDimensionCap:
             models.Box(3).check_cap(kind, 2, cap - 1)
         partition = models.MODEL_KINDS[kind].partition
         assert model.kind == kind and model.modes == tuple(modes)
-        assert model.box == models.Box(3)
+        assert model.truncation == models.Box(3)
         assert model.layout.dims == (2,) + (3,) * (2 * len(partition))
         assert model.bath_partition == partition * 2
         assert model.factor_frequencies == ((0.8,) * len(partition)
@@ -430,12 +430,26 @@ class TestDimensionCap:
 
     @pytest.mark.parametrize("kind", sorted(models.MODEL_KINDS))
     def test_modes_must_match_the_layout(self, params, kind):
-        # the bath is read from kind, modes and layout: a second mode on a
-        # one-mode Hamiltonian would describe factors the layout lacks
+        # the bath is kind, modes and truncation: a second mode on a one-mode
+        # Hamiltonian would describe factors the layout lacks
         model = models.build(kind, params, [ModeSpec(1.0, 0.2)], 3, alpha=0.3)
-        with pytest.raises(ValueError, match=(
-                "^one Fock factor per partition label required$")):
+        n_fock = 2 * len(models.MODEL_KINDS[kind].partition)
+        with pytest.raises(ValueError) as error:
             replace(model, modes=(ModeSpec(1.0, 0.2), ModeSpec(2.0, 0.1)))
+        assert str(error.value) == (f"layout {model.layout.dims} is not the "
+                                    f"layout of Box(n_max=3) with {n_fock} "
+                                    "Fock factors")
+
+    @pytest.mark.parametrize("kind", sorted(models.MODEL_KINDS))
+    def test_truncation_must_match_the_layout(self, params, kind):
+        # the stored truncation cannot disagree with the Hamiltonian's
+        model = models.build(kind, params, [ModeSpec(1.0, 0.2)], 3, alpha=0.3)
+        n_fock = len(models.MODEL_KINDS[kind].partition)
+        with pytest.raises(ValueError) as error:
+            replace(model, truncation=models.Box(4))
+        assert str(error.value) == (f"layout {model.layout.dims} is not the "
+                                    f"layout of Box(n_max=4) with {n_fock} "
+                                    "Fock factors")
 
     @pytest.mark.parametrize("n_max", [1, 0, -100])
     @pytest.mark.parametrize("kind", sorted(models.MODEL_KINDS))
@@ -447,12 +461,13 @@ class TestDimensionCap:
                 f"got {n_max}$")):
             models.build(kind, params, modes, n_max, alpha=0.3)
 
-    def test_fock_dims_must_be_one_box(self, params):
+    def test_unequal_fock_dims_are_not_the_truncations_layout(self, params):
         layout = SpaceLayout((2, 3, 4))
         with pytest.raises(ValueError, match=(
-                r"^Fock dims \(3, 4\) are not one box$")):
+                r"^layout \(2, 3, 4\) is not the layout of "
+                r"Box\(n_max=3\) with 2 Fock factors$")):
             models.TotalModel(Operator(layout, [], [], []), "independent",
-                              params, (ModeSpec(1.0, 0.2),))
+                              models.Box(3), params, (ModeSpec(1.0, 0.2),))
 
     def test_unknown_kind_rejected_at_construction(self, params):
         model = models.build("shared", params, [ModeSpec(1.0, 0.2)], 3)
