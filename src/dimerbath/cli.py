@@ -151,7 +151,7 @@ _integer = _parsed(int, "an integer")
 def _finite(raw: str) -> float:
     value = _number(raw)
     if not math.isfinite(value):
-        raise ValueError("value must be finite")
+        raise ValueError(f"expected a finite number, got {raw!r}")
     return value
 
 
@@ -171,12 +171,8 @@ def _one_of(options):
 
 def _list_of(conv):
     def parse(raw: str) -> tuple:
-        try:
-            values = tuple(conv(part.strip()) for part in raw.split(",")
-                           if part.strip())
-        except ValueError as exc:
-            raise ValueError(f"expected a comma-separated list, got {raw!r} "
-                             f"({exc})") from None
+        values = tuple(conv(part.strip()) for part in raw.split(",")
+                       if part.strip())
         if not values:
             raise ValueError(f"empty list {raw!r}")
         return values

@@ -63,7 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# DEFAULT_DIM_CAP is re-exported: models.build checks the cap before assembly
+# DEFAULT_DIM_CAP is unused here; bench/workloads.py reads it
 from .models import DEFAULT_DIM_CAP, DimensionCapError, TotalModel  # noqa: F401
 from .spaces import POSITIVITY_TOL, ProductState, eigenvalues_2x2
 

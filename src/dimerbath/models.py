@@ -240,10 +240,11 @@ def build(name: str, p: ElectronicParams, modes: Sequence[ModeSpec],
         Box(n_max).check_cap(name, len(modes), dim_cap)
         return builder(p, modes, n_max, **{
             k: v for k, v in given.items() if k == kind.parameter})
-    except ValueError as exc:  # e.g. n_max < 2, or couplings that overflow H
+    except ValueError as exc:  # e.g. n_max < 2, or an entry of H that is inf
         raise ModelBuildError(f"cannot build the {name} model: {exc}") from exc
 
 
+@np.errstate(over="ignore")
 def _assemble(p: ElectronicParams, box: Box, frequencies: Sequence[float],
               couplings: Sequence[tuple[float, tuple[float, float]]]
               ) -> Operator:
@@ -254,6 +255,7 @@ def _assemble(p: ElectronicParams, box: Box, frequencies: Sequence[float],
     state at row e B + i is electronic state e with bath occupations
     basis[i]. Each (row, col) is written once. No dense H is kept: eigh
     reads the operator's ``lower_triangle``, other readers its ``matrix``.
+    An entry that overflows float64 is inf, and ``Operator`` rejects it.
     """
     basis = box.basis(len(frequencies))
     n_bath = len(basis)
@@ -308,16 +310,6 @@ def _model(kind: str, p: ElectronicParams, modes: Sequence[ModeSpec],
     box = Box(n_max)
     frequencies = tuple(m.omega for m in modes for _ in factors)
     couplings = [(g_scale * m.g, sites) for m in modes for sites in factors]
-    # the extreme entries of H, in Python floats and in _assemble's order, so
-    # an overflow is named before numpy meets it: g (c sqrt(n_max - 1)) off
-    # the diagonal, eps_e + sum_k omega_k (n_max - 1) on it
-    top = n_max - 1
-    extremes = [g * (c * math.sqrt(top))
-                for g, sites in couplings if g != 0.0 for c in sites if c != 0.0]
-    extremes += [sum((w * top for w in frequencies), eps)
-                 for eps in (p.eps1, p.eps2)]
-    if not all(map(math.isfinite, extremes)):
-        raise ValueError("a Hamiltonian entry overflows float64")
     h = _assemble(p, box, frequencies, couplings)
     return TotalModel(h, kind, box, p, tuple(modes), **parameters)
 

@@ -83,7 +83,7 @@ class Operator:
                           or max(rows.max(), cols.max()) >= dim):
             raise LayoutError(f"an index is outside layout dim {dim}")
         if not np.isfinite(values).all():
-            raise ValueError("matrix has a non-finite entry")
+            raise ValueError("Hamiltonian has a non-finite entry")
         order = np.argsort(rows * dim + cols)
         rows, cols, values = rows[order], cols[order], values[order]
         twice = np.flatnonzero((rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1]))

@@ -189,7 +189,7 @@ class TestParseConfig:
         # the n_max >= 2 rule is models.Box's; the config error names the key
         with pytest.raises(ConfigError, match=(
                 rf"^{re.escape(key)} \(line \d+\): "
-                r".*n_max must be >= 2, got 1\)?$")):
+                r"n_max must be >= 2, got 1$")):
             parse_config(config_text(**entries))
 
     def test_alphas_sharing_a_csv_name_rejected(self):
@@ -209,6 +209,14 @@ class TestParseConfig:
             parse_config(config_text(bath__kind="reduced_effective",
                                      task__kind="alpha_sweep",
                                      task__alphas=","))
+        # a well-formed list with one bad element: the element's error
+        with pytest.raises(ConfigError, match=(
+                r"^task\.alphas \(line \d+\): expected a finite number, "
+                r"got 'inf'$")) as excinfo:
+            parse_config(config_text(bath__kind="reduced_effective",
+                                     task__kind="alpha_sweep",
+                                     task__alphas="0.0, inf"))
+        assert "comma-separated" not in str(excinfo.value)
 
     def test_empty_n_max_list_rejected(self):
         with pytest.raises(ConfigError, match="task.n_max_list"):
@@ -345,13 +353,13 @@ class TestRunTrajectory:
         assert run(parse_config(text)) == 3
 
     def test_unbuildable_model_is_config_error(self, tmp_path, capsys):
-        # sqrt(2) g overflows to inf: named before the Hamiltonian is built
+        # sqrt(2) g overflows to inf, which the Hamiltonian's check rejects
         text = config_text(bath__kind="independent", bath__modes__0__g="1e308",
                            output__directory=str(tmp_path))
         assert run(parse_config(text)) == 2
         err = capsys.readouterr().err
         assert ("config-error: cannot build the independent model: "
-                "a Hamiltonian entry overflows float64") in err
+                "Hamiltonian has a non-finite entry") in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("overrides, rounding", [
@@ -516,7 +524,7 @@ class TestRunCompare:
         assert run(parse_config(text)) == 2
         err = capsys.readouterr().err
         assert err == ("config-error: cannot build the shared model: "
-                       "a Hamiltonian entry overflows float64\n")
+                       "Hamiltonian has a non-finite entry\n")
         assert not (tmp_path / "out").exists()
 
     def test_threshold_breach_fails_with_code_one(self, tmp_path):

@@ -367,16 +367,41 @@ class TestHermiticity:
         (ModeSpec(1e308, 0.1), 0.0),  # omega n_k with n_k = 2 on it
         (ModeSpec(1e307, 0.1), 1.7e308),  # eps1 + omega n_k on it
     ])
-    def test_overflowing_entry_is_named_before_assembly(self, mode, eps1):
+    def test_overflowing_entry_is_rejected_by_the_operator(self, mode, eps1):
         p = ElectronicParams(eps1, 0.0, 0.5)
-        with pytest.raises(ValueError, match="overflows float64"):
+        with pytest.raises(ValueError,
+                           match="^Hamiltonian has a non-finite entry$"):
             build_shared_anticorrelated(p, [mode], 3)
+
+    @pytest.mark.parametrize("kind, mode, n_max, builds", [
+        # g sqrt(2) ~ 1.70e308 is finite, g sqrt(3) is not
+        ("shared", ModeSpec(1.0, 1.2e308), 3, True),
+        ("shared", ModeSpec(1.0, 1.2e308), 4, False),
+        # omega n_k at the top level: 1.2e308 at n_k = 2, inf at n_k = 3
+        ("shared", ModeSpec(6e307, 0.1), 3, True),
+        ("shared", ModeSpec(6e307, 0.1), 4, False),
+        # two factors at their top level 2: omega (2 + 2) ~ 2.4e308
+        ("transformed", ModeSpec(6e307, 0.1), 3, False),
+    ])
+    def test_overflow_boundary_is_the_top_level(self, kind, mode, n_max,
+                                                builds):
+        # under pytest's error::RuntimeWarning: an entry that overflows is
+        # inf without a warning, and only the Operator's check rejects it
+        p = ElectronicParams(0.0, 0.0, 0.5)
+        if builds:
+            model = models.build(kind, p, [mode], n_max)
+            assert np.abs(model.hamiltonian.values).max() > 1e308
+        else:
+            with pytest.raises(models.ModelBuildError, match=(
+                    f"^cannot build the {kind} model: Hamiltonian has a "
+                    "non-finite entry$")):
+                models.build(kind, p, [mode], n_max)
 
     def test_build_names_the_kind_of_a_rejected_model(self, params):
         # the uncapped builder's ValueError, re-raised with the config name
         with pytest.raises(models.ModelBuildError, match=(
-                "^cannot build the independent model: a Hamiltonian entry "
-                "overflows float64$")):
+                "^cannot build the independent model: Hamiltonian has a "
+                "non-finite entry$")):
             models.build("independent", params, [ModeSpec(1.0, 1.5e308)], 3)
 
     def test_site_swap_leaves_spectrum_invariant(self):
